@@ -27,9 +27,11 @@ b_j = -2 A[j][1].
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import itemgetter, mul
 from typing import Optional
 
 import mpmath
@@ -43,7 +45,7 @@ from .evaluate import (
     eval_power_as_factorial,
     sum_factorial_series,
 )
-from .pade import pade_construct, pade_eval
+from .pade import _common_denominator, pade_construct, pade_eval
 from .series import FormalSeries, PrecisionContext, Real, SeriesKind, to_mpf
 from .stirling import stirling1
 from .transforms import power_to_factorial_coeffs
@@ -179,27 +181,38 @@ class OscillatorSeries:
         return self.coeffs[1 : order + 2]
 
 
-# growing recursion state: _poly[j][m] = A[j][m], _b[j] = b_j
-_poly: list[list[Fraction]] = [[Fraction(1)]]
+# growing recursion state, extended under _grow_lock and read without it:
+# _rows[j] = (D_j, [D_j * A[j][m] for m = 0..2j]), _b[j] = b_j
+_rows: list[tuple[int, list[int]]] = [(1, [1])]
 _b: list[Fraction] = [Fraction(1)]
+_grow_lock = threading.Lock()
 
 
 def _extend_oscillator(order: int) -> None:
-    while len(_b) - 1 < order:
-        j = len(_b)
-        prev = _poly
-        a = [Fraction(0)] * (2 * j + 1)
-        a[2 * j] = -prev[j - 1][2 * j - 2] / (8 * j)
-        for m in range(2 * j - 1, 0, -1):
-            acc = (2 * m + 2) * (2 * m + 1) * a[m + 1]
-            if 0 <= m - 2 <= 2 * (j - 1):
-                acc -= prev[j - 1][m - 2]
-            for i in range(1, j):
-                if m <= 2 * (j - i):
-                    acc += _b[i] * prev[j - i][m]
-            a[m] = acc / (4 * m)
-        _poly.append(a)
-        _b.append(-2 * a[1])
+    if len(_b) > order:
+        return
+    with _grow_lock:
+        while len(_b) <= order:
+            j = len(_b)
+            # c * (sum_i b_i A[j-i][m] - A[j-1][m-2]) as one integer dot product
+            # per m: multiplier ws[i-1] for row j-i, and -w for row j-1 shifted by 2
+            dens = [_b[i].denominator * _rows[j - i][0] for i in range(1, j)]
+            c = lcm(_rows[j - 1][0], *dens)
+            ws = [_b[i].numerator * (c // d) for i, d in enumerate(dens, 1)]
+            rows = [_rows[j - i][1] for i in range(1, j)]
+            w, prev = c // _rows[j - 1][0], _rows[j - 1][1]
+            a = [Fraction(0)] * (2 * j + 1)
+            hi = Fraction(0)  # A[j][m+1]
+            for m in range(2 * j, 0, -1):
+                k = j - (m + 1) // 2  # rows j-i with i <= k reach x^(2m)
+                s = sum(map(mul, ws[:k], map(itemgetter(m), rows[:k])))
+                if m >= 2:
+                    s -= w * prev[m - 2]
+                t = (2 * m + 2) * (2 * m + 1) * c
+                q = hi.denominator
+                a[m] = hi = Fraction(t * hi.numerator + s * q, 4 * m * q * c)
+            _rows.append(_common_denominator(a))
+            _b.append(-2 * a[1])
 
 
 def oscillator_coeffs(order: int) -> OscillatorSeries:

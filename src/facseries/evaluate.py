@@ -27,7 +27,7 @@ import mpmath
 from mpmath import mp
 
 from .errors import DomainError, IntegrationError, PoleError, PoleInDomainError
-from .pade import PadeApprox, pade_construct
+from .pade import PadeApprox, _common_denominator, pade_construct
 from .series import (
     FormalSeries,
     PrecisionContext,
@@ -222,15 +222,21 @@ def eval_power_as_factorial(
 def _check_poles_in_unit_interval(p: PadeApprox) -> None:
     """Exact sign scan of the denominator on 65 interior points of (0, 1).
 
+    At u = q/130, den(u) has the sign of the integer sum_k (D den_k) q^k 130^(M-k),
+    D > 0 the common denominator, so the scan forms no Fraction.
     Endpoint poles are tolerated: the t^(z-1) weight keeps them integrable
     and Gauss-Legendre nodes never touch the endpoints.
     """
+    _, cleared = _common_denominator(p.den)
+    scaled = [c * 130 ** (p.M - k) for k, c in enumerate(cleared)]
     signs = []
     for i in range(65):
-        u = Fraction(2 * i + 1, 130)
-        val = sum(c * u**k for k, c in enumerate(p.den))
+        q = 2 * i + 1
+        val = 0
+        for c in reversed(scaled):
+            val = val * q + c
         if val == 0:
-            raise PoleInDomainError(f"Pade denominator vanishes at u={u}")
+            raise PoleInDomainError(f"Pade denominator vanishes at u={Fraction(q, 130)}")
         signs.append(val > 0)
     if any(a != b for a, b in zip(signs, signs[1:])):
         raise PoleInDomainError("Pade denominator changes sign inside (0, 1)")

@@ -6,15 +6,17 @@ order L+M.  The denominator solves the Toeplitz system
 
     sum_{j=0}^{M} b_j c_{L+i-j} = 0,   i = 1..M,   b_0 = 1,
 
-by Gaussian elimination over Fractions, so the match-through-order property
-is exact, not approximate.  Singular systems raise DegeneracyError carrying
-the largest denominator degree that is solvable.
+cleared to integers over one common denominator, by Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968), so the match-through-order property is
+exact, not approximate.  Singular systems raise DegeneracyError carrying the
+largest denominator degree that is solvable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import mpmath
@@ -52,21 +54,39 @@ class PadeApprox:
         return tuple(out)
 
 
+def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [v * D for v in values]) with D the least common denominator."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _solve_exact(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination with exact pivoting; None if singular."""
+    """Bareiss elimination on the integer-cleared system; None if singular.
+
+    After the forward pass every entry is a minor of the original integer
+    matrix, so each division by the previous pivot is exact, and the last
+    pivot d (the determinant up to sign) makes d * x integral by Cramer's rule.
+    """
     m = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(a)]
+    _, flat = _common_denominator([v for row in a for v in row] + list(rhs))
+    aug = [flat[i * m : (i + 1) * m] + [flat[m * m + i]] for i in range(m)]
+    prev = 1
     for col in range(m):
         pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col] / pv
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][m] / aug[i][i] for i in range(m)]
+        prow = aug[col]
+        for row in aug[col + 1 :]:
+            f, row[col] = row[col], 0  # frees the eliminated entry: only U is kept
+            tail = zip(row[col + 1 :], prow[col + 1 :])
+            row[col + 1 :] = [(x * prow[col] - f * y) // prev for x, y in tail]
+        prev = prow[col]
+    y = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = aug[i]
+        y[i] = (prev * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))) // row[i]
+    return [Fraction(v, prev) for v in y]
 
 
 def _try_denominator(c: Sequence[Fraction], L: int, M: int) -> list[Fraction] | None:
@@ -100,8 +120,11 @@ def pade_construct(coeffs: Sequence, L: int, M: int) -> PadeApprox:
             f"singular [{L}/{M}] system; largest solvable denominator degree is {largest}",
             largest_m=largest,
         )
+    # num_k = sum_j den_j c_{k-j} as one integer convolution over dd * dc
+    dd, den_int = _common_denominator(den)
+    dc, c_int = _common_denominator(c[: L + 1])
     num = [
-        sum((den[j] * c[k - j] for j in range(min(k, M) + 1)), Fraction(0))
+        Fraction(sum(den_int[j] * c_int[k - j] for j in range(min(k, M) + 1)), dd * dc)
         for k in range(L + 1)
     ]
     return PadeApprox(num=tuple(num), den=tuple(den))

@@ -15,11 +15,13 @@ seeded with s1(0,0) = s2(0,0) = 1, and are mutually orthogonal:
 
     sum_{v=k}^{n} s1(n, v) s2(v, k) = delta_{nk}.
 
-Tables grow lazily and are immutable once built, so a cache can be shared
-freely between threads after construction.
+Rows are appended lazily under a lock and never mutated, so a cache can be
+shared freely between threads; reading rows already built takes no lock.
 """
 
 from __future__ import annotations
+
+import threading
 
 from .errors import DomainError
 
@@ -44,22 +46,25 @@ class StirlingCache:
             raise DomainError(f"Stirling kind must be 1 or 2, got {kind}")
         self.kind = kind
         self._rows: list[list[int]] = [[1]]
+        self._grow_lock = threading.Lock()
 
     @property
     def n_max(self) -> int:
         return len(self._rows) - 1
 
     def _extend(self, n: int) -> None:
-        while self.n_max < n:
-            m = self.n_max
-            prev = self._rows[m]
-            row = [0] * (m + 2)
-            for k in range(m + 2):
-                acc = prev[k - 1] if 1 <= k <= m + 1 else 0
-                if k <= m:
-                    acc += (-m if self.kind == 1 else k) * prev[k]
-                row[k] = acc
-            self._rows.append(row)
+        if self.n_max < n:
+            with self._grow_lock:  # re-checked inside: another thread may have grown it
+                while self.n_max < n:
+                    m = self.n_max
+                    prev = self._rows[m]
+                    row = [0] * (m + 2)
+                    for k in range(m + 2):
+                        acc = prev[k - 1] if 1 <= k <= m + 1 else 0
+                        if k <= m:
+                            acc += (-m if self.kind == 1 else k) * prev[k]
+                        row[k] = acc
+                    self._rows.append(row)
 
     def row(self, n: int) -> list[int]:
         if n < 0:

@@ -96,7 +96,8 @@ class TransformMatrix:
     """Lower-triangular exact matrix A (row n has n+1 entries), optional companion B.
 
     When the companion is present the pair must satisfy
-    sum_{r=k}^{n} B_nr A_rk = delta_nk exactly.
+    sum_{r=k}^{n} B_nr A_rk = delta_nk exactly.  The instance is immutable, so
+    a pass of verify_orthogonality is recorded and not repeated on later applies.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -109,6 +110,7 @@ class TransformMatrix:
                 raise IntegrityError(f"row {n} has {len(row)} entries, expected {n + 1}")
         object.__setattr__(self, "rows", frozen)
         object.__setattr__(self, "companion", companion)
+        object.__setattr__(self, "_verified", False)
 
     @property
     def n_max(self) -> int:
@@ -161,6 +163,7 @@ class TransformMatrix:
                 total = sum(b.rows[n][r] * self.rows[r][k] for r in range(k, n + 1))
                 if total != (1 if n == k else 0):
                     raise IntegrityError(f"orthogonality fails at (n={n}, k={k}): {total}")
+        object.__setattr__(self, "_verified", True)
 
 
 def triangular_forward(a: TransformMatrix, x: Sequence) -> tuple[Fraction, ...]:
@@ -178,7 +181,8 @@ def triangular_inverse_apply(a: TransformMatrix, y: Sequence) -> tuple[Fraction,
     """x_n = sum_{k<=n} B_nk y_k using the verified companion of ``a``."""
     if a.companion is None:
         raise IntegrityError("inverse application requires a companion matrix")
-    a.verify_orthogonality()
+    if not a._verified:
+        a.verify_orthogonality()
     return triangular_forward(a.companion, y)
 
 

@@ -1,11 +1,14 @@
 """Case studies: the exponential integral E1 and the quartic oscillator."""
 
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from facseries import applications
 from facseries.applications import (
     E1Series,
     OSCILLATOR_METHODS,
@@ -154,6 +157,78 @@ class TestOscillatorCoefficients:
         assert s.shift_coeffs(2) == s.coeffs[1:4]
         with pytest.raises(DomainError):
             s.shift_coeffs(5)
+
+
+def fraction_recursion_reference(order):
+    """b_0..b_order by the row recursion of the module docstring, all in Fractions."""
+    poly, b = [[Fraction(1)]], [Fraction(1)]
+    for j in range(1, order + 1):
+        a = [Fraction(0)] * (2 * j + 1)
+        a[2 * j] = -poly[j - 1][2 * j - 2] / (8 * j)
+        for m in range(2 * j - 1, 0, -1):
+            acc = (2 * m + 2) * (2 * m + 1) * a[m + 1]
+            if 0 <= m - 2 <= 2 * (j - 1):
+                acc -= poly[j - 1][m - 2]
+            for i in range(1, j):
+                if m <= 2 * (j - i):
+                    acc += b[i] * poly[j - i][m]
+            a[m] = acc / (4 * m)
+        poly.append(a)
+        b.append(-2 * a[1])
+    return tuple(b)
+
+
+# b_100, from the Fraction recursion; its denominator is 2^296
+B100_NUMERATOR = int(
+    "-41878320957485246059475829426903698800162646287922978002634877338214172599300622904"
+    "844270801382538421612501739089849418436083956400397515701600055913337614548315628564"
+    "314810175724859550529887294344947875490759292693065773385537402569515077878366061884"
+    "7102306340395"
+)
+B100_DENOMINATOR = 127314748520905380391777855525586135065716774604121015664758778084648831235208544136462336
+
+
+class TestOscillatorIntegerRecursion:
+    def test_matches_fraction_recursion(self):
+        assert oscillator_coeffs(60).coeffs == fraction_recursion_reference(60)
+
+    def test_b100_pinned(self):
+        b100 = oscillator_coeffs(100).coeffs[100]
+        assert (b100.numerator, b100.denominator) == (B100_NUMERATOR, B100_DENOMINATOR)
+        assert B100_DENOMINATOR == 2**296
+
+    def test_concurrent_growth_from_fresh_state(self, monkeypatch):
+        # a fresh recursion state grown by several threads at once must equal the
+        # serial build: growth is serialised by the lock, reads take none
+        monkeypatch.setattr(applications, "_rows", [(1, [1])])
+        monkeypatch.setattr(applications, "_b", [Fraction(1)])
+        orders = [12, 30, 5, 30, 21, 30, 1, 26]
+        results, errors = {}, []
+        barrier = threading.Barrier(len(orders))
+
+        def grow(slot, order):
+            try:
+                barrier.wait(timeout=10)
+                results[slot] = oscillator_coeffs(order).coeffs
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(i, n)) for i, n in enumerate(orders)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        serial = fraction_recursion_reference(30)
+        assert len(applications._b) == 31
+        for slot, order in enumerate(orders):
+            assert results[slot] == serial[: order + 1]
 
 
 class TestAsymptotics:

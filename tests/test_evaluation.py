@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from facseries.applications import e1_factorial_coeffs, e1_reference
 from facseries.errors import DomainError, PoleError, PoleInDomainError
 from facseries.evaluate import (
     QuadratureConvergenceWarning,
+    _check_poles_in_unit_interval,
     QuadratureSpec,
     eval_power_as_factorial,
     euler_integral_eval,
@@ -23,6 +25,7 @@ from facseries.series import (
     SeriesKind,
     factorial_term,
 )
+from facseries.pade import PadeApprox
 from facseries.transforms import power_to_factorial_coeffs
 
 PREC = PrecisionContext(64)
@@ -202,3 +205,40 @@ class TestAgreementBetweenBackends:
         with PREC.workdps():
             terms = [factorial_term(z, n, d[n], PREC) for n in range(30)]
             assert abs(direct - mp.fsum(terms)) < PREC.tol(10)
+
+
+def fraction_pole_scan(den):
+    """The 65-point sign scan with Fraction arithmetic; the message it raises, or None."""
+    signs = []
+    for i in range(65):
+        u = Fraction(2 * i + 1, 130)
+        val = sum(c * u**k for k, c in enumerate(den))
+        if val == 0:
+            return f"Pade denominator vanishes at u={u}"
+        signs.append(val > 0)
+    if any(a != b for a, b in zip(signs, signs[1:])):
+        return "Pade denominator changes sign inside (0, 1)"
+    return None
+
+
+class TestPoleScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), max_size=6),
+        st.integers(0, 64),
+        st.booleans(),
+    )
+    def test_integer_scan_matches_fraction_scan(self, tail, i, root_on_grid):
+        den = [Fraction(1)] + tail
+        if root_on_grid:
+            # multiply by (1 - u/u_i) so the denominator vanishes on a sample point
+            u = Fraction(2 * i + 1, 130)
+            den = [c - (den[k - 1] / u if k else 0) for k, c in enumerate(den + [0])]
+        p = PadeApprox(num=(Fraction(1),), den=tuple(den))
+        expected = fraction_pole_scan(den)
+        if expected is None:
+            _check_poles_in_unit_interval(p)
+        else:
+            with pytest.raises(PoleInDomainError) as err:
+                _check_poles_in_unit_interval(p)
+            assert str(err.value) == expected

@@ -1,5 +1,7 @@
 """Stirling triangles: paper-convention values, identities, brute-force oracles."""
 
+import sys
+import threading
 from math import factorial
 
 import pytest
@@ -126,6 +128,42 @@ class TestStructure:
     def test_bad_kind(self):
         with pytest.raises(DomainError):
             StirlingCache(3)
+
+
+class TestConcurrentGrowth:
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_threads_grow_fresh_cache(self, kind):
+        # several threads extend one fresh cache to different sizes at once; the
+        # table must equal a serial build, with no row appended twice
+        shared = StirlingCache(kind)
+        targets = [40, 7, 60, 25, 60, 3, 51, 60]
+        results, errors = {}, []
+        barrier = threading.Barrier(len(targets))
+
+        def grow(slot, n):
+            try:
+                barrier.wait(timeout=10)
+                results[slot] = [shared.row(m) for m in range(n, -1, -1)]
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(i, n)) for i, n in enumerate(targets)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        serial = StirlingCache(kind)
+        assert shared.n_max == 60
+        assert [shared.row(n) for n in range(61)] == [serial.row(n) for n in range(61)]
+        for slot, n in enumerate(targets):
+            assert results[slot] == [serial.row(m) for m in range(n, -1, -1)]
 
 
 class TestOrthogonality:

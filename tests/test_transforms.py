@@ -157,6 +157,45 @@ class TestTransformMatrix:
             TransformMatrix([[1]]).verify_orthogonality()
 
 
+class TestVerifyOnce:
+    def test_single_product_over_two_applies(self, monkeypatch):
+        calls = []
+        original = TransformMatrix.verify_orthogonality
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(TransformMatrix, "verify_orthogonality", counting)
+        pair = TransformMatrix.stirling_pair(8)
+        y = [Fraction(k + 1, 3) for k in range(9)]
+        first = triangular_inverse_apply(pair, y)
+        second = triangular_inverse_apply(pair, y)
+        assert first == second
+        assert calls == [pair]
+
+    def test_direct_call_still_checks(self):
+        # a recorded pass must not short-cut an explicit check
+        bad = TransformMatrix([[1], [1, 1]], companion=TransformMatrix([[1], [1, 1]]))
+        object.__setattr__(bad, "_verified", True)
+        with pytest.raises(IntegrityError):
+            bad.verify_orthogonality()
+
+    def test_bad_companion_raises_on_first_apply(self):
+        a = TransformMatrix([[1], [1, 1]])
+        bad = TransformMatrix([[1], [1, 1]], companion=a)
+        with pytest.raises(IntegrityError):
+            triangular_inverse_apply(bad, [1, 1])
+        with pytest.raises(IntegrityError):
+            triangular_inverse_apply(bad, [1, 1])
+
+    def test_verified_flag_not_part_of_equality(self):
+        pair = TransformMatrix.stirling_pair(4)
+        fresh = TransformMatrix.stirling_pair(4)
+        pair.verify_orthogonality()
+        assert pair == fresh
+
+
 class TestTriangularActions:
     def test_forward_matches_by_hand(self):
         m = TransformMatrix([[1], [2, 3], [4, 5, 6]])
