@@ -147,10 +147,10 @@ class E1Series:
     def summation_report(
         self, z: Real, terms: int, prec: PrecisionContext = PrecisionContext()
     ) -> SummationReport:
-        """Factorial partial sums with e^z E1(z) attached as the reference."""
+        """Factorial partial sums with e^z E1(z), to 15 guard digits, as the reference."""
         report = sum_factorial_series(self.factorial, z, terms, prec)
-        with prec.workdps():
-            ref = mp.e ** to_mpf(z) * e1_reference(z, prec)
+        with prec.workdps(15):
+            ref = mp.exp(to_mpf(z)) * e1_reference(z, prec)
         return report.with_reference(ref, prec)
 
 

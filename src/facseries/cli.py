@@ -6,8 +6,9 @@ writes a flat table for human-facing plots.  Exact integers travel as decimal
 strings; floats are rendered at the working precision, so identical config
 plus precision gives bit-identical output.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure
-(pole, degeneracy, instability, ...) with a machine-readable error object.
+Exit codes: 0 success, 1 usage/configuration error (a one-line
+"facseries: ..." on stderr), 2 numerical failure (pole, degeneracy,
+instability, ...) with a machine-readable error object.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ SCHEMA = "facseries/1"
 E_EXACT_BETA_ONE_FIFTH = "1.118292654367039154"
 
 
+class _UsageError(Exception):
+    """A bad option value, environment setting or input file: exit 1."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
@@ -54,8 +59,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x, prec: PrecisionContext) -> str:
-    with prec.workdps():
+    """x rounded once to P digits (an mpf keeps its guard digits until then)."""
+    with prec.workdps(15):
         return mp.nstr(to_mpf(x), prec.digits)
+
+
+def _rational(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"{option}: not a rational number: {text!r}") from None
+
+
+def _read_json(path):
+    """The JSON document in a file; one that cannot be read or parsed is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise _UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _frac_obj(c: Fraction) -> dict:
@@ -64,10 +86,9 @@ def _frac_obj(c: Fraction) -> dict:
 
 def _load_terms(path) -> list:
     """Accept either a series file or a bare JSON array of numbers/strings."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if isinstance(obj, list):
-        return [Fraction(str(t)) for t in obj]
+        return [_rational(str(t), f"term in {path}") for t in obj]
     return list(FormalSeries.from_json_obj(obj).coeffs)
 
 
@@ -124,7 +145,7 @@ def _cmd_transform(args, prec):
     key = (args.src, args.dst)
     if key not in _TRANSFORMS:
         raise DomainError(f"no transform from {args.src} to {args.dst}")
-    series = FormalSeries.load(args.infile)
+    series = FormalSeries.from_json_obj(_read_json(args.infile))
     if series.kind is not _KIND_ALIAS[args.src]:
         raise IntegrityError(
             f"input file holds a {series.kind.value} series, --from says {args.src}"
@@ -141,7 +162,7 @@ def _cmd_transform(args, prec):
 def _cmd_accelerate(args, prec):
     terms = _load_terms(args.infile)
     with prec.workdps():
-        inp = TransformInput.from_terms(terms, args.omega, Fraction(args.beta))
+        inp = TransformInput.from_terms(terms, args.omega, _rational(args.beta, "--beta"))
         table = transform_table(inp, args.method, args.k, n=0, prec=prec)
     doc = {
         "command": "accelerate", "method": args.method, "beta": args.beta,
@@ -156,7 +177,7 @@ def _cmd_accelerate(args, prec):
 
 
 def _cmd_pade(args, prec):
-    series = FormalSeries.load(args.infile)
+    series = FormalSeries.from_json_obj(_read_json(args.infile))
     approx = pade_construct(series.coeffs, args.L, args.M)
     doc = {
         "command": "pade", "L": approx.L, "M": approx.M,
@@ -165,14 +186,14 @@ def _cmd_pade(args, prec):
     }
     if args.eval is not None:
         doc["eval_at"] = args.eval
-        doc["value"] = _fmt(pade_eval(approx, Fraction(args.eval), prec), prec)
+        doc["value"] = _fmt(pade_eval(approx, _rational(args.eval, "--eval"), prec), prec)
     _emit(doc, args, prec)
     return 0
 
 
 def _cmd_sum(args, prec):
-    series = FormalSeries.load(args.infile)
-    z = Fraction(args.z)
+    series = FormalSeries.from_json_obj(_read_json(args.infile))
+    z = _rational(args.z, "--z")
     terms = args.terms if args.terms is not None else len(series)
     if args.backend == "direct":
         report = sum_factorial_series(series, z, terms, prec)
@@ -207,7 +228,7 @@ def _cmd_sum(args, prec):
 
 
 def _cmd_e1(args, prec):
-    z = Fraction(args.z)
+    z = _rational(args.z, "--z")
     series = E1Series.build(args.terms - 1)
     report = series.summation_report(z, args.terms, prec)
     doc = {
@@ -216,11 +237,11 @@ def _cmd_e1(args, prec):
         "final": _fmt(report.final, prec),
     }
     if args.compare:
-        with prec.workdps():
-            ref = report.reference
-            doc["reference"] = _fmt(ref, prec)
-            doc["ratio"] = _fmt(report.final / ref, prec)
+        with prec.workdps(15):
+            doc["reference"] = _fmt(report.reference, prec)
+            doc["ratio"] = _fmt(report.final / report.reference, prec)
             doc["relative_errors"] = [_fmt(e, prec) for e in report.relative_errors]
+        with prec.workdps():
             # divergent-series comparison: accelerate e^z E1(z) = (1/z) 2F0(1,1;-1/z)
             zv = to_mpf(z)
             terms = [to_mpf(c) / zv ** (m + 1)
@@ -250,7 +271,7 @@ def _cmd_e1(args, prec):
 
 
 def _cmd_oscillator(args, prec):
-    beta = Fraction(args.beta)
+    beta = _rational(args.beta, "--beta")
     methods = list(OSCILLATOR_METHODS) if args.all else [args.method]
     results = {}
     for method in methods:
@@ -263,9 +284,8 @@ def _cmd_oscillator(args, prec):
         doc["reference"] = E_EXACT_BETA_ONE_FIFTH
         with prec.workdps():
             ref = mp.mpf(E_EXACT_BETA_ONE_FIFTH)
-            doc["errors"] = {
-                m: _fmt(abs(mp.mpf(v) - ref), prec) for m, v in results.items()
-            }
+            # three significant digits: the 19-digit reference fixes no more
+            doc["errors"] = {m: f"{float(abs(mp.mpf(v) - ref)):.2e}" for m, v in results.items()}
     _emit(doc, args, prec)
     if args.csv:
         _emit_csv(args.csv, ["method", "energy"], list(results.items()))
@@ -352,20 +372,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    digits = args.precision
-    if digits is None:
-        digits = int(os.environ.get("FACSERIES_PRECISION", "64"))
+def _precision(args) -> PrecisionContext:
+    """--precision, else FACSERIES_PRECISION, else 64 digits."""
+    text = os.environ.get("FACSERIES_PRECISION", "64")
     try:
-        prec = PrecisionContext(digits)
+        return PrecisionContext(int(text) if args.precision is None else args.precision)
+    except ValueError:
+        raise _UsageError(f"FACSERIES_PRECISION is not an integer: {text!r}") from None
     except FacseriesError as exc:
-        sys.stderr.write(f"facseries: {exc}\n")
-        return 1
+        raise _UsageError(exc) from None
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, prec)
-    except FileNotFoundError as exc:
+        return args.fn(args, _precision(args))
+    except (OSError, _UsageError) as exc:
         sys.stderr.write(f"facseries: {exc}\n")
         return 1
     except FacseriesError as exc:

@@ -13,6 +13,11 @@ Quadrature is composite Gauss-Legendre with high-precision nodes.  For
 0 < z < 1 the integrand has an integrable singularity at t = 0; the leading
 subinterval [0, eps] is handled by the substitution t = u^(1/z), which turns
 t^(z-1) dt into du/z and leaves a smooth integrand.
+
+The conjugate function is evaluated by a fixed-point integer Horner kernel
+(_fixed_point_phi): each polynomial is off by at most (deg+1) 2^-w, with w
+the working precision plus guard bits, and the quotient is one correctly
+rounded mpf division.
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial
 from typing import Callable, Optional, Sequence
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import DomainError, IntegrationError, PoleError, PoleInDomainError
 from .pade import PadeApprox, _common_denominator, pade_construct
@@ -79,7 +84,8 @@ class SummationReport:
     relative_errors: Optional[tuple] = None
 
     def with_reference(self, reference: Real, prec: PrecisionContext) -> "SummationReport":
-        with prec.workdps():
+        """Attach a reference (kept to 15 guard digits) and each sum's relative error."""
+        with prec.workdps(15):
             ref = to_mpf(reference)
             errs = tuple(abs(s - ref) / abs(ref) for s in self.partial_sums)
         return replace(self, reference=ref, relative_errors=errs)
@@ -90,36 +96,44 @@ class SummationReport:
 _GL_CACHE: dict = {}
 
 
-def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
-    """Nodes and weights on [-1, 1] at the current mpmath precision.
+def _legendre(n: int, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, in float or mpf."""
+    p0, p1 = 1, x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1)
 
-    Newton iteration on P_n with the three-term recurrence; cached per
-    (n, working precision).
+
+def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
+    """Nodes (descending) and weights on [-1, 1] at the current mpmath precision.
+
+    Newton iteration on P_n, seeded from a float64 Newton root, for the
+    ceil(n/2) non-negative nodes; the rest are their mirror images, with the
+    same weights.  Cached per (n, working precision).
     """
     key = (n, mp.prec)
     if key in _GL_CACHE:
         return _GL_CACHE[key]
-    nodes, weights = [], []
     tol = mp.mpf(10) ** (-mp.dps + 4)
-    for i in range(n):
-        x = mp.cos(mp.pi * (i + mp.mpf(3) / 4) / (n + mp.mpf(1) / 2))
+    half = []
+    for i in range((n + 1) // 2):
+        # mpmath's cos: a first math.cos faults libm pages in, +64 KB of peak RSS
+        x = float(mp.cos(mp.pi * (i + 0.75) / (n + 0.5)))
+        for _ in range(8):
+            p, dp = _legendre(n, x)
+            x -= p / dp
+        x = mp.mpf(x)
         for _ in range(100):
-            p0, p1 = mp.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
+            p, dp = _legendre(n, x)
+            dx = p / dp
             x -= dx
             if abs(dx) < tol:
                 break
-        p0, p1 = mp.mpf(1), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        nodes.append(x)
-        weights.append(2 / ((1 - x * x) * dp * dp))
-    _GL_CACHE[key] = (nodes, weights)
-    return nodes, weights
+        _, dp = _legendre(n, x)
+        half.append((x, 2 / ((1 - x * x) * dp * dp)))
+    half += [(-x, w) for x, w in reversed(half[: n // 2])]
+    _GL_CACHE[key] = tuple(map(list, zip(*half)))
+    return _GL_CACHE[key]
 
 
 def _composite_gl(f: Callable, lo, hi, points: int, panels: int) -> mpmath.mpf:
@@ -138,6 +152,22 @@ def _composite_gl(f: Callable, lo, hi, points: int, panels: int) -> mpmath.mpf:
     return total * width / 2
 
 
+def _panel_doubled(pieces: Sequence, spec: QuadratureSpec, prec: PrecisionContext) -> mpmath.mpf:
+    """Composite Gauss-Legendre summed over (f, lo, hi) pieces, at spec.panels and
+    at twice as many; warns and returns as quadrature_01 describes."""
+    coarse, fine = (
+        sum(_composite_gl(f, lo, hi, spec.points_per_panel, panels) for f, lo, hi in pieces)
+        for panels in (spec.panels, 2 * spec.panels)
+    )
+    scale = max(abs(fine), mp.mpf(1))
+    if abs(fine - coarse) / scale > prec.tol(prec.digits // 2):
+        warnings.warn(
+            f"panel doubling moved the estimate by {abs(fine - coarse)}",
+            QuadratureConvergenceWarning,
+        )
+    return fine
+
+
 def quadrature_01(
     f: Callable,
     spec: QuadratureSpec = QuadratureSpec(),
@@ -150,15 +180,7 @@ def quadrature_01(
     emitted.  The refined value is returned.
     """
     with prec.workdps(10):
-        coarse = _composite_gl(f, mp.mpf(0), mp.mpf(1), spec.points_per_panel, spec.panels)
-        fine = _composite_gl(f, mp.mpf(0), mp.mpf(1), spec.points_per_panel, 2 * spec.panels)
-        scale = max(abs(fine), mp.mpf(1))
-        if abs(fine - coarse) / scale > prec.tol(prec.digits // 2):
-            warnings.warn(
-                f"panel doubling moved the estimate by {abs(fine - coarse)}",
-                QuadratureConvergenceWarning,
-            )
-        return fine
+        return _panel_doubled([(f, mp.mpf(0), mp.mpf(1))], spec, prec)
 
 
 # --- summation back-ends ----------------------------------------------------
@@ -219,6 +241,43 @@ def eval_power_as_factorial(
         return SummationReport(partial_sums=tuple(sums), final=sums[-1])
 
 
+def _horner_fixed(coeffs: Sequence[int], m: int, s: int) -> int:
+    """Horner on integer coefficients at u = m 2^-s: acc = ((acc m) >> s) + c."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ((acc * m) >> s) + c
+    return acc
+
+
+def _fixed_point(p: PadeApprox) -> tuple[int, list[int], list[int]]:
+    """(w, [ceil(c 2^w) for c in num], [ceil(c 2^w) for c in den]), w the working
+    precision plus guard bits: the bit lengths of the largest |c| and of L+M+2, plus 4."""
+    big = ceil(max(abs(c) for c in p.num + p.den)).bit_length()
+    w = mp.prec + big + (p.L + p.M + 2).bit_length() + 4
+    return w, *([-((-c.numerator << w) // c.denominator) for c in cs] for cs in (p.num, p.den))
+
+
+def _fixed_point_phi(p: PadeApprox) -> Callable:
+    """num(u)/den(u) at mpf u in [0, 1] by fixed-point integer Horner.
+
+    With u = m 2^-s read from the mpf, acc = ((acc m) >> s) + C runs over the
+    coefficients C = ceil(c 2^w) of _fixed_point: C rounds up and the shift
+    down, so each step errs by less than 2^-w and |u| <= 1 keeps the errors
+    from growing.  Each polynomial is off by at most (deg+1) 2^-w, no more
+    than an mpf Horner's bound at the working precision; the quotient is one
+    correctly rounded mpf division.
+    """
+    _, num, den = _fixed_point(p)
+
+    def phi(u):
+        _, m, e, _ = u._mpf_  # u = m 2^e >= 0, and e <= 0 as u <= 1
+        return mp.make_mpf(libmp.mpf_div(
+            libmp.from_int(_horner_fixed(num, m, -e)), libmp.from_int(_horner_fixed(den, m, -e)),
+            mp.prec, libmp.round_nearest))
+
+    return phi
+
+
 def _check_poles_in_unit_interval(p: PadeApprox) -> None:
     """Exact sign scan of the denominator on 65 interior points of (0, 1).
 
@@ -232,9 +291,7 @@ def _check_poles_in_unit_interval(p: PadeApprox) -> None:
     signs = []
     for i in range(65):
         q = 2 * i + 1
-        val = 0
-        for c in reversed(scaled):
-            val = val * q + c
+        val = _horner_fixed(scaled, q, 0)
         if val == 0:
             raise PoleInDomainError(f"Pade denominator vanishes at u={Fraction(q, 130)}")
         signs.append(val > 0)
@@ -262,52 +319,17 @@ def euler_integral_eval(
         zv = to_mpf(z)
         if not (zv > 0):
             raise DomainError(f"integral representation requires z > 0, got {z}")
-        # pole-free on [0, 1] by the exact scan above; convert once, then Horner
-        numf = [to_mpf(c) for c in approx.num]
-        denf = [to_mpf(c) for c in approx.den]
-
-        def phi(u):
-            pn = mp.mpf(0)
-            for c in reversed(numf):
-                pn = pn * u + c
-            pd = mp.mpf(0)
-            for c in reversed(denf):
-                pd = pd * u + c
-            return pn / pd
+        phi = _fixed_point_phi(approx)  # pole-free on [0, 1] by the exact scan above
 
         def integrand(t):
             return t ** (zv - 1) * phi(1 - t)
 
+        pieces = [(integrand, mp.mpf(0), mp.mpf(1))]
         if zv < 1 and spec.singularity_split:
             eps = mp.mpf(1) / 16
             # [0, eps] with t = u^(1/z): integrand becomes phi(1 - u^(1/z))/z
             def left(u):
                 return phi(1 - u ** (1 / zv)) / zv
 
-            part1 = _composite_gl(
-                left, mp.mpf(0), eps**zv, spec.points_per_panel, spec.panels
-            )
-            part2 = _composite_gl(
-                integrand, eps, mp.mpf(1), spec.points_per_panel, spec.panels
-            )
-            fine1 = _composite_gl(
-                left, mp.mpf(0), eps**zv, spec.points_per_panel, 2 * spec.panels
-            )
-            fine2 = _composite_gl(
-                integrand, eps, mp.mpf(1), spec.points_per_panel, 2 * spec.panels
-            )
-            coarse, fine = part1 + part2, fine1 + fine2
-        else:
-            coarse = _composite_gl(
-                integrand, mp.mpf(0), mp.mpf(1), spec.points_per_panel, spec.panels
-            )
-            fine = _composite_gl(
-                integrand, mp.mpf(0), mp.mpf(1), spec.points_per_panel, 2 * spec.panels
-            )
-        scale = max(abs(fine), mp.mpf(1))
-        if abs(fine - coarse) / scale > prec.tol(prec.digits // 2):
-            warnings.warn(
-                f"panel doubling moved the estimate by {abs(fine - coarse)}",
-                QuadratureConvergenceWarning,
-            )
-        return fine
+            pieces = [(left, mp.mpf(0), eps**zv), (integrand, eps, mp.mpf(1))]
+        return _panel_doubled(pieces, spec, prec)

@@ -118,11 +118,9 @@ class FormalSeries:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FormalSeries":
         try:
-            kind = obj["kind"]
-            coeffs = [Fraction(int(c["num"]), int(c["den"])) for c in obj["coeffs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(obj["kind"], [Fraction(int(c["num"]), int(c["den"])) for c in obj["coeffs"]])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise IntegrityError(f"malformed series object: {exc}") from exc
-        return cls(kind, coeffs)
 
     @classmethod
     def load(cls, path) -> "FormalSeries":

@@ -278,3 +278,18 @@ class TestOscillatorEnergy:
             )
             pade = oscillator_energy(Fraction(1, 5), 12, "pade", PREC)
             assert abs(pade - ref) < abs(truncated - ref)
+
+    # 64-digit integral energies at order 34, recorded before the fixed-point
+    # quadrature kernel and the mirrored Gauss-Legendre nodes replaced the mpf
+    # Horner and the n-root Newton build; the rebuilt path must reproduce them
+    INTEGRAL_ORDER_34 = {
+        Fraction(1, 20): "1.034729697255483804270223252253604604069184256186584563437983952",
+        Fraction(1, 5): "1.118292654368740442901792846152361900933443159046968163607309169",
+        Fraction(2): "1.609568258429662756572025552782775855533725900122504867040871543",
+        Fraction(4): "1.927420778416946147315092190035242178669926943082243640802982088",
+    }
+
+    @pytest.mark.parametrize("beta", sorted(INTEGRAL_ORDER_34))
+    def test_integral_energy_pinned(self, beta):
+        energy = oscillator_energy(beta, 34, "integral", PREC)
+        assert mp.nstr(energy, 64) == self.INTEGRAL_ORDER_34[beta]

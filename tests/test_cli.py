@@ -1,10 +1,14 @@
 """End-to-end CLI runs through facseries.cli.main."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from mpmath import mp
 
+from facseries.applications import e1_factorial_coeffs
 from facseries.cli import main
 from facseries.series import FormalSeries, SeriesKind
 
@@ -22,8 +26,6 @@ def run_json(capsys, *argv):
 
 @pytest.fixture
 def e1_factorial_file(tmp_path):
-    from facseries.applications import e1_factorial_coeffs
-
     path = tmp_path / "e1_fact.json"
     FormalSeries(SeriesKind.FACTORIAL, e1_factorial_coeffs(14)).dump(path)
     return str(path)
@@ -152,6 +154,24 @@ class TestE1:
             assert val.startswith("0.1704")
 
 
+    def test_ratio_correctly_rounded(self, capsys):
+        # reference and ratio keep 15 guard digits until the one rounding to print
+        z, n = Fraction(79, 4), 39
+        code, doc = run_json(
+            capsys, "e1", "--z", str(z), "--terms", str(n), "--compare"
+        )
+        assert code == 0
+        d = e1_factorial_coeffs(n - 1)
+        total, poch = Fraction(0), z
+        for k in range(n):
+            total += d[k] / poch
+            poch *= z + k + 1
+        with mp.workdps(120):
+            zv = mp.mpf(z.numerator) / z.denominator
+            ratio = (mp.mpf(total.numerator) / total.denominator) / (mp.exp(zv) * mp.e1(zv))
+            assert doc["ratio"] == mp.nstr(ratio, 64)
+
+
 class TestOscillator:
     def test_all_methods_with_reference(self, capsys):
         code, doc = run_json(
@@ -161,6 +181,8 @@ class TestOscillator:
         assert set(doc["energies"]) == {"factorial", "pade", "integral"}
         assert doc["reference"] == "1.118292654367039154"
         for err in doc["errors"].values():
+            # three significant digits: the 19-digit reference fixes no more
+            assert re.fullmatch(r"\d\.\d\de[-+]\d\d+", err), err
             assert float(err) < 0.01
 
     def test_no_reference_off_calibration_point(self, capsys):
@@ -215,3 +237,61 @@ class TestPlumbing:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "m,partial_sum"
         assert len(lines) == 6
+
+
+def assert_usage_error(capsys, argv):
+    """Exit 1 with a single "facseries: ..." line on stderr."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facseries: ") and err.count("\n") == 1, err
+
+
+class TestUsageErrors:
+    def test_e1_z_not_rational(self, capsys):
+        assert_usage_error(capsys, ["e1", "--z", "abc", "--terms", "5"])
+
+    def test_oscillator_beta_not_rational(self, capsys):
+        assert_usage_error(capsys, ["oscillator", "--beta", "abc", "--order", "4"])
+
+    def test_precision_env_not_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("FACSERIES_PRECISION", "x")
+        assert_usage_error(capsys, ["stirling", "--kind", "1", "--n", "2"])
+
+    def test_input_file_not_json(self, capsys, tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text("not json {")
+        assert_usage_error(capsys, ["pade", "--in", str(path), "--L", "1", "--M", "1"])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        option=st.sampled_from(["--z", "--beta", "FACSERIES_PRECISION", "--in"]),
+        value=st.one_of(
+            st.text(max_size=8),
+            st.text(alphabet="0123456789/-+.e_ ", max_size=6),
+            st.sampled_from(["1/0", "nan", "inf", "-1", "0", "3/7", "1e3", "2", "99"]),
+        ),
+    )
+    def test_fuzzed_inputs_never_escape(self, capsys, monkeypatch, tmp_path, option, value):
+        # exit 0, 1 or 2, and never a traceback
+        path = tmp_path / "in.json"
+        path.write_text('{"kind": "power", "coeffs": [{"num": "1", "den": "1"}]}')
+        monkeypatch.delenv("FACSERIES_PRECISION", raising=False)
+        if option == "--z":
+            argv = ["e1", "--z", value, "--terms", "4"]
+        elif option == "--beta":
+            argv = ["oscillator", "--beta", value, "--order", "4", "--method", "pade"]
+        elif option == "FACSERIES_PRECISION":
+            assume("\x00" not in value)  # no environment can hold it
+            monkeypatch.setenv("FACSERIES_PRECISION", value)
+            argv = ["stirling", "--kind", "1", "--n", "3", "--json"]
+        else:
+            path.write_text(value)
+            argv = ["pade", "--in", str(path), "--L", "0", "--M", "0"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err

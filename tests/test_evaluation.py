@@ -13,6 +13,10 @@ from facseries.errors import DomainError, PoleError, PoleInDomainError
 from facseries.evaluate import (
     QuadratureConvergenceWarning,
     _check_poles_in_unit_interval,
+    _fixed_point,
+    _fixed_point_phi,
+    _horner_fixed,
+    _gauss_legendre_nodes,
     QuadratureSpec,
     eval_power_as_factorial,
     euler_integral_eval,
@@ -242,3 +246,91 @@ class TestPoleScan:
             with pytest.raises(PoleInDomainError) as err:
                 _check_poles_in_unit_interval(p)
             assert str(err.value) == expected
+
+
+def mpf_fraction(x):
+    """The exact value of an mpf as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction((-1) ** sign * man) * Fraction(2) ** exp
+
+
+class TestFixedPointPhi:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+                 min_size=1, max_size=21),
+        st.lists(st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+                 max_size=20),
+        st.sampled_from([15, 40, 74]),
+        st.data(),
+    )
+    def test_within_documented_bound(self, num, den_tail, dps, data):
+        p = PadeApprox(num=tuple(num), den=(Fraction(1),) + tuple(den_tail))
+        with mp.workdps(dps):
+            s = data.draw(st.integers(0, mp.prec), label="s")
+            m = data.draw(st.integers(0, 2**s), label="m")
+            u = Fraction(m, 2**s)
+            w, num_fixed, den_fixed = _fixed_point(p)
+            big = max(abs(c) for c in p.num + p.den)
+            assert 2 ** (w - mp.prec) >= 16 * big * (p.L + p.M + 2)
+            fixed = []
+            for coeffs, fixed_coeffs in ((p.num, num_fixed), (p.den, den_fixed)):
+                exact = sum(c * u**k for k, c in enumerate(coeffs)) * 2**w
+                acc = _horner_fixed(fixed_coeffs, m, s)
+                assert abs(acc - exact) <= len(coeffs)  # (deg+1) units of 2^-w
+                fixed.append(acc)
+            if fixed[1] == 0:
+                return
+            got = _fixed_point_phi(p)(mp.ldexp(m, -s))
+            _, man, exp, bc = got._mpf_
+            # the quotient is rounded once, to nearest
+            half_ulp = Fraction(2) ** (exp + bc - mp.prec - 1) if man else 0
+            assert abs(mpf_fraction(got) - Fraction(*fixed)) <= half_ulp
+
+
+def newton_gauss_legendre_reference(n):
+    """Every node by its own Newton iteration from a cosine guess, all in mpf."""
+    nodes, weights = [], []
+    tol = mp.mpf(10) ** (-mp.dps + 4)
+    for i in range(n):
+        x = mp.cos(mp.pi * (i + mp.mpf(3) / 4) / (n + mp.mpf(1) / 2))
+        for _ in range(100):
+            p0, p1 = mp.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) < tol:
+                break
+        p0, p1 = mp.mpf(1), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+class TestGaussLegendreNodes:
+    @pytest.mark.parametrize("n", [8, 16, 32, 33])
+    def test_matches_newton_reference(self, n):
+        with PREC.workdps(10):  # the quadrature's working precision
+            nodes, weights = _gauss_legendre_nodes(n)
+            ref_nodes, ref_weights = newton_gauss_legendre_reference(n)
+            assert len(nodes) == len(weights) == n
+            assert nodes == sorted(nodes, reverse=True)
+            assert nodes[: n // 2] == [-x for x in reversed(nodes[-(n // 2):])]
+            for x, w, rx, rw in zip(nodes, weights, ref_nodes, ref_weights):
+                if abs(rx) < mp.eps:
+                    # the middle root of an odd P_n is 0; the reference lands within rounding
+                    assert x == 0 and w == rw
+                    continue
+                assert abs(x - rx) <= mp.ldexp(1, mp.mag(rx) - mp.prec)  # 1 ulp
+                if x == rx:
+                    assert w == rw
+                # w = 2/((1-x^2) P_n'(x)^2) moves by 2|x|/(1-x^2) of itself per unit
+                # of x, i.e. at most 8x^2/(1-x^2) of its own units for a 1-ulp node
+                # change, plus n units for the rounding of the recurrence
+                ulps = 8 * rx * rx / (1 - rx * rx) + n
+                assert abs(w - rw) <= ulps * mp.ldexp(1, mp.mag(rw) - mp.prec)
