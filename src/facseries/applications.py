@@ -270,16 +270,14 @@ def oscillator_energy(
         if not (bv > 0):
             raise DomainError(f"coupling beta must be > 0, got {beta}")
 
+    shift = oscillator_coeffs(order + 1).shift_coeffs(order)
     if method == "factorial":
-        shift = oscillator_coeffs(order + 1).shift_coeffs(order)
         lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
         inner = eval_power_as_factorial(lam, beta, order + 1, prec).final
     elif method == "pade":
-        shift = oscillator_coeffs(order + 1).shift_coeffs(order)
         approx = pade_construct(shift, order // 2, order - order // 2)
         inner = pade_eval(approx, beta, prec)
     else:  # integral
-        shift = oscillator_coeffs(order + 1).shift_coeffs(order)
         lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
         reduced = [l / factorial(m) for m, l in enumerate(lam)]
         w = 1 / to_mpf(beta)

@@ -80,6 +80,10 @@ def _read_json(path):
         raise _UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def _load_series(path) -> FormalSeries:
+    return FormalSeries.from_json_obj(_read_json(path))
+
+
 def _frac_obj(c: Fraction) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
@@ -145,7 +149,7 @@ def _cmd_transform(args, prec):
     key = (args.src, args.dst)
     if key not in _TRANSFORMS:
         raise DomainError(f"no transform from {args.src} to {args.dst}")
-    series = FormalSeries.from_json_obj(_read_json(args.infile))
+    series = _load_series(args.infile)
     if series.kind is not _KIND_ALIAS[args.src]:
         raise IntegrityError(
             f"input file holds a {series.kind.value} series, --from says {args.src}"
@@ -177,7 +181,7 @@ def _cmd_accelerate(args, prec):
 
 
 def _cmd_pade(args, prec):
-    series = FormalSeries.from_json_obj(_read_json(args.infile))
+    series = _load_series(args.infile)
     approx = pade_construct(series.coeffs, args.L, args.M)
     doc = {
         "command": "pade", "L": approx.L, "M": approx.M,
@@ -192,7 +196,7 @@ def _cmd_pade(args, prec):
 
 
 def _cmd_sum(args, prec):
-    series = FormalSeries.from_json_obj(_read_json(args.infile))
+    series = _load_series(args.infile)
     z = _rational(args.z, "--z")
     terms = args.terms if args.terms is not None else len(series)
     if args.backend == "direct":
@@ -238,9 +242,10 @@ def _cmd_e1(args, prec):
     }
     if args.compare:
         with prec.workdps(15):
-            doc["reference"] = _fmt(report.reference, prec)
-            doc["ratio"] = _fmt(report.final / report.reference, prec)
-            doc["relative_errors"] = [_fmt(e, prec) for e in report.relative_errors]
+            ratio = report.final / report.reference
+        doc["reference"] = _fmt(report.reference, prec)
+        doc["ratio"] = _fmt(ratio, prec)
+        doc["relative_errors"] = [_fmt(e, prec) for e in report.relative_errors]
         with prec.workdps():
             # divergent-series comparison: accelerate e^z E1(z) = (1/z) 2F0(1,1;-1/z)
             zv = to_mpf(z)

@@ -14,10 +14,8 @@ Quadrature is composite Gauss-Legendre with high-precision nodes.  For
 subinterval [0, eps] is handled by the substitution t = u^(1/z), which turns
 t^(z-1) dt into du/z and leaves a smooth integrand.
 
-The conjugate function is evaluated by a fixed-point integer Horner kernel
-(_fixed_point_phi): each polynomial is off by at most (deg+1) 2^-w, with w
-the working precision plus guard bits, and the quotient is one correctly
-rounded mpf division.
+The conjugate function is evaluated by a fixed-point integer Horner kernel;
+_fixed_point_phi states its error bound.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, factorial
+from math import factorial
 from typing import Callable, Optional, Sequence
 
 import mpmath
@@ -249,30 +247,40 @@ def _horner_fixed(coeffs: Sequence[int], m: int, s: int) -> int:
     return acc
 
 
-def _fixed_point(p: PadeApprox) -> tuple[int, list[int], list[int]]:
-    """(w, [ceil(c 2^w) for c in num], [ceil(c 2^w) for c in den]), w the working
-    precision plus guard bits: the bit lengths of the largest |c| and of L+M+2, plus 4."""
-    big = ceil(max(abs(c) for c in p.num + p.den)).bit_length()
-    w = mp.prec + big + (p.L + p.M + 2).bit_length() + 4
-    return w, *([-((-c.numerator << w) // c.denominator) for c in cs] for cs in (p.num, p.den))
+def _fixed_point(p: PadeApprox) -> list[tuple[int, list[int]]]:
+    """[(w, [ceil(c 2^w) for c in cs]) for cs in (p.num, p.den)], each w as
+    _fixed_point_phi states."""
+    guard = (p.L + p.M + 2).bit_length() + 4
+    scaled = []
+    for cs in (p.num, p.den):
+        big = max(abs(c) for c in cs)  # 2^e < big < 2^(e+2), e from the bit lengths
+        w = mp.prec + guard - (big.numerator.bit_length() - big.denominator.bit_length() - 1)
+        lo, hi = max(w, 0), max(-w, 0)
+        scaled.append((w, [-((-c.numerator << lo) // (c.denominator << hi)) for c in cs]))
+    return scaled
 
 
 def _fixed_point_phi(p: PadeApprox) -> Callable:
     """num(u)/den(u) at mpf u in [0, 1] by fixed-point integer Horner.
 
-    With u = m 2^-s read from the mpf, acc = ((acc m) >> s) + C runs over the
-    coefficients C = ceil(c 2^w) of _fixed_point: C rounds up and the shift
-    down, so each step errs by less than 2^-w and |u| <= 1 keeps the errors
-    from growing.  Each polynomial is off by at most (deg+1) 2^-w, no more
-    than an mpf Horner's bound at the working precision; the quotient is one
+    Each polynomial has its own scale 2^-w: with 2^e < max|c| < 2^(e+2),
+    w = prec + g - e and g = bitlen(L+M+2) + 4 guard bits.  With u = m 2^-s
+    read from the mpf, acc = ((acc m) >> s) + C runs over C = ceil(c 2^w):
+    C rounds up and the shift down, so each step errs by less than 2^-w and
+    |u| <= 1 keeps the errors from growing.  Each polynomial is therefore off
+    by at most (deg+1) 2^-w < 2^-(prec+4) max|c|, relative to its own largest
+    coefficient, however small or large the coefficients are; an mpf Horner's
+    bound, about 2 deg 2^-prec sum_k |c_k| u^k, is no smaller at u = 1 but
+    shrinks with u where the top coefficients dominate.  The quotient is one
     correctly rounded mpf division.
     """
-    _, num, den = _fixed_point(p)
+    (wn, num), (wd, den) = _fixed_point(p)
 
     def phi(u):
         _, m, e, _ = u._mpf_  # u = m 2^e >= 0, and e <= 0 as u <= 1
         return mp.make_mpf(libmp.mpf_div(
-            libmp.from_int(_horner_fixed(num, m, -e)), libmp.from_int(_horner_fixed(den, m, -e)),
+            libmp.from_man_exp(_horner_fixed(num, m, -e), -wn),
+            libmp.from_man_exp(_horner_fixed(den, m, -e), -wd),
             mp.prec, libmp.round_nearest))
 
     return phi

@@ -28,8 +28,9 @@ from facseries.series import (
     PrecisionContext,
     SeriesKind,
     factorial_term,
+    to_mpf,
 )
-from facseries.pade import PadeApprox
+from facseries.pade import PadeApprox, pade_construct
 from facseries.transforms import power_to_factorial_coeffs
 
 PREC = PrecisionContext(64)
@@ -254,38 +255,99 @@ def mpf_fraction(x):
     return Fraction((-1) ** sign * man) * Fraction(2) ** exp
 
 
+def mpf_horner_phi(p):
+    """phi = num/den by mpf Horner at the working precision, as evaluated
+    before the fixed-point kernel."""
+    numf = [to_mpf(c) for c in p.num]
+    denf = [to_mpf(c) for c in p.den]
+
+    def phi(u):
+        pn = mp.mpf(0)
+        for c in reversed(numf):
+            pn = pn * u + c
+        pd = mp.mpf(0)
+        for c in reversed(denf):
+            pd = pd * u + c
+        return pn / pd
+
+    return phi
+
+
+RATIONALS = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))
+
+
 class TestFixedPointPhi:
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
-                 min_size=1, max_size=21),
-        st.lists(st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
-                 max_size=20),
+        st.lists(RATIONALS, min_size=1, max_size=21),
+        st.lists(RATIONALS, max_size=20),
+        st.sampled_from([0, -200, 200]),
         st.sampled_from([15, 40, 74]),
         st.data(),
     )
-    def test_within_documented_bound(self, num, den_tail, dps, data):
+    def test_within_documented_bound(self, num, den_tail, scale, dps, data):
+        num = [c * Fraction(2) ** scale for c in num]
         p = PadeApprox(num=tuple(num), den=(Fraction(1),) + tuple(den_tail))
+        guard = (p.L + p.M + 2).bit_length() + 4
         with mp.workdps(dps):
             s = data.draw(st.integers(0, mp.prec), label="s")
             m = data.draw(st.integers(0, 2**s), label="m")
             u = Fraction(m, 2**s)
-            w, num_fixed, den_fixed = _fixed_point(p)
-            big = max(abs(c) for c in p.num + p.den)
-            assert 2 ** (w - mp.prec) >= 16 * big * (p.L + p.M + 2)
             fixed = []
-            for coeffs, fixed_coeffs in ((p.num, num_fixed), (p.den, den_fixed)):
-                exact = sum(c * u**k for k, c in enumerate(coeffs)) * 2**w
+            for coeffs, (w, fixed_coeffs) in zip((p.num, p.den), _fixed_point(p)):
+                big = max(abs(c) for c in coeffs)
+                if big:  # 2^-w is max|c| 2^-(prec+guard) to within a factor of 4
+                    assert 1 < big * Fraction(2) ** (w - mp.prec - guard) < 4
+                exact = sum(c * u**k for k, c in enumerate(coeffs)) * Fraction(2) ** w
                 acc = _horner_fixed(fixed_coeffs, m, s)
                 assert abs(acc - exact) <= len(coeffs)  # (deg+1) units of 2^-w
-                fixed.append(acc)
+                fixed.append(acc * Fraction(2) ** -w)
             if fixed[1] == 0:
                 return
             got = _fixed_point_phi(p)(mp.ldexp(m, -s))
             _, man, exp, bc = got._mpf_
             # the quotient is rounded once, to nearest
             half_ulp = Fraction(2) ** (exp + bc - mp.prec - 1) if man else 0
-            assert abs(mpf_fraction(got) - Fraction(*fixed)) <= half_ulp
+            assert abs(mpf_fraction(got) - fixed[0] / fixed[1]) <= half_ulp
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(RATIONALS, min_size=1, max_size=21),
+        st.lists(st.builds(Fraction, st.integers(0, 10**9), st.integers(1, 10**9)), max_size=20),
+        st.integers(0, 2**74),
+    )
+    def test_tiny_numerator_keeps_relative_accuracy(self, num, den_tail, m):
+        # a numerator scaled by 2^-200 scales phi exactly, and phi's relative
+        # error stays within the documented per-polynomial bound (den >= 1 here)
+        p = PadeApprox(num=tuple(num), den=(Fraction(1),) + tuple(den_tail))
+        tiny = PadeApprox(num=tuple(c / 2**200 for c in num), den=p.den)
+        with PREC.workdps(10):
+            u = mp.ldexp(m, -74)
+            value = _fixed_point_phi(tiny)(u)
+            assert value == mp.ldexp(_fixed_point_phi(p)(u), -200)
+            at_u = [sum(c * mpf_fraction(u) ** k for k, c in enumerate(cs)) for cs in (tiny.num, tiny.den)]
+            if at_u[0] == 0:
+                return
+            # each polynomial within (deg+1) 2^-w < 2^-(prec+4) max|c|, then one rounding
+            rnd = Fraction(2) ** -mp.prec
+            eps_n, eps_d = (rnd / 16 * max(abs(c) for c in cs) / abs(v)
+                            for cs, v in zip((tiny.num, tiny.den), at_u))
+            quotient = (eps_n + eps_d) / (1 - eps_d)
+            bound = quotient + rnd + quotient * rnd
+            assert abs(mpf_fraction(value) / (at_u[0] / at_u[1]) - 1) <= bound
+
+    def test_integral_scales_exactly_with_tiny_coefficients(self):
+        d = e1_factorial_coeffs(21)
+        a = [dn / factorial(n) for n, dn in enumerate(d)]
+        tiny = [c / 2**200 for c in a]
+        for z, (L, M) in ((5, (21, 0)), (3, (21, 0)), (Fraction(1, 2), (10, 11))):
+            value = euler_integral_eval(tiny, z, L, M, QuadratureSpec(), PREC)
+            assert value == mp.ldexp(euler_integral_eval(a, z, L, M, QuadratureSpec(), PREC), -200)
+            if z >= 1:  # against the mpf-Horner route
+                with PREC.workdps(10):
+                    phi, zv = mpf_horner_phi(pade_construct(tiny, L, M)), to_mpf(z)
+                    ref = quadrature_01(lambda t: t ** (zv - 1) * phi(1 - t), QuadratureSpec(), PREC)
+                    assert abs(value / ref - 1) < PREC.tol(0)
 
 
 def newton_gauss_legendre_reference(n):
