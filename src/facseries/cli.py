@@ -24,7 +24,7 @@ from math import factorial
 from mpmath import mp
 
 from . import __version__
-from .acceleration import TransformInput, transform_table
+from .acceleration import TransformInput, levin, transform_table, weniger_s
 from .applications import E1Series, OSCILLATOR_METHODS, oscillator_energy
 from .errors import DomainError, FacseriesError, IntegrityError
 from .evaluate import (
@@ -245,22 +245,21 @@ def _cmd_e1(args, prec):
             ratio = report.final / report.reference
         doc["reference"] = _fmt(report.reference, prec)
         doc["ratio"] = _fmt(ratio, prec)
-        doc["relative_errors"] = [_fmt(e, prec) for e in report.relative_errors]
+        # three significant digits: |s - ref| cancels, so no more are known
+        doc["relative_errors"] = [f"{float(e):.2e}" for e in report.relative_errors]
+        # divergent-series comparison: accelerate e^z E1(z) = (1/z) 2F0(1,1;-1/z),
+        # exactly from the rational terms, one cell T_k per method
+        terms = [c / z ** (m + 1) for m, c in enumerate(series.inverse_power.coeffs)]
+        inp = TransformInput.from_terms(terms, "first_neglected", 1)
+        k = len(inp.s) - 1
+        comparison = {}
+        for method, transform in (("levin", levin), ("weniger", weniger_s)):
+            try:
+                comparison[method] = _fmt(transform(inp, k, 0, prec), prec)
+            except FacseriesError as exc:
+                comparison[method] = {"error": exc.code}
         with prec.workdps():
-            # divergent-series comparison: accelerate e^z E1(z) = (1/z) 2F0(1,1;-1/z)
             zv = to_mpf(z)
-            terms = [to_mpf(c) / zv ** (m + 1)
-                     for m, c in enumerate(series.inverse_power.coeffs)]
-            inp = TransformInput.from_terms(terms, "first_neglected", 1)
-            k = len(inp.s) - 1
-            comparison = {}
-            for method in ("levin", "weniger"):
-                try:
-                    comparison[method] = _fmt(
-                        transform_table(inp, method, k, 0, prec)[k], prec
-                    )
-                except FacseriesError as exc:
-                    comparison[method] = {"error": exc.code}
             half = len(series.inverse_power.coeffs) // 2
             pade_fn = pade_construct(
                 series.inverse_power.coeffs, max(half - 1, 0), half

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from facseries.acceleration import (
@@ -14,7 +16,7 @@ from facseries.acceleration import (
     weniger_s,
 )
 from facseries.errors import DomainError, EstimateError, InstabilityError
-from facseries.series import PrecisionContext
+from facseries.series import PrecisionContext, to_mpf
 
 PREC = PrecisionContext(64)
 
@@ -168,6 +170,98 @@ class TestInstability:
             levin(inp, 1, 0, PREC)
         with pytest.raises(InstabilityError):
             weniger_s(inp, 1, 0, PREC)
+
+
+def fraction_cell(inp, k, n, method):
+    """Exact (num, den, max |c_j|) of T_k^(n) over a rational window, from the
+    binomial sums with the textbook weights (normalised by their j = k value)."""
+    b = Fraction(inp.beta) + n
+    num = den = scale = Fraction(0)
+    for j in range(k + 1):
+        w = Fraction(1)
+        for i in range(k - 1):
+            w *= (b + j) / (b + k) if method == "levin" else (b + j + i) / (b + k + i)
+        c = (-1) ** j * comb(k, j) * w / Fraction(inp.omega[n + j])
+        num += c * Fraction(inp.s[n + j])
+        den += c
+        scale = max(scale, abs(c))
+    return num, den, scale
+
+
+def mpf_formula_cell(inp, k, n, method):
+    """T_k^(n) by the mpf formula with mp.rf / pow weights, at P + 10 digits."""
+    with PREC.workdps(10):
+        beta = mp.mpf(inp.beta)
+        num = den = mp.mpf(0)
+        for j in range(k + 1):
+            if k <= 1:
+                w = mp.mpf(1)
+            elif method == "levin":
+                w = ((beta + n + j) / (beta + n + k)) ** (k - 1)
+            else:
+                w = mp.rf(beta + n + j, k - 1) / mp.rf(beta + n + k, k - 1)
+            w = (-1) ** j * comb(k, j) * w
+            num += w * inp.s[n + j] / inp.omega[n + j]
+            den += w / inp.omega[n + j]
+        return num / den
+
+
+TRANSFORMS = {"levin": levin, "weniger": weniger_s}
+small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+betas = st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=10)
+
+
+@st.composite
+def windows(draw, alternating):
+    """(s, omega, beta, k, n); alternating omega gives c_j of one sign, so the
+    denominator sum cannot cancel."""
+    k, n = draw(st.integers(0, 8)), draw(st.integers(0, 2))
+    size = n + k + 1
+    s = draw(st.lists(small_fractions, min_size=size, max_size=size))
+    omega = draw(st.lists(small_fractions.filter(bool), min_size=size, max_size=size))
+    if alternating:
+        omega = [(-1) ** i * abs(w) for i, w in enumerate(omega)]
+    beta = draw(st.one_of(st.integers(1, 5), betas.filter(bool)))
+    return s, omega, beta, k, n
+
+
+class TestExactCells:
+    @settings(max_examples=100, deadline=None)
+    @given(windows(alternating=False), st.sampled_from(sorted(TRANSFORMS)))
+    def test_rational_window_is_exact_then_rounded(self, window, method):
+        s, omega, beta, k, n = window
+        inp = TransformInput(tuple(s), tuple(omega), beta)
+        num, den, scale = fraction_cell(inp, k, n, method)
+        try:
+            got = TRANSFORMS[method](inp, k, n, PREC)
+        except InstabilityError:
+            assert abs(den) <= scale / 10 ** (PREC.digits - 7)
+            return
+        exact = num / den
+        with mp.workdps(PREC.digits + 40):
+            want = mp.mpf(exact.numerator) / exact.denominator
+        assert mp.nstr(got, PREC.digits) == mp.nstr(want, PREC.digits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(windows(alternating=True), st.sampled_from(sorted(TRANSFORMS)))
+    def test_mpf_window_matches_formula(self, window, method):
+        s, omega, beta, k, n = window
+        with PREC.workdps():
+            inp = TransformInput(tuple(map(to_mpf, s)), tuple(map(to_mpf, omega)),
+                                 to_mpf(Fraction(beta)))
+            got = TRANSFORMS[method](inp, k, n, PREC)
+            want = mpf_formula_cell(inp, k, n, method)
+            bound = max(1, max(map(abs, inp.s))) * mp.mpf(10) ** (10 - PREC.digits)
+            assert abs(got - want) <= bound
+
+    @pytest.mark.parametrize("method", sorted(TRANSFORMS))
+    def test_table_column_ends_in_the_single_cell(self, method):
+        with PREC.workdps():
+            mpf_terms = [mp.mpf((-1) ** m) / (m + 1) for m in range(14)]
+        for inp in (ln2_input(14), TransformInput.from_terms(mpf_terms)):
+            k = len(inp.s) - 1
+            assert transform_table(inp, method, k, 0, PREC)[k] == \
+                TRANSFORMS[method](inp, k, 0, PREC)
 
 
 class TestTable:

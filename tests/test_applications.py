@@ -22,7 +22,7 @@ from facseries.applications import (
     oscillator_energy,
 )
 from facseries.errors import DomainError, IntegrityError
-from facseries.evaluate import QuadratureConvergenceWarning
+from facseries.evaluate import QuadratureConvergenceWarning, QuadratureSpec
 from facseries.series import PrecisionContext, SeriesKind
 from facseries.transforms import inverse_power_to_factorial
 
@@ -51,6 +51,17 @@ class TestE1Reference:
                 cf = e1_reference(z, PREC)
                 quad = e1_reference_quadrature(z, PREC)
                 assert abs(cf - quad) / cf < PREC.tol(12)
+
+    @pytest.mark.parametrize("z", [Fraction(1, 1000), Fraction(1, 100000)])
+    def test_small_z_against_convergent_series(self, z):
+        # E1(z) = -gamma - ln z - sum_{k>=1} (-z)^k / (k k!), summed at 120 digits
+        with mp.workdps(120):
+            zv = mp.mpf(z.numerator) / z.denominator
+            series = -mp.euler - mp.log(zv) - mp.nsum(
+                lambda k: (-zv) ** k / (k * mp.factorial(k)), [1, mp.inf]
+            )
+            got = e1_reference(z, PREC)
+            assert abs(got - series) / series < mp.mpf(10) ** -PREC.digits
 
     def test_positive_z_required(self):
         with pytest.raises(DomainError):
@@ -293,3 +304,12 @@ class TestOscillatorEnergy:
     def test_integral_energy_pinned(self, beta):
         energy = oscillator_energy(beta, 34, "integral", PREC)
         assert mp.nstr(energy, 64) == self.INTEGRAL_ORDER_34[beta]
+
+    def test_integral_energy_ignores_global_precision(self):
+        # 1/beta is not dyadic at 137/1000: it must be formed at the working
+        # precision, not at whatever mpmath precision the caller has set
+        beta, spec = Fraction(137, 1000), QuadratureSpec(panels=64)
+        energy = oscillator_energy(beta, 34, "integral", PREC, spec)
+        with mp.workdps(80):
+            raised = oscillator_energy(beta, 34, "integral", PREC, spec)
+        assert mp.nstr(raised, 64) == mp.nstr(energy, 64)

@@ -3,6 +3,7 @@
 import json
 import re
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -170,6 +171,51 @@ class TestE1:
             zv = mp.mpf(z.numerator) / z.denominator
             ratio = (mp.mpf(total.numerator) / total.denominator) / (mp.exp(zv) * mp.e1(zv))
             assert doc["ratio"] == mp.nstr(ratio, 64)
+
+
+    def test_relative_errors_three_significant_digits(self, capsys):
+        # |s - ref| cancels: the printed relative errors carry 3 digits, not 64
+        z, n = Fraction(3, 2), 12
+        code, doc = run_json(capsys, "e1", "--z", str(z), "--terms", str(n), "--compare")
+        assert code == 0
+        d = e1_factorial_coeffs(n - 1)
+        total, poch = Fraction(0), z
+        with mp.workdps(100):
+            ref = mp.exp(mp.mpf(3) / 2) * mp.e1(mp.mpf(3) / 2)
+            for k, err in enumerate(doc["relative_errors"]):
+                assert re.fullmatch(r"\d\.\d\de[-+]\d\d+", err), err
+                total += d[k] / poch
+                poch *= z + k + 1
+                want = abs(mp.mpf(total.numerator) / total.denominator - ref) / ref
+                assert err == f"{float(want):.2e}"
+        assert len(doc["relative_errors"]) == n
+
+    @pytest.mark.parametrize("z, n", [(Fraction(1), 55), (Fraction(3, 4), 40)])
+    def test_accelerated_cells_exact_then_rounded(self, capsys, z, n):
+        code, doc = run_json(capsys, "e1", "--z", str(z), "--terms", str(n), "--compare")
+        assert code == 0
+        for method in ("levin", "weniger"):
+            cell = _e1_transform_cell(z, n, method)
+            with mp.workdps(120):
+                want = mp.nstr(mp.mpf(cell.numerator) / cell.denominator, 64)
+            assert doc["accelerated"][method] == want
+
+
+def _e1_transform_cell(z, n, method):
+    """T_{n-2}^(0), beta = 1, of the terms (-1)^m m!/z^(m+1), m < n, with the
+    first neglected term as remainder estimate, in exact binomial sums."""
+    terms = [Fraction((-1) ** m * factorial(m)) / z ** (m + 1) for m in range(n)]
+    k = n - 2
+    num = den = partial = Fraction(0)
+    for j in range(k + 1):
+        partial += terms[j]
+        w = Fraction(1)
+        for i in range(k - 1):  # ((1+j)/(1+k))^(k-1), resp. (1+j)_(k-1)/(1+k)_(k-1)
+            w *= Fraction(1 + j, 1 + k) if method == "levin" else Fraction(1 + j + i, 1 + k + i)
+        c = (-1) ** j * comb(k, j) * w / terms[j + 1]
+        num += c * partial
+        den += c
+    return num / den
 
 
 class TestOscillator:
