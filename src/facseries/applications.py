@@ -45,10 +45,9 @@ from .evaluate import (
     eval_power_as_factorial,
     sum_factorial_series,
 )
-from .pade import _common_denominator, pade_construct, pade_eval
-from .series import FormalSeries, PrecisionContext, Real, SeriesKind, to_mpf
-from .stirling import stirling1
-from .transforms import power_to_factorial_coeffs
+from .pade import pade_construct, pade_eval
+from .series import FormalSeries, PrecisionContext, Real, SeriesKind, _common_denominator, to_mpf
+from .transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
 __all__ = [
     "E1Series",
@@ -98,12 +97,7 @@ def e1_inverse_power_coeffs(order: int) -> FormalSeries:
 
 def e1_factorial_coeffs(order: int) -> list[Fraction]:
     """d_n = (-1)^n sum_v s1(n, v) v!, the factorial-series coefficients of e^z E1(z)."""
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    return [
-        Fraction((-1) ** n * sum(stirling1(n, v) * factorial(v) for v in range(n + 1)))
-        for n in range(order + 1)
-    ]
+    return list(inverse_power_to_factorial(e1_inverse_power_coeffs(order), order).coeffs)
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,8 @@ def _cmd_stirling(args, prec):
 
 
 _TRANSFORMS = {
-    ("invpow", "fact"): lambda s, n: inverse_power_to_factorial(s, n),
-    ("fact", "invpow"): lambda s, n: factorial_to_inverse_power(s, n),
+    ("invpow", "fact"): inverse_power_to_factorial,
+    ("fact", "invpow"): factorial_to_inverse_power,
     ("pow", "fact"): lambda s, n: FormalSeries(
         SeriesKind.FACTORIAL, power_to_factorial_coeffs(s, n)
     ),

@@ -29,13 +29,15 @@ from typing import Callable, Optional, Sequence
 import mpmath
 from mpmath import libmp, mp
 
-from .errors import DomainError, IntegrationError, PoleError, PoleInDomainError
-from .pade import PadeApprox, _common_denominator, pade_construct
+from .errors import DomainError, IntegrationError, PoleInDomainError
+from .pade import PadeApprox, pade_construct
 from .series import (
     FormalSeries,
     PrecisionContext,
     Real,
     SeriesKind,
+    _check_pole,
+    _common_denominator,
     to_mpf,
 )
 
@@ -157,8 +159,7 @@ def _panel_doubled(pieces: Sequence, spec: QuadratureSpec, prec: PrecisionContex
         sum(_composite_gl(f, lo, hi, spec.points_per_panel, panels) for f, lo, hi in pieces)
         for panels in (spec.panels, 2 * spec.panels)
     )
-    scale = max(abs(fine), mp.mpf(1))
-    if abs(fine - coarse) / scale > prec.tol(prec.digits // 2):
+    if abs(fine - coarse) / (abs(fine) or 1) > prec.tol(prec.digits // 2):
         warnings.warn(
             f"panel doubling moved the estimate by {abs(fine - coarse)}",
             QuadratureConvergenceWarning,
@@ -174,8 +175,8 @@ def quadrature_01(
     """Composite Gauss-Legendre estimate of int_0^1 f(t) dt.
 
     The panel count is doubled once for an error estimate; if the two results
-    differ by more than 10^-(P/2) relative, a QuadratureConvergenceWarning is
-    emitted.  The refined value is returned.
+    differ by more than 10^-(P/2) relative (absolute if the refined value is
+    0), a QuadratureConvergenceWarning is emitted.  The refined value is returned.
     """
     with prec.workdps(10):
         return _panel_doubled([(f, mp.mpf(0), mp.mpf(1))], spec, prec)
@@ -197,10 +198,7 @@ def sum_factorial_series(
         raise DomainError(f"terms must be in 1..{len(d)}, got {terms}")
     with prec.workdps(10):
         zv = to_mpf(z)
-        tol = prec.tol(4)
-        for i in range(terms):
-            if abs(zv + i) < tol:
-                raise PoleError(f"z={z} is within {tol} of the pole at {-i}")
+        _check_pole(zv, terms - 1, prec)
         sums = []
         acc = mp.mpf(0)
         poch = zv  # (z)_1

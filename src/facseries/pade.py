@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import mpmath
 from mpmath import mp
 
 from .errors import DegeneracyError, DomainError, PoleError
-from .series import PrecisionContext, Real, to_mpf
+from .series import PrecisionContext, Real, _common_denominator, to_mpf
 
 __all__ = ["PadeApprox", "pade_construct", "pade_eval"]
 
@@ -52,12 +51,6 @@ class PadeApprox:
                 acc -= self.den[j] * out[k - j]
             out.append(acc)  # den[0] == 1
         return tuple(out)
-
-
-def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(D, [v * D for v in values]) with D the least common denominator."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _solve_exact(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

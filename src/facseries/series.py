@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Union
+from math import factorial, lcm
+from typing import Iterable, Sequence, Union
 
 import mpmath
 from mpmath import mp
@@ -76,6 +76,12 @@ class SeriesKind(str, Enum):
 
 def _as_fractions(coeffs: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in coeffs)
+
+
+def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [v * D for v in values]) with D the least common denominator."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)

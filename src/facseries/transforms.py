@@ -9,6 +9,9 @@ which are mutually inverse thanks to the Stirling orthogonality relations.
 Both, and the power-series variant producing the lambda_m coefficients of the
 product-form evaluator, are special cases of a generic inversion framework for
 pairs of lower-triangular matrices (A, B) with sum_r B_nr A_rk = delta_nk.
+Every product here, orthogonality check included, is one kernel, _lower_apply,
+which clears the vector and each row to integers over least common
+denominators: one integer dot product and one Fraction per output.
 
 All transforms here are purely formal truncations: the leading N+1 output
 coefficients depend only on the leading N+1 inputs (triangularity), the tail
@@ -20,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, IntegrityError
-from .series import FormalSeries, SeriesKind
-from .stirling import stirling1, stirling2
+from .series import FormalSeries, SeriesKind, _common_denominator
+from .stirling import _FIRST, _SECOND, StirlingCache, stirling1, stirling2
 
 __all__ = [
     "TransformMatrix",
@@ -38,31 +42,43 @@ __all__ = [
 ]
 
 
-def _stirling_weighted_sum(kind: int, m: int, coeffs: Sequence[Fraction]) -> Fraction:
-    s = stirling1 if kind == 1 else stirling2
-    total = Fraction(0)
-    for mu in range(m + 1):
-        total += (-1) ** mu * s(m, mu) * coeffs[mu]
-    return (-1) ** m * total
+def _lower_apply(rows: Iterable[Sequence], x: Sequence) -> tuple[Fraction, ...]:
+    """y_r = sum_k rows[r][k] x_k, k below both lengths, for every row.
+
+    x and each row are cleared to integers over their least common
+    denominators, so each output is one integer dot product and one Fraction.
+    """
+    dx, xs = _common_denominator(x)
+    out = []
+    for row in rows:
+        dr, rs = _common_denominator(row)
+        out.append(Fraction(sum(map(mul, rs, xs)), dr * dx))
+    return tuple(out)
+
+
+def _stirling_transform(
+    series: FormalSeries, kind: SeriesKind, s: StirlingCache, order: int
+) -> tuple[Fraction, ...]:
+    """(-1)^m sum_mu s(m, mu) (-1)^mu x_mu for m = 0..order, x the coefficients
+    of a ``kind`` series, over the rows the Stirling cache ``s`` keeps."""
+    if series.kind is not kind:
+        raise DomainError(f"expected {kind.value} series, got {series.kind.value}")
+    if len(series) < order + 1:
+        raise DomainError(f"need {order + 1} coefficients, have {len(series)}")
+    x = [-v if mu & 1 else v for mu, v in enumerate(series.coeffs[: order + 1])]
+    y = _lower_apply(map(s.row, range(order + 1)), x)
+    return tuple(-v if m & 1 else v for m, v in enumerate(y))
 
 
 def inverse_power_to_factorial(c: FormalSeries, order: int) -> FormalSeries:
     """Factorial-series coefficients d_0..d_order from inverse-power coefficients."""
-    if c.kind is not SeriesKind.INVERSE_POWER:
-        raise DomainError(f"expected inverse_power series, got {c.kind.value}")
-    if len(c) < order + 1:
-        raise DomainError(f"need {order + 1} coefficients, have {len(c)}")
-    d = [_stirling_weighted_sum(1, m, c.coeffs) for m in range(order + 1)]
+    d = _stirling_transform(c, SeriesKind.INVERSE_POWER, _FIRST, order)
     return FormalSeries(SeriesKind.FACTORIAL, d)
 
 
 def factorial_to_inverse_power(d: FormalSeries, order: int) -> FormalSeries:
     """Inverse of :func:`inverse_power_to_factorial` (second-kind Stirling weights)."""
-    if d.kind is not SeriesKind.FACTORIAL:
-        raise DomainError(f"expected factorial series, got {d.kind.value}")
-    if len(d) < order + 1:
-        raise DomainError(f"need {order + 1} coefficients, have {len(d)}")
-    c = [_stirling_weighted_sum(2, m, d.coeffs) for m in range(order + 1)]
+    c = _stirling_transform(d, SeriesKind.FACTORIAL, _SECOND, order)
     return FormalSeries(SeriesKind.INVERSE_POWER, c)
 
 
@@ -72,11 +88,7 @@ def power_to_factorial_coeffs(gamma: FormalSeries, order: int) -> tuple[Fraction
     These feed the product-form evaluation
     sum_m (lambda_m/m!) prod_{k=1..m} z/(z+1/k); see evaluate.eval_power_as_factorial.
     """
-    if gamma.kind is not SeriesKind.POWER:
-        raise DomainError(f"expected power series, got {gamma.kind.value}")
-    if len(gamma) < order + 1:
-        raise DomainError(f"need {order + 1} coefficients, have {len(gamma)}")
-    return tuple(_stirling_weighted_sum(1, m, gamma.coeffs) for m in range(order + 1))
+    return _stirling_transform(gamma, SeriesKind.POWER, _FIRST, order)
 
 
 def moments_to_factorial(moments, order: int) -> FormalSeries:
@@ -158,9 +170,11 @@ class TransformMatrix:
             raise IntegrityError("no companion matrix attached")
         b = self.companion
         n_max = min(self.n_max, b.n_max)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                total = sum(b.rows[n][r] * self.rows[r][k] for r in range(k, n + 1))
+        for k in range(n_max + 1):
+            # rows n >= k of B times column k of A, both from index k on
+            column = [self.rows[r][k] for r in range(k, n_max + 1)]
+            products = _lower_apply((row[k:] for row in b.rows[k : n_max + 1]), column)
+            for n, total in enumerate(products, k):
                 if total != (1 if n == k else 0):
                     raise IntegrityError(f"orthogonality fails at (n={n}, k={k}): {total}")
         object.__setattr__(self, "_verified", True)
@@ -170,11 +184,7 @@ def triangular_forward(a: TransformMatrix, x: Sequence) -> tuple[Fraction, ...]:
     """y_r = sum_{k<=r} A_rk x_k for r = 0..len(x)-1."""
     if len(x) > a.n_max + 1:
         raise DomainError(f"vector length {len(x)} exceeds matrix size {a.n_max + 1}")
-    xs = [Fraction(v) for v in x]
-    return tuple(
-        sum((a.rows[r][k] * xs[k] for k in range(r + 1)), Fraction(0))
-        for r in range(len(xs))
-    )
+    return _lower_apply(a.rows[: len(x)], [Fraction(v) for v in x])
 
 
 def triangular_inverse_apply(a: TransformMatrix, y: Sequence) -> tuple[Fraction, ...]:
@@ -192,8 +202,5 @@ def coefficient_transform(a: TransformMatrix, eta: Sequence, order: int) -> tupl
         raise DomainError(f"need {order + 1} entries, have {len(eta)}")
     if order > a.n_max:
         raise DomainError(f"order {order} exceeds matrix size {a.n_max}")
-    es = [Fraction(v) for v in eta]
-    return tuple(
-        sum((a.rows[k][n] * es[k] for k in range(n, order + 1)), Fraction(0))
-        for n in range(order + 1)
-    )
+    columns = ([a.entry(k, n) for k in range(order + 1)] for n in range(order + 1))
+    return _lower_apply(columns, [Fraction(v) for v in eta[: order + 1]])

@@ -172,6 +172,15 @@ class TestEulerIntegral:
             ref = mp.e**5 * e1_reference(5, PREC)
             assert abs(v - ref) / ref < mp.mpf(10) ** -10
 
+    def test_panel_check_is_relative_below_one(self):
+        # the integral is about 0.17; scaled by 2^-200 its estimate moves by the
+        # same relative amount, so both must warn
+        d = e1_factorial_coeffs(21)
+        a = [dn / factorial(n) for n, dn in enumerate(d)]
+        for coeffs in (a, [c / 2**200 for c in a]):
+            with pytest.warns(QuadratureConvergenceWarning):
+                euler_integral_eval(coeffs, 5, 10, 11, QuadratureSpec(), PREC)
+
     def test_singularity_split_small_z(self):
         # phi = 1: integral of t^(z-1) is 1/z, singular at t=0 for z < 1
         v = euler_integral_eval([Fraction(1)], Fraction(1, 2), 0, 0,

@@ -5,7 +5,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from facseries.applications import e1_factorial_coeffs
 from facseries.errors import DomainError, IntegrityError
 from facseries.series import FormalSeries, MomentSequence, SeriesKind
 from facseries.stirling import stirling2
@@ -80,6 +82,46 @@ class TestStirlingPairTransforms:
         assert abs(partial - Fraction(1, 42)) < Fraction(1, 10**20)
 
 
+@pytest.fixture(scope="module")
+def sympy_stirling():
+    """Signed first-kind and second-kind triangles to n = 59, from sympy."""
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    return {
+        1: [[int(numbers.stirling(m, mu, kind=1, signed=True)) for mu in range(m + 1)]
+            for m in range(60)],
+        2: [[int(numbers.stirling(m, mu, kind=2)) for mu in range(m + 1)] for m in range(60)],
+    }
+
+
+class TestAgainstSympyStirling:
+    TRANSFORMS = [
+        (inverse_power_to_factorial, SeriesKind.INVERSE_POWER, 1),
+        (factorial_to_inverse_power, SeriesKind.FACTORIAL, 2),
+        (power_to_factorial_coeffs, SeriesKind.POWER, 1),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=60),
+        st.sampled_from(TRANSFORMS),
+    )
+    def test_written_formula(self, sympy_stirling, x, transform):
+        # (-1)^m sum_mu (-1)^mu s(m, mu) x_mu, written out over sympy's triangles
+        fn, kind, stirling_kind = transform
+        out = fn(FormalSeries(kind, x), len(x) - 1)
+        got = out.coeffs if isinstance(out, FormalSeries) else out
+        s = sympy_stirling[stirling_kind]
+        assert got == tuple(
+            (-1) ** m * sum((-1) ** mu * s[m][mu] * x[mu] for mu in range(m + 1))
+            for m in range(len(x))
+        )
+        # e1: the same transform of c_mu = (-1)^mu mu!
+        assert e1_factorial_coeffs(len(x) - 1) == [
+            (-1) ** m * sum(sympy_stirling[1][m][mu] * factorial(mu) for mu in range(m + 1))
+            for m in range(len(x))
+        ]
+
+
 class TestPowerToFactorial:
     def test_unit_vector(self):
         g = FormalSeries(SeriesKind.POWER, [1, 0, 0])
@@ -150,6 +192,14 @@ class TestTransformMatrix:
         a = TransformMatrix([[1], [1, 1]])
         bad = TransformMatrix([[1], [1, 1]], companion=a)
         with pytest.raises(IntegrityError):
+            bad.verify_orthogonality()
+
+    def test_deep_companion_corruption_detected(self):
+        pair = TransformMatrix.stirling_pair(30)
+        b_rows = [list(row) for row in pair.companion.rows]
+        b_rows[27][19] += 1
+        bad = TransformMatrix(pair.rows, companion=TransformMatrix(b_rows))
+        with pytest.raises(IntegrityError, match="n=27"):
             bad.verify_orthogonality()
 
     def test_missing_companion(self):
@@ -232,12 +282,16 @@ class TestCoefficientTransform:
 
     def test_matches_brute_force(self):
         rng = random.Random(41)
-        m = TransformMatrix.stirling_pair(9)
-        eta = random_rationals(rng, 10)
-        xi = coefficient_transform(m, eta, 9)
-        for n in range(10):
-            brute = sum(m.entry(k, n) * eta[k] for k in range(n, 10))
-            assert xi[n] == brute
+        mixed = TransformMatrix(
+            [[Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 7, 12, 35, 97]))
+              for _ in range(n + 1)] for n in range(10)]
+        )
+        for m in (TransformMatrix.stirling_pair(9), mixed):
+            eta = random_rationals(rng, 10)
+            xi = coefficient_transform(m, eta, 9)
+            for n in range(10):
+                brute = sum(m.entry(k, n) * eta[k] for k in range(n, 10))
+                assert xi[n] == brute
 
     def test_domain_checks(self):
         m = TransformMatrix.identity(3)
