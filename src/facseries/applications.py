@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import itemgetter, mul
 from typing import Optional
 
@@ -41,11 +41,12 @@ from .errors import DomainError, IntegrityError
 from .evaluate import (
     QuadratureSpec,
     SummationReport,
-    euler_integral_eval,
+    _check_poles_in_unit_interval,
+    _euler_integral,
     eval_power_as_factorial,
     sum_factorial_series,
 )
-from .pade import pade_construct, pade_eval
+from .pade import PadeApprox, pade_construct, pade_eval
 from .series import FormalSeries, PrecisionContext, Real, SeriesKind, _common_denominator, to_mpf
 from .transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
@@ -123,6 +124,25 @@ class E1Series:
             ref = mp.exp(to_mpf(z)) * e1_reference(z, prec)
         return report.with_reference(ref, prec)
 
+    def pade(self) -> PadeApprox:
+        """[h-1/h] Pade approximant of ``inverse_power`` in w = 1/z, with
+        h = len(coeffs)//2 ([0/0] when h = 0), in closed form.
+
+        sum (-1)^m m! w^m is the Stieltjes series of int_0^inf e^-t/(1+wt) dt;
+        its [h-1/h] denominator is h! w^h L_h(-1/w), L_h the Laguerre
+        polynomial, with coefficients b_k = C(h, k)^2 k! (Baker & Graves-Morris,
+        Pade Approximants; Bender & Orszag, ch. 8).  The numerator is the
+        convolution num_k = sum_j b_j c_(k-j), as pade_construct forms it, so the
+        result equals pade_construct(coeffs, max(h-1, 0), h) without a linear
+        solve.  The coefficients must be E1's, as build() makes them.
+        """
+        c = self.inverse_power.coeffs
+        h = len(c) // 2
+        den = [comb(h, k) ** 2 * factorial(k) for k in range(h + 1)]
+        dc, cs = _common_denominator(c[: max(h, 1)])
+        num = [Fraction(sum(map(mul, den, reversed(cs[: k + 1]))), dc) for k in range(len(cs))]
+        return PadeApprox(num=tuple(num), den=tuple(map(Fraction, den)))
+
 
 # --- quartic anharmonic oscillator ------------------------------------------
 
@@ -152,9 +172,11 @@ class OscillatorSeries:
 
 
 # growing recursion state, extended under _grow_lock and read without it:
-# _rows[j] = (D_j, [D_j * A[j][m] for m = 0..2j]), _b[j] = b_j
+# _rows[j] = (D_j, [D_j * A[j][m] for m = 0..2j]), _b[j] = b_j,
+# _approx[(order, route)] = the checked approximant oscillator_energy uses
 _rows: list[tuple[int, list[int]]] = [(1, [1])]
 _b: list[Fraction] = [Fraction(1)]
+_approx: dict[tuple[int, str], PadeApprox] = {}
 _grow_lock = threading.Lock()
 
 
@@ -212,6 +234,25 @@ def asymptotics_check(
 OSCILLATOR_METHODS = ("factorial", "pade", "integral")
 
 
+def _oscillator_approx(order: int, route: str) -> PadeApprox:
+    """The [order//2 / order - order//2] approximant of the route, built once:
+    for "pade" to the shift series, for "integral" to its conjugate function
+    sum_m lambda_m/m! u^m, which must pass the pole scan to be kept."""
+    approx = _approx.get((order, route))
+    if approx is None:
+        shift = oscillator_coeffs(order + 1).shift_coeffs(order)
+        if route == "pade":
+            approx = pade_construct(shift, order // 2, order - order // 2)
+        else:
+            lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
+            reduced = [l / factorial(m) for m, l in enumerate(lam)]
+            approx = pade_construct(reduced, order // 2, order - order // 2)
+            _check_poles_in_unit_interval(approx)
+        with _grow_lock:
+            approx = _approx.setdefault((order, route), approx)
+    return approx
+
+
 def oscillator_energy(
     beta: Real,
     order: int,
@@ -229,7 +270,9 @@ def oscillator_energy(
                Pade approximant.
 
     All three consume the shift coefficients b_1..b_{order+1}, so results at
-    a given order are comparable coefficient-for-coefficient.
+    a given order are comparable coefficient-for-coefficient.  The pade and
+    integral approximants depend on the order alone and are built once per
+    process.
     """
     if method not in OSCILLATOR_METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {OSCILLATOR_METHODS}")
@@ -240,25 +283,17 @@ def oscillator_energy(
         if not (bv > 0):
             raise DomainError(f"coupling beta must be > 0, got {beta}")
 
-    shift = oscillator_coeffs(order + 1).shift_coeffs(order)
     if method == "factorial":
+        shift = oscillator_coeffs(order + 1).shift_coeffs(order)
         lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
         inner = eval_power_as_factorial(lam, beta, order + 1, prec).final
     elif method == "pade":
-        approx = pade_construct(shift, order // 2, order - order // 2)
-        inner = pade_eval(approx, beta, prec)
+        inner = pade_eval(_oscillator_approx(order, method), beta, prec)
     else:  # integral
-        lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
-        reduced = [l / factorial(m) for m, l in enumerate(lam)]
-        with prec.workdps(10):  # euler_integral_eval's precision
+        with prec.workdps(10):  # _euler_integral's precision
             w = 1 / to_mpf(beta)
-        omega = euler_integral_eval(
-            reduced,
-            w,
-            order // 2,
-            order - order // 2,
-            spec or QuadratureSpec(),
-            prec,
+        omega = _euler_integral(
+            _oscillator_approx(order, method), w, spec or QuadratureSpec(), prec
         )
         with prec.workdps():
             inner = omega / to_mpf(beta)

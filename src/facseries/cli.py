@@ -260,12 +260,8 @@ def _cmd_e1(args, prec):
                 comparison[method] = {"error": exc.code}
         with prec.workdps():
             zv = to_mpf(z)
-            half = len(series.inverse_power.coeffs) // 2
-            pade_fn = pade_construct(
-                series.inverse_power.coeffs, max(half - 1, 0), half
-            )
             # the Pade approximant is to 2F0(1,1;-1/z) = z e^z E1(z)
-            comparison["pade"] = _fmt(pade_eval(pade_fn, 1 / zv, prec) / zv, prec)
+            comparison["pade"] = _fmt(pade_eval(series.pade(), 1 / zv, prec) / zv, prec)
             doc["accelerated"] = comparison
     _emit(doc, args, prec)
     if args.csv:

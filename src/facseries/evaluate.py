@@ -321,11 +321,19 @@ def euler_integral_eval(
     """
     approx = pade_construct(a, pade_l, pade_m)
     _check_poles_in_unit_interval(approx)
+    return _euler_integral(approx, z, spec, prec)
+
+
+def _euler_integral(
+    approx: PadeApprox, z: Real, spec: QuadratureSpec, prec: PrecisionContext
+) -> mpmath.mpf:
+    """int_0^1 t^(z-1) phi(1-t) dt, phi the approximant, which
+    _check_poles_in_unit_interval has already passed."""
     with prec.workdps(10):
         zv = to_mpf(z)
         if not (zv > 0):
             raise DomainError(f"integral representation requires z > 0, got {z}")
-        phi = _fixed_point_phi(approx)  # pole-free on [0, 1] by the exact scan above
+        phi = _fixed_point_phi(approx)  # pole-free on [0, 1] by the caller's exact scan
 
         def integrand(t):
             return t ** (zv - 1) * phi(1 - t)

@@ -81,6 +81,8 @@ def _as_fractions(coeffs: Iterable) -> tuple[Fraction, ...]:
 def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(D, [v * D for v in values]) with D the least common denominator."""
     d = lcm(*(v.denominator for v in values))
+    if d == 1:  # the numerators themselves: no copy of a big integer
+        return 1, [v.numerator for v in values]
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 

@@ -97,7 +97,10 @@ def orthogonality_defect(n: int, k: int) -> int:
     """sum_{v=k}^{n} s1(n, v) s2(v, k) - delta_{nk}; zero for every valid (n, k)."""
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
-    total = sum(stirling1(n, v) * stirling2(v, k) for v in range(k, n + 1))
+    _FIRST._extend(n)
+    _SECOND._extend(n)
+    s1, s2 = _FIRST._rows[n], _SECOND._rows
+    total = sum(s1[v] * s2[v][k] for v in range(k, n + 1))
     return total - (1 if n == k else 0)
 
 

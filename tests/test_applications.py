@@ -4,8 +4,10 @@ import sys
 import threading
 import warnings
 from fractions import Fraction
+from math import factorial
 
 import pytest
+import sympy
 from mpmath import mp
 
 from facseries import applications
@@ -21,10 +23,11 @@ from facseries.applications import (
     oscillator_coeffs,
     oscillator_energy,
 )
-from facseries.errors import DomainError, IntegrityError
-from facseries.evaluate import QuadratureConvergenceWarning, QuadratureSpec
-from facseries.series import PrecisionContext, SeriesKind
-from facseries.transforms import inverse_power_to_factorial
+from facseries.errors import DomainError, IntegrityError, PoleInDomainError
+from facseries.evaluate import QuadratureConvergenceWarning, QuadratureSpec, euler_integral_eval
+from facseries.pade import pade_construct, pade_eval
+from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
+from facseries.transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
 PREC = PrecisionContext(64)
 
@@ -107,6 +110,30 @@ class TestE1Summation:
         with PREC.workdps():
             ratio = report.final / report.reference
             assert abs(ratio - mp.mpf("1.0000007634455004725")) < mp.mpf(10) ** -12
+
+
+class TestE1Pade:
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_closed_form_equals_solve(self, n):
+        series = E1Series.build(n - 1)
+        h = n // 2
+        solved = pade_construct(series.inverse_power.coeffs, max(h - 1, 0), h)
+        assert series.pade() == solved
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 61])
+    def test_matches_through_order(self, n):
+        p = E1Series.build(n - 1).pade()
+        coeffs = e1_inverse_power_coeffs(n - 1).coeffs
+        assert p.taylor(p.L + p.M) == coeffs[: p.L + p.M + 1]
+        assert all(type(v) is Fraction for v in p.num + p.den)
+
+    @pytest.mark.parametrize("h", [1, 2, 5, 17, 30])
+    def test_denominator_is_scaled_laguerre(self, h):
+        # h! w^h L_h(-1/w), expanded in w by sympy: an oracle apart from both routes
+        w = sympy.symbols("w")
+        poly = sympy.Poly(sympy.expand(sympy.factorial(h) * w**h * sympy.laguerre(h, -1 / w)), w)
+        want = tuple(Fraction(int(c)) for c in reversed(poly.all_coeffs()))
+        assert E1Series.build(2 * h - 1).pade().den == want
 
 
 class TestOscillatorCoefficients:
@@ -259,6 +286,20 @@ class TestAsymptotics:
             asymptotics_check(oscillator_coeffs(10), PREC)
 
 
+@pytest.fixture
+def pade_builds(monkeypatch):
+    """(L, M) of each pade_construct call applications makes, from no kept approximant."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return pade_construct(*args)
+
+    monkeypatch.setattr(applications, "_approx", {})
+    monkeypatch.setattr(applications, "pade_construct", counting)
+    return calls
+
+
 class TestOscillatorEnergy:
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -304,6 +345,65 @@ class TestOscillatorEnergy:
     def test_integral_energy_pinned(self, beta):
         energy = oscillator_energy(beta, 34, "integral", PREC)
         assert mp.nstr(energy, 64) == self.INTEGRAL_ORDER_34[beta]
+
+    def test_approximants_built_once_per_order(self, pade_builds):
+        prec, spec = PrecisionContext(20), QuadratureSpec(points_per_panel=16, panels=2)
+        shift = oscillator_coeffs(35).shift_coeffs(34)
+        lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), 34)
+        reduced = [l / factorial(m) for m, l in enumerate(lam)]
+        solved = pade_construct(shift, 17, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureConvergenceWarning)
+            for beta in (Fraction(i * i, 64) for i in range(2, 18)):  # 1/16 .. 289/64
+                # each energy as oscillator_energy formed it with no approximant kept
+                with prec.workdps(10):
+                    w = 1 / to_mpf(beta)
+                omega = euler_integral_eval(reduced, w, 17, 17, spec, prec)
+                with prec.workdps():
+                    bv = to_mpf(beta)
+                    pade = 1 + bv * pade_eval(solved, beta, prec)
+                    integral = 1 + bv * (omega / bv)
+                assert oscillator_energy(beta, 34, "pade", prec) == pade
+                assert oscillator_energy(beta, 34, "integral", prec, spec) == integral
+        assert pade_builds == [(17, 17), (17, 17)]
+
+    def test_concurrent_approximant_builds_keep_one(self, monkeypatch):
+        # threads racing to build the same approximant all get the one kept
+        monkeypatch.setattr(applications, "_approx", {})
+        keys = [(20, "pade"), (20, "integral"), (14, "pade")] * 3
+        results, errors = {}, []
+        barrier = threading.Barrier(len(keys))
+
+        def build(slot, key):
+            try:
+                barrier.wait(timeout=10)
+                results[slot] = applications._oscillator_approx(*key)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=item) for item in enumerate(keys)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(applications._approx) == [(14, "pade"), (20, "integral"), (20, "pade")]
+        for slot, key in enumerate(keys):
+            assert results[slot] is applications._approx[key]
+        shift = oscillator_coeffs(15).shift_coeffs(14)
+        assert applications._approx[(14, "pade")] == pade_construct(shift, 7, 7)
+
+    def test_approximant_with_pole_not_kept(self, pade_builds):
+        for _ in range(2):
+            with pytest.raises(PoleInDomainError):
+                oscillator_energy(Fraction(1, 5), 36, "integral", PREC)
+        assert len(pade_builds) == 2 and applications._approx == {}
 
     def test_integral_energy_ignores_global_precision(self):
         # 1/beta is not dyadic at 137/1000: it must be formed at the working

@@ -1,7 +1,10 @@
 """End-to-end CLI runs through facseries.cli.main."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,9 +12,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from mpmath import mp
 
-from facseries.applications import e1_factorial_coeffs
-from facseries.cli import main
-from facseries.series import FormalSeries, SeriesKind
+import facseries
+from facseries.applications import e1_factorial_coeffs, e1_inverse_power_coeffs
+from facseries.cli import _fmt, main
+from facseries.pade import pade_construct, pade_eval
+from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
 
 
 def run(capsys, *argv):
@@ -200,6 +205,17 @@ class TestE1:
                 want = mp.nstr(mp.mpf(cell.numerator) / cell.denominator, 64)
             assert doc["accelerated"][method] == want
 
+    @pytest.mark.parametrize("z, n", [("5", 1), ("5", 2), ("1/2", 7), ("79/4", 39), ("3", 60)])
+    def test_pade_equals_solved_approximant(self, capsys, z, n):
+        # the closed form prints what the Toeplitz solve of pade_construct gives
+        code, doc = run_json(capsys, "e1", "--z", z, "--terms", str(n), "--compare")
+        assert code == 0
+        prec, h = PrecisionContext(64), n // 2
+        solved = pade_construct(e1_inverse_power_coeffs(n - 1).coeffs, max(h - 1, 0), h)
+        with prec.workdps():
+            zv = to_mpf(Fraction(z))
+            assert doc["accelerated"]["pade"] == _fmt(pade_eval(solved, 1 / zv, prec) / zv, prec)
+
 
 def _e1_transform_cell(z, n, method):
     """T_{n-2}^(0), beta = 1, of the terms (-1)^m m!/z^(m+1), m < n, with the
@@ -290,6 +306,28 @@ def assert_usage_error(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("facseries: ") and err.count("\n") == 1, err
+
+
+def run_module(*argv):
+    """python -m facseries in a fresh interpreter, facseries imported from this checkout."""
+    src = os.path.dirname(os.path.dirname(facseries.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "facseries", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestModuleEntryPoint:
+    def test_version(self):
+        proc = run_module("--version")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == facseries.__version__
+
+    def test_bad_z_exit_1(self):
+        proc = run_module("e1", "--z", "abc", "--terms", "5")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("facseries: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 class TestUsageErrors:
