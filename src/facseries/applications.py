@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import itemgetter, mul
-from typing import Optional
 
 import mpmath
 from mpmath import mp
@@ -258,7 +257,7 @@ def oscillator_energy(
     order: int,
     method: str,
     prec: PrecisionContext = PrecisionContext(),
-    spec: Optional[QuadratureSpec] = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> mpmath.mpf:
     """Ground-state energy at coupling beta by one of three summation routes.
 
@@ -292,9 +291,7 @@ def oscillator_energy(
     else:  # integral
         with prec.workdps(10):  # _euler_integral's precision
             w = 1 / to_mpf(beta)
-        omega = _euler_integral(
-            _oscillator_approx(order, method), w, spec or QuadratureSpec(), prec
-        )
+        omega = _euler_integral(_oscillator_approx(order, method), w, spec, prec)
         with prec.workdps():
             inner = omega / to_mpf(beta)
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: stirling, transform, accelerate, pade, sum, e1, oscillator.
-Output is JSON (schema "facseries/1") on stdout or --out; --csv additionally
-writes a flat table for human-facing plots.  Exact integers travel as decimal
-strings; floats are rendered at the working precision, so identical config
-plus precision gives bit-identical output.
+Output is JSON (schema "facseries/1") on stdout or --out; --csv (accelerate,
+sum, e1, oscillator) additionally writes a flat table for human-facing plots.
+Exact integers travel as decimal strings; floats are rendered at the working
+precision, so identical config plus precision gives bit-identical output.
 
 Exit codes: 0 success, 1 usage/configuration error (a one-line
 "facseries: ..." on stderr), 2 numerical failure (pole, degeneracy,
@@ -306,7 +306,6 @@ def build_parser() -> _Parser:
     common.add_argument("--json", action="store_true",
                         help="force JSON output for text-default commands")
     common.add_argument("--out", metavar="PATH", help="write JSON output to PATH")
-    common.add_argument("--csv", metavar="PATH", help="also write a CSV table")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -369,6 +368,8 @@ def build_parser() -> _Parser:
     p.add_argument("--all", action="store_true", help="run every method")
     p.set_defaults(fn=_cmd_oscillator)
 
+    for name in ("accelerate", "sum", "e1", "oscillator"):  # the commands that write a table
+        sub.choices[name].add_argument("--csv", metavar="PATH", help="also write a CSV table")
     return parser
 
 

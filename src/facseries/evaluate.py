@@ -58,14 +58,10 @@ class QuadratureConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rule: str = "gauss_legendre"
     points_per_panel: int = 32
     panels: int = 8
-    singularity_split: bool = True
 
     def __post_init__(self):
-        if self.rule != "gauss_legendre":
-            raise DomainError(f"unsupported quadrature rule {self.rule!r}")
         if self.points_per_panel < 8:
             raise DomainError("need at least 8 points per panel")
         if self.panels < 1:
@@ -339,7 +335,7 @@ def _euler_integral(
             return t ** (zv - 1) * phi(1 - t)
 
         pieces = [(integrand, mp.mpf(0), mp.mpf(1))]
-        if zv < 1 and spec.singularity_split:
+        if zv < 1:
             eps = mp.mpf(1) / 16
             # [0, eps] with t = u^(1/z): integrand becomes phi(1 - u^(1/z))/z
             def left(u):

@@ -9,9 +9,9 @@ which are mutually inverse thanks to the Stirling orthogonality relations.
 Both, and the power-series variant producing the lambda_m coefficients of the
 product-form evaluator, are special cases of a generic inversion framework for
 pairs of lower-triangular matrices (A, B) with sum_r B_nr A_rk = delta_nk.
-Every product here, orthogonality check included, is one kernel, _lower_apply,
-which clears the vector and each row to integers over least common
-denominators: one integer dot product and one Fraction per output.
+Every product and solve here, the orthogonality check and the inverse included,
+is one kernel, _lower_apply, which clears the vector and each row to integers
+over least common denominators: one integer dot product and one Fraction per output.
 
 All transforms here are purely formal truncations: the leading N+1 output
 coefficients depend only on the leading N+1 inputs (triangularity), the tail
@@ -63,8 +63,8 @@ def _stirling_transform(
     of a ``kind`` series, over the rows the Stirling cache ``s`` keeps."""
     if series.kind is not kind:
         raise DomainError(f"expected {kind.value} series, got {series.kind.value}")
-    if len(series) < order + 1:
-        raise DomainError(f"need {order + 1} coefficients, have {len(series)}")
+    if not 0 <= order < len(series):
+        raise DomainError(f"order must be in 0..{len(series) - 1}, got {order}")
     x = [-v if mu & 1 else v for mu, v in enumerate(series.coeffs[: order + 1])]
     y = _lower_apply(map(s.row, range(order + 1)), x)
     return tuple(-v if m & 1 else v for m, v in enumerate(y))
@@ -147,21 +147,18 @@ class TransformMatrix:
         return cls(a_rows, companion=cls(b_rows))
 
     def with_computed_companion(self) -> "TransformMatrix":
-        """Attach the exact inverse, computed by forward substitution.
+        """Attach the exact inverse B, built row by row by forward substitution.
 
-        Requires a nonzero diagonal.  Column k of B solves A B[:, k] = e_k.
+        Requires a nonzero diagonal.  B_rr = 1/A_rr, and for k < r
+        B_rk = -(sum_{j=k}^{r-1} A_rj B_jk) / A_rr: all r sums are one
+        _lower_apply of the zero-padded columns of the rows built so far.
         """
-        n = self.n_max
-        for i in range(n + 1):
-            if self.rows[i][i] == 0:
-                raise IntegrityError(f"zero diagonal entry at row {i}; not invertible")
-        b = [[Fraction(0)] * (r + 1) for r in range(n + 1)]
-        for k in range(n + 1):
-            for r in range(k, n + 1):
-                acc = Fraction(1 if r == k else 0)
-                for j in range(k, r):
-                    acc -= self.rows[r][j] * b[j][k]
-                b[r][k] = acc / self.rows[r][r]
+        b = []
+        for r, row in enumerate(self.rows):
+            if row[r] == 0:
+                raise IntegrityError(f"zero diagonal entry at row {r}; not invertible")
+            columns = ([0] * k + [bj[k] for bj in b[k:]] for k in range(r))
+            b.append([-v / row[r] for v in _lower_apply(columns, row[:r])] + [1 / row[r]])
         return TransformMatrix(self.rows, companion=TransformMatrix(b))
 
     def verify_orthogonality(self) -> None:
@@ -198,8 +195,8 @@ def triangular_inverse_apply(a: TransformMatrix, y: Sequence) -> tuple[Fraction,
 
 def coefficient_transform(a: TransformMatrix, eta: Sequence, order: int) -> tuple[Fraction, ...]:
     """xi_n = sum_{k=n}^{order} A_kn eta_k (transposed action; tail beyond order is zero)."""
-    if len(eta) < order + 1:
-        raise DomainError(f"need {order + 1} entries, have {len(eta)}")
+    if not 0 <= order < len(eta):
+        raise DomainError(f"order must be in 0..{len(eta) - 1}, got {order}")
     if order > a.n_max:
         raise DomainError(f"order {order} exceeds matrix size {a.n_max}")
     columns = ([a.entry(k, n) for k in range(order + 1)] for n in range(order + 1))

@@ -85,6 +85,14 @@ class TestTransform:
         assert code == 2
         assert doc["error"] == "integrity"
 
+    def test_negative_order_is_numerical_failure(self, capsys, tmp_path):
+        src = tmp_path / "c.json"
+        FormalSeries(SeriesKind.INVERSE_POWER, [1, 2]).dump(src)
+        code, doc = run_json(capsys, "transform", "--from", "invpow", "--to", "fact",
+                             "--in", str(src), "--order", "-1")
+        assert code == 2
+        assert doc["error"] == "domain"
+
 
 class TestAccelerate:
     def test_ln2_terms(self, capsys, tmp_path):
@@ -299,6 +307,19 @@ class TestPlumbing:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "m,partial_sum"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["stirling", "--kind", "1", "--n", "2"],
+        ["transform", "--from", "invpow", "--to", "fact", "--in", "s.json"],
+        ["pade", "--in", "s.json", "--L", "0", "--M", "0"],
+    ])
+    def test_csv_rejected_where_no_table(self, capsys, tmp_path, argv):
+        csv_path = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--csv", str(csv_path)])
+        assert exc.value.code == 1
+        assert "--csv" in capsys.readouterr().err
+        assert not csv_path.exists()
 
 
 def assert_usage_error(capsys, argv):

@@ -39,12 +39,9 @@ PREC = PrecisionContext(64)
 class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
-        assert spec.rule == "gauss_legendre"
         assert spec.points_per_panel * spec.panels >= 16
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(rule="trapezoid")
         with pytest.raises(DomainError):
             QuadratureSpec(points_per_panel=4)
         with pytest.raises(DomainError):
@@ -187,15 +184,6 @@ class TestEulerIntegral:
                                 QuadratureSpec(), PREC)
         with PREC.workdps():
             assert abs(v - 2) < PREC.tol(20)
-
-    def test_split_can_be_disabled(self):
-        # without the split the t^(z-1) endpoint singularity is unresolved
-        spec = QuadratureSpec(singularity_split=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QuadratureConvergenceWarning)
-            v = euler_integral_eval([Fraction(1)], Fraction(1, 2), 0, 0, spec, PREC)
-        with PREC.workdps():
-            assert abs(v - 2) > PREC.tol(20)  # visibly worse than the split route
 
     def test_z_positive_required(self):
         with pytest.raises(DomainError):

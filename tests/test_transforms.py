@@ -54,6 +54,17 @@ class TestStirlingPairTransforms:
         with pytest.raises(DomainError):
             inverse_power_to_factorial(c, 5)
 
+    def test_negative_order_rejected(self):
+        for transform, kind in (
+            (inverse_power_to_factorial, SeriesKind.INVERSE_POWER),
+            (factorial_to_inverse_power, SeriesKind.FACTORIAL),
+            (power_to_factorial_coeffs, SeriesKind.POWER),
+        ):
+            with pytest.raises(DomainError, match="got -1"):
+                transform(FormalSeries(kind, [1, 2]), -1)
+        with pytest.raises(DomainError, match="got -1"):
+            coefficient_transform(TransformMatrix.identity(3), [1, 2], -1)
+
     def test_small_hand_values(self):
         # c = (0, 1, 0, ...): d_m = (-1)^m sum (-1)^mu s1(m,mu) c_mu = s1(m,1)*(-1)^(m+1)
         c = FormalSeries(SeriesKind.INVERSE_POWER, [0, 1, 0, 0])
@@ -187,6 +198,33 @@ class TestTransformMatrix:
         m = TransformMatrix([[1], [1, 0]])
         with pytest.raises(IntegrityError):
             m.with_computed_companion()
+
+    def test_first_zero_diagonal_row_named(self):
+        rows = [[Fraction(1, n + 1)] * (n + 1) for n in range(8)]
+        rows[5][5] = rows[7][7] = 0
+        with pytest.raises(IntegrityError, match="at row 5;"):
+            TransformMatrix(rows).with_computed_companion()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_companion_equals_forward_substitution(self, data):
+        n = data.draw(st.integers(1, 25))
+        den = st.integers(1, 60)
+        entry = st.builds(Fraction, st.integers(-999, 999), den)
+        pivot = st.builds(Fraction, st.integers(1, 999) | st.integers(-999, -1), den)
+        rows = [data.draw(st.lists(entry, min_size=r, max_size=r)) + [data.draw(pivot)]
+                for r in range(n)]
+        # reference: plain Fraction forward substitution, column k solving A B[:, k] = e_k
+        b = [[Fraction(0)] * (r + 1) for r in range(n)]
+        for k in range(n):
+            for r in range(k, n):
+                acc = Fraction(1 if r == k else 0)
+                for j in range(k, r):
+                    acc -= rows[r][j] * b[j][k]
+                b[r][k] = acc / rows[r][r]
+        m = TransformMatrix(rows).with_computed_companion()
+        assert m.companion.rows == TransformMatrix(b).rows
+        m.verify_orthogonality()
 
     def test_orthogonality_violation_detected(self):
         a = TransformMatrix([[1], [1, 1]])
