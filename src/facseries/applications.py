@@ -275,8 +275,8 @@ def oscillator_energy(
     """
     if method not in OSCILLATOR_METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {OSCILLATOR_METHODS}")
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
+    if not 1 <= order <= 199:  # every route reads b_(order+1), and b_200 is the last
+        raise DomainError(f"order must be in 1..199, got {order}")
     with prec.workdps():
         bv = to_mpf(beta)
         if not (bv > 0):

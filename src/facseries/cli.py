@@ -120,16 +120,12 @@ def _cmd_stirling(args, prec):
     from .stirling import StirlingCache
 
     cache = StirlingCache(args.kind)
-    if args.k is not None:
-        values = [cache.value(args.n, args.k)]
-    else:
-        values = cache.row(args.n)
+    values = cache.row(args.n) if args.k is None else [cache.value(args.n, args.k)]
     if args.json or args.out:
         _emit({"command": "stirling", "kind": args.kind, "n": args.n,
                "k": args.k, "values": [str(v) for v in values]}, args, prec)
     else:
-        for v in values:
-            print(v)
+        print(*values, sep="\n")
     return 0
 
 
@@ -201,15 +197,13 @@ def _cmd_sum(args, prec):
     terms = args.terms if args.terms is not None else len(series)
     if args.backend == "direct":
         report = sum_factorial_series(series, z, terms, prec)
-        partials = report.partial_sums
-        final = report.final
+        partials, final = report.partial_sums, report.final
     elif args.backend == "product":
         if series.kind is not SeriesKind.POWER:
             raise IntegrityError("product backend expects a power series input")
         lam = power_to_factorial_coeffs(series, terms - 1)
         report = eval_power_as_factorial(lam, z, terms, prec)
-        partials = report.partial_sums
-        final = report.final
+        partials, final = report.partial_sums, report.final
     else:  # integral
         if series.kind is not SeriesKind.FACTORIAL:
             raise IntegrityError("integral backend expects a factorial series input")
@@ -233,6 +227,8 @@ def _cmd_sum(args, prec):
 
 def _cmd_e1(args, prec):
     z = _rational(args.z, "--z")
+    if args.terms < 1:
+        raise DomainError(f"--terms must be >= 1, got {args.terms}")
     series = E1Series.build(args.terms - 1)
     report = series.summation_report(z, args.terms, prec)
     doc = {
@@ -273,9 +269,7 @@ def _cmd_e1(args, prec):
 def _cmd_oscillator(args, prec):
     beta = _rational(args.beta, "--beta")
     methods = list(OSCILLATOR_METHODS) if args.all else [args.method]
-    results = {}
-    for method in methods:
-        results[method] = _fmt(oscillator_energy(beta, args.order, method, prec), prec)
+    results = {m: _fmt(oscillator_energy(beta, args.order, m, prec), prec) for m in methods}
     doc = {
         "command": "oscillator", "beta": args.beta, "order": args.order,
         "energies": results,

@@ -75,7 +75,7 @@ class SeriesKind(str, Enum):
 
 
 def _as_fractions(coeffs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coeffs)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
 
 def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:

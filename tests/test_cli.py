@@ -224,6 +224,13 @@ class TestE1:
             zv = to_mpf(Fraction(z))
             assert doc["accelerated"]["pade"] == _fmt(pade_eval(solved, 1 / zv, prec) / zv, prec)
 
+    @pytest.mark.parametrize("terms", ["0", "-3"])
+    def test_terms_below_one_names_the_option(self, capsys, terms):
+        code, doc = run_json(capsys, "e1", "--z", "2", "--terms", terms)
+        assert code == 2
+        assert doc["error"] == "domain"
+        assert doc["message"] == f"--terms must be >= 1, got {terms}"
+
 
 def _e1_transform_cell(z, n, method):
     """T_{n-2}^(0), beta = 1, of the terms (-1)^m m!/z^(m+1), m < n, with the
@@ -262,6 +269,15 @@ class TestOscillator:
         )
         assert code == 0
         assert "reference" not in doc
+
+    @pytest.mark.parametrize("order", ["200", "300", "0"])
+    def test_order_out_of_range_names_the_value(self, capsys, order):
+        # every method reads b_(order+1), and the recursion stops at b_200
+        code, doc = run_json(capsys, "oscillator", "--beta", "1/5", "--order", order,
+                             "--method", "factorial")
+        assert code == 2
+        assert doc["error"] == "domain"
+        assert doc["message"] == f"order must be in 1..199, got {order}"
 
 
 class TestPlumbing:

@@ -1,18 +1,22 @@
 """Exact Stirling-weighted coefficient transforms and the triangular framework."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from facseries import transforms
 from facseries.applications import e1_factorial_coeffs
 from facseries.errors import DomainError, IntegrityError
-from facseries.series import FormalSeries, MomentSequence, SeriesKind
+from facseries.series import FormalSeries, MomentSequence, SeriesKind, _common_denominator
 from facseries.stirling import stirling2
 from facseries.transforms import (
     TransformMatrix,
+    _lower_apply,
     coefficient_transform,
     factorial_to_inverse_power,
     inverse_power_to_factorial,
@@ -27,6 +31,50 @@ def random_rationals(rng, n, bound=1000, den=99):
     return [
         Fraction(rng.randint(-bound, bound), rng.randint(1, den)) for _ in range(n)
     ]
+
+
+def forward_substitution(rows):
+    """The inverse B of a lower-triangular A by plain Fraction forward
+    substitution, column k solving A B[:, k] = e_k: the reference."""
+    n = len(rows)
+    b = [[Fraction(0)] * (r + 1) for r in range(n)]
+    for k in range(n):
+        for r in range(k, n):
+            acc = Fraction(1 if r == k else 0)
+            for j in range(k, r):
+                acc -= rows[r][j] * b[j][k]
+            b[r][k] = acc / rows[r][r]
+    return b
+
+
+def counting(monkeypatch, name):
+    """Record the arguments of every call to transforms.<name>."""
+    calls, original = [], getattr(transforms, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transforms, name, wrapper)
+    return calls
+
+
+class TestLowerApply:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.lists(st.fractions(max_denominator=10**4), max_size=12), max_size=12),
+        st.lists(st.fractions(max_denominator=10**4), max_size=12),
+        st.integers(1, 50),
+    )
+    def test_cleared_rows_equal_fraction_sums(self, rows, x, extra):
+        # any common denominator serves, not only the least one
+        cleared = []
+        for row in rows:
+            d, ints = _common_denominator(row)
+            cleared.append((d * extra, [i * extra for i in ints]))
+        assert _lower_apply(cleared, x) == tuple(
+            sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows
+        )
 
 
 class TestStirlingPairTransforms:
@@ -214,17 +262,31 @@ class TestTransformMatrix:
         pivot = st.builds(Fraction, st.integers(1, 999) | st.integers(-999, -1), den)
         rows = [data.draw(st.lists(entry, min_size=r, max_size=r)) + [data.draw(pivot)]
                 for r in range(n)]
-        # reference: plain Fraction forward substitution, column k solving A B[:, k] = e_k
-        b = [[Fraction(0)] * (r + 1) for r in range(n)]
-        for k in range(n):
-            for r in range(k, n):
-                acc = Fraction(1 if r == k else 0)
-                for j in range(k, r):
-                    acc -= rows[r][j] * b[j][k]
-                b[r][k] = acc / rows[r][r]
         m = TransformMatrix(rows).with_computed_companion()
-        assert m.companion.rows == TransformMatrix(b).rows
+        assert m.companion.rows == TransformMatrix(forward_substitution(rows)).rows
         m.verify_orthogonality()
+
+    def test_companion_columns_rescaled(self, monkeypatch):
+        # diagonal 1/p over distinct primes: B_rr = p_r, and the rational
+        # off-diagonals give each column entries whose denominators its
+        # common denominator does not yet hold
+        rng = random.Random(17)
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 11, 13)))
+                 for _ in range(r)] + [Fraction(1, p)] for r, p in enumerate(primes)]
+        rescales = counting(monkeypatch, "lcm")
+        m = TransformMatrix(rows).with_computed_companion()
+        assert rescales  # the rescale path ran
+        assert m.companion.rows == TransformMatrix(forward_substitution(rows)).rows
+        m.verify_orthogonality()
+
+    def test_integer_unit_diagonal_never_rescales(self, monkeypatch):
+        rng = random.Random(19)
+        rows = [[rng.randint(-3, 3) for _ in range(r)] + [1] for r in range(30)]
+        rescales = counting(monkeypatch, "lcm")
+        m = TransformMatrix(rows).with_computed_companion()
+        assert rescales == []
+        assert m.companion.rows == TransformMatrix(forward_substitution(rows)).rows
 
     def test_orthogonality_violation_detected(self):
         a = TransformMatrix([[1], [1, 1]])
@@ -282,6 +344,90 @@ class TestVerifyOnce:
         fresh = TransformMatrix.stirling_pair(4)
         pair.verify_orthogonality()
         assert pair == fresh
+
+
+class TestClearedOnce:
+    """Each exact row is cleared where it is kept, not on every product."""
+
+    def test_forward_clears_only_the_vector_after_first_use(self, monkeypatch):
+        rng = random.Random(23)
+        m = TransformMatrix([random_rationals(rng, n + 1) for n in range(12)])
+        x = random_rationals(rng, 12)
+        calls = counting(monkeypatch, "_common_denominator")
+        first = triangular_forward(m, x)
+        assert len(calls) == 13  # the 12 rows, once, and x
+        calls.clear()
+        assert triangular_forward(m, x) == first
+        assert calls == [(x,)]
+
+    def test_inverse_apply_clears_only_the_vector_after_first_use(self, monkeypatch):
+        pair = TransformMatrix.stirling_pair(10)
+        y = [Fraction(k + 1, 7) for k in range(11)]
+        triangular_inverse_apply(pair, y)
+        calls = counting(monkeypatch, "_common_denominator")
+        triangular_inverse_apply(pair, y)
+        assert calls == [(y,)]
+
+    def test_stirling_transforms_clear_only_the_vector(self, monkeypatch):
+        c = FormalSeries(SeriesKind.INVERSE_POWER, [Fraction(k - 5, k + 2) for k in range(20)])
+        calls = counting(monkeypatch, "_common_denominator")
+        d = inverse_power_to_factorial(c, 19)
+        factorial_to_inverse_power(d, 19)
+        power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, c.coeffs), 19)
+        assert len(calls) == 3
+
+    def test_companion_clears_each_row_once(self, monkeypatch):
+        rng = random.Random(29)
+        rows = [random_rationals(rng, r) + [Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+                for r in range(16)]
+        m = TransformMatrix(rows)
+        calls = counting(monkeypatch, "_common_denominator")
+        m.with_computed_companion()
+        # one kernel call a row, whose vector is row r's r entries left of the diagonal
+        assert [len(args[0]) for args in calls] == list(range(16))
+
+
+class TestSharedFirstUse:
+    """The rows cleared on first use keep TransformMatrix thread-shareable."""
+
+    @staticmethod
+    def matrix():
+        rng = random.Random(31)
+        rows = [random_rationals(rng, n) + [Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+                for n in range(40)]
+        return TransformMatrix(rows).with_computed_companion()
+
+    def test_first_use_from_eight_threads(self):
+        x = random_rationals(random.Random(37), 40)
+        serial = self.matrix()
+        want = (triangular_forward(serial, x), triangular_inverse_apply(serial, x))
+        shared, results = self.matrix(), [None] * 8
+        start = threading.Barrier(8)
+
+        def work(i):
+            start.wait(timeout=60)
+            results[i] = (triangular_forward(shared, x), triangular_inverse_apply(shared, x))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 8
+
+    def test_used_and_unused_compare_and_hash_equal(self):
+        used, fresh = self.matrix(), self.matrix()
+        triangular_inverse_apply(used, triangular_forward(used, [1] * 40))
+        assert used._verified and not fresh._verified
+        assert vars(used).keys() - vars(fresh).keys() == {"_cleared"}  # the state differs
+        assert used == fresh
+        assert hash(used) == hash(fresh)
 
 
 class TestTriangularActions:
