@@ -15,7 +15,9 @@ subinterval [0, eps] is handled by the substitution t = u^(1/z), which turns
 t^(z-1) dt into du/z and leaves a smooth integrand.
 
 The conjugate function is evaluated by a fixed-point integer Horner kernel;
-_fixed_point_phi states its error bound.
+_fixed_point_phi states its error bound.  Each PadeApprox keeps for its lifetime
+a node table per beta-independent piece ([0, 1], or [1/16, 1] for z < 1), keyed
+by (lo, hi, points, panels, prec): t, phi(1-t) and, once needed, log t (_mpf_).
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import mpmath
 from mpmath import libmp, mp
@@ -132,27 +135,60 @@ def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
     return _GL_CACHE[key]
 
 
-def _composite_gl(f: Callable, lo, hi, points: int, panels: int) -> mpmath.mpf:
+def _gl_rows(f: Callable, lo, hi, points: int, panels: int) -> Iterator[tuple]:
+    """(w, t, f(t)) as _mpf_ tuples over the composite rule's nodes t, w the
+    weight on [-1, 1]; raises on a non-finite f(t)."""
     nodes, weights = _gauss_legendre_nodes(points)
-    total = mp.mpf(0)
     width = (hi - lo) / panels
+    half = width / 2
     for p in range(panels):
-        a = lo + p * width
-        half = width / 2
-        mid = a + half
+        mid = lo + p * width + half
         for x, w in zip(nodes, weights):
-            val = f(mid + half * x)
+            t = mid + half * x
+            val = f(t)
             if not mp.isfinite(val):
-                raise IntegrationError(f"non-finite integrand value at t={mid + half * x}")
-            total += w * val
-    return total * width / 2
+                raise IntegrationError(f"non-finite integrand value at t={t}")
+            yield w._mpf_, t._mpf_, val._mpf_
+
+
+def _gl_sum(rows: Iterable, lo, hi, panels: int) -> mpmath.mpf:
+    """(hi - lo)/(2 panels) sum w f over rows (w, t, f) as _gl_rows gives them,
+    each step rounded as the mpf operators round total += w * f."""
+    prec, rnd = mp.prec, libmp.round_nearest
+    total = libmp.fzero
+    for w, _, val in rows:
+        total = libmp.mpf_add(total, libmp.mpf_mul(w, val, prec, rnd), prec, rnd)
+    return mp.make_mpf(total) * ((hi - lo) / panels) / 2
+
+
+def _composite_gl(f: Callable, lo, hi, points: int, panels: int) -> mpmath.mpf:
+    return _gl_sum(_gl_rows(f, lo, hi, points, panels), lo, hi, panels)
+
+
+def _weighted_gl(approx: PadeApprox, zv, lo, hi, points: int, panels: int) -> mpmath.mpf:
+    """int_lo^hi t^(z-1) phi(1-t) dt from approx's node table, bit for bit as the
+    mpf operators form t ** (z-1) * phi(1-t): t^(z-1) takes mpf_pow's own steps."""
+    prec, rnd = mp.prec, libmp.round_nearest
+    tables, key = approx._node_tables, (lo._mpf_, hi._mpf_, points, panels, prec)
+    if key not in tables:  # a build that raises publishes nothing
+        phi = _fixed_point_phi(approx)
+        tables.setdefault(key, list(_gl_rows(lambda t: phi(1 - t), lo, hi, points, panels)))
+    rows, s = tables[key], (zv - 1)._mpf_
+    if s[2] >= -1:  # an integer or half-integer exponent: mpf_pow's own branches
+        powers = (libmp.mpf_pow(t, s, prec, rnd) for _, t, _ in rows)
+    else:  # mpf_pow's general branch, exp(s log t)
+        logs = tables.get((key, "log")) or tables.setdefault(
+            (key, "log"), [libmp.mpf_log(t, prec + 10, rnd) for _, t, _ in rows])
+        powers = (libmp.mpf_exp(libmp.mpf_mul(s, c), prec, rnd) for c in logs)
+    weighted = ((w, t, libmp.mpf_mul(c, f, prec, rnd)) for (w, t, f), c in zip(rows, powers))
+    return _gl_sum(weighted, lo, hi, panels)
 
 
 def _panel_doubled(pieces: Sequence, spec: QuadratureSpec, prec: PrecisionContext) -> mpmath.mpf:
-    """Composite Gauss-Legendre summed over (f, lo, hi) pieces, at spec.panels and
-    at twice as many; warns and returns as quadrature_01 describes."""
+    """Composite Gauss-Legendre summed over pieces, each a rule(points, panels), at
+    spec.panels and at twice as many; warns and returns as quadrature_01 describes."""
     coarse, fine = (
-        sum(_composite_gl(f, lo, hi, spec.points_per_panel, panels) for f, lo, hi in pieces)
+        sum(rule(spec.points_per_panel, panels) for rule in pieces)
         for panels in (spec.panels, 2 * spec.panels)
     )
     if abs(fine - coarse) / (abs(fine) or 1) > prec.tol(prec.digits // 2):
@@ -175,7 +211,7 @@ def quadrature_01(
     0), a QuadratureConvergenceWarning is emitted.  The refined value is returned.
     """
     with prec.workdps(10):
-        return _panel_doubled([(f, mp.mpf(0), mp.mpf(1))], spec, prec)
+        return _panel_doubled([partial(_composite_gl, f, mp.mpf(0), mp.mpf(1))], spec, prec)
 
 
 # --- summation back-ends ----------------------------------------------------
@@ -329,17 +365,9 @@ def _euler_integral(
         zv = to_mpf(z)
         if not (zv > 0):
             raise DomainError(f"integral representation requires z > 0, got {z}")
-        phi = _fixed_point_phi(approx)  # pole-free on [0, 1] by the caller's exact scan
-
-        def integrand(t):
-            return t ** (zv - 1) * phi(1 - t)
-
-        pieces = [(integrand, mp.mpf(0), mp.mpf(1))]
-        if zv < 1:
-            eps = mp.mpf(1) / 16
-            # [0, eps] with t = u^(1/z): integrand becomes phi(1 - u^(1/z))/z
-            def left(u):
-                return phi(1 - u ** (1 / zv)) / zv
-
-            pieces = [(left, mp.mpf(0), eps**zv), (integrand, eps, mp.mpf(1))]
+        lo = mp.mpf(1) / 16 if zv < 1 else mp.mpf(0)
+        pieces = [partial(_weighted_gl, approx, zv, lo, mp.mpf(1))]
+        if zv < 1:  # [0, lo] with t = u^(1/z): the integrand becomes phi(1 - u^(1/z))/z
+            phi, inv = _fixed_point_phi(approx), 1 / zv  # phi pole-free by the caller's scan
+            pieces.append(partial(_composite_gl, lambda u: phi(1 - u**inv) / zv, mp.mpf(0), lo**zv))
         return _panel_doubled(pieces, spec, prec)

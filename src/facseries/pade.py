@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import mpmath
@@ -33,6 +34,7 @@ class PadeApprox:
 
     num: tuple[Fraction, ...]  # length L+1
     den: tuple[Fraction, ...]  # length M+1, den[0] == 1
+    _node_tables = cached_property(lambda self: {})  # evaluate._weighted_gl's quadrature nodes
 
     @property
     def L(self) -> int:

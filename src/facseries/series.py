@@ -167,7 +167,7 @@ def _check_pole(z, n: int, prec: PrecisionContext) -> None:
     tol = prec.tol(4)
     for i in range(n + 1):
         if abs(z + i) < tol:
-            raise PoleError(f"z={z} is within {tol} of the pole at {-i}")
+            raise PoleError(f"z={z} is within {mp.nstr(tol, 3)} of the pole at {-i}")
 
 
 def pochhammer(z: Real, n: int, prec: PrecisionContext = PrecisionContext()) -> mpmath.mpf:

@@ -1,5 +1,6 @@
 """Case studies: the exponential integral E1 and the quartic oscillator."""
 
+import itertools
 import sys
 import threading
 import warnings
@@ -24,7 +25,12 @@ from facseries.applications import (
     oscillator_energy,
 )
 from facseries.errors import DomainError, IntegrityError, PoleInDomainError
-from facseries.evaluate import QuadratureConvergenceWarning, QuadratureSpec, euler_integral_eval
+from facseries.evaluate import (
+    QuadratureConvergenceWarning,
+    QuadratureSpec,
+    _weighted_gl,
+    euler_integral_eval,
+)
 from facseries.pade import pade_construct, pade_eval
 from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
 from facseries.transforms import inverse_power_to_factorial, power_to_factorial_coeffs
@@ -398,6 +404,54 @@ class TestOscillatorEnergy:
             assert results[slot] is applications._approx[key]
         shift = oscillator_coeffs(15).shift_coeffs(14)
         assert applications._approx[(14, "pade")] == pade_construct(shift, 7, 7)
+
+    def test_concurrent_node_tables_match_serial(self, monkeypatch):
+        # threads racing to build one approximant's node tables and log tables,
+        # at beta on both sides of 1, all get the pieces of a serial run.  They
+        # call the tabled rule itself: mpmath's precision is one global, which
+        # every workdps (PrecisionContext.tol's too) sets on entry and restores
+        # on exit, so whole integrals run concurrently can take one another's
+        # precision whatever the tables do
+        betas = [Fraction(1, 5), Fraction(3, 7), Fraction(2), Fraction(4)]
+
+        def pieces(order):
+            approx = applications._oscillator_approx(16, "integral")
+            out = {}
+            for b, panels in itertools.product(order, (8, 16)):
+                zv = 1 / to_mpf(b)
+                lo = mp.mpf(0) if zv >= 1 else mp.mpf(1) / 16
+                out[b, panels] = _weighted_gl(approx, zv, lo, mp.mpf(1), 16, panels)
+            return out
+
+        def compute(slot):
+            try:
+                barrier.wait(timeout=10)
+                results[slot] = pieces(betas[slot % 4 :] + betas[: slot % 4])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        with PREC.workdps(10):  # the quadrature's precision, for every thread
+            monkeypatch.setattr(applications, "_approx", {})
+            serial = pieces(betas)
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(3):  # each round races on a fresh approximant
+                    monkeypatch.setattr(applications, "_approx", {})
+                    results, errors = {}, []
+                    barrier = threading.Barrier(8)
+                    threads = [threading.Thread(target=compute, args=(s,)) for s in range(8)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=120)
+                    assert not any(t.is_alive() for t in threads)
+                    assert errors == []
+                    assert all(results[slot] == serial for slot in range(8))
+            finally:
+                sys.setswitchinterval(old)
+        # [0, 1] and [1/16, 1] at 8 and 16 panels, and their logs for 7/3 and 1/4
+        assert len(applications._approx[16, "integral"]._node_tables) == 8
 
     def test_approximant_with_pole_not_kept(self, pade_builds):
         for _ in range(2):

@@ -154,6 +154,16 @@ class TestSum:
 
 
 class TestE1:
+    def test_pole_message_rounds_the_tolerance(self, capsys, monkeypatch):
+        monkeypatch.delenv("FACSERIES_PRECISION", raising=False)
+        code, doc = run_json(capsys, "e1", "--z", "0", "--terms", "10")
+        assert code == 2
+        assert doc == {
+            "schema": "facseries/1",
+            "error": "pole",
+            "message": "z=0.0 is within 1.0e-60 of the pole at 0",
+        }
+
     def test_compare_ratio(self, capsys):
         code, doc = run_json(
             capsys, "e1", "--z", "5", "--terms", "15", "--compare"

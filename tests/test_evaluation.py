@@ -1,6 +1,9 @@
 """Quadrature and the three summation back-ends."""
 
+import gc
+import itertools
 import warnings
+import weakref
 from fractions import Fraction
 from math import factorial
 
@@ -8,11 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from facseries.applications import e1_factorial_coeffs, e1_reference
-from facseries.errors import DomainError, PoleError, PoleInDomainError
+from facseries import applications, evaluate
+from facseries.applications import (
+    e1_factorial_coeffs,
+    e1_reference,
+    oscillator_coeffs,
+    oscillator_energy,
+)
+from facseries.errors import DomainError, IntegrationError, PoleError, PoleInDomainError
 from facseries.evaluate import (
     QuadratureConvergenceWarning,
     _check_poles_in_unit_interval,
+    _euler_integral,
+    _weighted_gl,
     _fixed_point,
     _fixed_point_phi,
     _horner_fixed,
@@ -188,6 +199,142 @@ class TestEulerIntegral:
     def test_z_positive_required(self):
         with pytest.raises(DomainError):
             euler_integral_eval([Fraction(1)], -1, 0, 0, QuadratureSpec(), PREC)
+
+
+def reference_composite_gl(f, lo, hi, points, panels):
+    """The composite rule with no node table: f at every node, summed in mpf."""
+    nodes, weights = _gauss_legendre_nodes(points)
+    total = mp.mpf(0)
+    width = (hi - lo) / panels
+    for p in range(panels):
+        a = lo + p * width
+        half = width / 2
+        mid = a + half
+        for x, w in zip(nodes, weights):
+            total += w * f(mid + half * x)
+    return total * width / 2
+
+
+def reference_euler_integral(approx, z, spec, prec):
+    """int_0^1 t^(z-1) phi(1-t) dt as the untabled rule forms it: t ** (z-1) *
+    phi(1-t) at every node, the [0, 1/16] piece substituted for z < 1, at the
+    doubled panel count whose value the program returns."""
+    with prec.workdps(10):
+        zv = to_mpf(z)
+        phi = _fixed_point_phi(approx)
+
+        def integrand(t):
+            return t ** (zv - 1) * phi(1 - t)
+
+        pieces = [(integrand, mp.mpf(0), mp.mpf(1))]
+        if zv < 1:
+            eps = mp.mpf(1) / 16
+            pieces = [(lambda u: phi(1 - u ** (1 / zv)) / zv, mp.mpf(0), eps**zv),
+                      (integrand, eps, mp.mpf(1))]
+        return sum(reference_composite_gl(f, lo, hi, spec.points_per_panel, 2 * spec.panels)
+                   for f, lo, hi in pieces)
+
+
+def oscillator_conjugate(order):
+    """The order's Pade conjugate function, as oscillator_energy builds it."""
+    shift = oscillator_coeffs(order + 1).shift_coeffs(order)
+    lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
+    reduced = [l / factorial(m) for m, l in enumerate(lam)]
+    return pade_construct(reduced, order // 2, order - order // 2)
+
+
+@pytest.mark.filterwarnings("ignore::facseries.evaluate.QuadratureConvergenceWarning")
+class TestNodeTables:
+    # z = 1/beta: integer (20, 5), half-integer (1/2, 5/2), generic (7/3, 1/4),
+    # each on mpf_pow's own branch, on both sides of z = 1
+    BETAS = [Fraction(1, 20), Fraction(1, 5), Fraction(2), Fraction(2, 5),
+             Fraction(3, 7), Fraction(4)]
+
+    def test_tabled_integral_is_the_untabled_rule(self):
+        approx = oscillator_conjugate(12)
+        cases = [(beta, prec, spec) for spec in (QuadratureSpec(), QuadratureSpec(12, 3))
+                 for prec in (PrecisionContext(30), PrecisionContext(64)) for beta in self.BETAS]
+        expected = {case: reference_euler_integral(approx, 1 / case[0], case[2], case[1])._mpf_
+                    for case in cases}
+        assert approx._node_tables == {}
+        for _ in ("cold", "warm"):
+            for beta, prec, spec in cases:
+                got = _euler_integral(approx, 1 / beta, spec, prec)
+                assert got._mpf_ == expected[beta, prec, spec], (beta, prec, spec)
+        # [0, 1] and [1/16, 1] at two panel counts, two specs, two precisions
+        assert len([k for k in approx._node_tables if k[-1] != "log"]) == 16
+
+    def test_each_node_value_is_the_untabled_one(self, monkeypatch):
+        # the sums above can absorb a one-ulp change of a single term; this cannot
+        monkeypatch.setattr(evaluate, "_gl_sum", lambda rows, *bounds: list(rows))
+        approx = oscillator_conjugate(12)
+        for prec in (PrecisionContext(30), PrecisionContext(64)):
+            with prec.workdps(10):
+                phi = _fixed_point_phi(approx)
+                for beta, lo in itertools.product(self.BETAS, (mp.mpf(0), mp.mpf(1) / 16)):
+                    zv = to_mpf(1 / beta)
+                    rows = _weighted_gl(approx, zv, lo, mp.mpf(1), 32, 8)
+                    ts = [mp.make_mpf(t) for _, t, _ in rows]
+                    expected = [(t ** (zv - 1) * phi(1 - t))._mpf_ for t in ts]
+                    assert [f for _, _, f in rows] == expected, beta
+
+    def test_integral_energy_is_the_untabled_rule(self, monkeypatch):
+        monkeypatch.setattr(applications, "_approx", {})
+        approx, spec = oscillator_conjugate(12), QuadratureSpec()
+        for _ in ("cold", "warm"):
+            for beta in self.BETAS:
+                with PREC.workdps(10):
+                    w = 1 / to_mpf(beta)
+                omega = reference_euler_integral(approx, w, spec, PREC)
+                with PREC.workdps():
+                    expected = 1 + to_mpf(beta) * (omega / to_mpf(beta))
+                assert oscillator_energy(beta, 12, "integral", PREC)._mpf_ == expected._mpf_
+
+    def test_one_shot_approximant_keeps_no_table(self, monkeypatch):
+        seen = []
+
+        def spy(approx, *args):
+            value = evaluate_integral(approx, *args)
+            seen.append((weakref.ref(approx), len(approx._node_tables)))
+            return value
+
+        evaluate_integral = evaluate._euler_integral
+        monkeypatch.setattr(evaluate, "_euler_integral", spy)
+        euler_integral_eval([Fraction(1, n + 1) for n in range(5)], Fraction(3, 7), 2, 2,
+                            QuadratureSpec(), PREC)
+        gc.collect()
+        [(approx, tables)] = seen
+        assert tables > 0 and approx() is None
+
+    @pytest.mark.parametrize("z, bad_u, t_range, kept", [
+        (Fraction(5, 2), lambda u: u < 0.5, (0.5, 1), 0),  # the [0, 1] table
+        (Fraction(1, 3), lambda u: u < 0.5, (0.5, 1), 0),  # the [1/16, 1] table
+        # the left piece, whose phi(1 - u^3) reads above 15/16 at u < (1/16)^(1/3),
+        # after the [1/16, 1] table at 8 panels and its logs are built, and kept
+        (Fraction(1, 3), lambda u: u > 0.9375, (0, 0.397), 2),
+    ])
+    def test_non_finite_phi_raises_and_is_not_kept(self, monkeypatch, z, bad_u, t_range, kept):
+        def nan_at_one_node(p):
+            phi, hit = _fixed_point_phi(p), []
+
+            def bad(u):
+                if bad_u(u) and not hit:
+                    hit.append(u)
+                    return mp.nan
+                return phi(u)
+
+            return bad
+
+        approx = pade_construct([Fraction(1, n + 1) for n in range(5)], 2, 2)
+        monkeypatch.setattr(evaluate, "_fixed_point_phi", nan_at_one_node)
+        for _ in range(2):
+            with pytest.raises(IntegrationError, match="non-finite integrand value") as info:
+                _euler_integral(approx, z, QuadratureSpec(), PREC)
+            assert t_range[0] < float(str(info.value).split("t=")[1]) < t_range[1]
+            assert len(approx._node_tables) == kept
+        monkeypatch.undo()
+        assert _euler_integral(approx, z, QuadratureSpec(), PREC) == \
+            reference_euler_integral(approx, z, QuadratureSpec(), PREC)
 
 
 class TestAgreementBetweenBackends:
