@@ -13,9 +13,13 @@ The textbook weights carry a common factor 1/(beta+n+k)^(k-1), resp.
 1/(beta+n+k)_(k-1), which cancels from the ratio and is left out.  Each
 table cell (k, n) is evaluated directly from the binomial sums over
 s_n..s_{n+k} and omega_n..omega_{n+k}: exactly when that window and beta are
-rational (int or Fraction), rounding only the final numerator and
-denominator, once each; otherwise in mpf at working precision plus 10 guard
-digits.
+rational (int or Fraction), otherwise in mpf at working precision plus 10
+guard digits.  The exact cell is formed over cleared integers: with
+p/q = beta + n, the weights are integers over q^(k-1) (Weniger's ratio
+divides exactly), the c_j integers over q^(k-1) times the lcm of the omega
+numerators, and the s_j integers over their least common denominator, so the
+numerator and denominator are one integer dot product and one integer sum,
+each reduced once and rounded once.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, prod
+from math import comb, lcm, prod
+from operator import floordiv, mul, truediv
 from typing import Callable, Sequence
 
 import mpmath
 
 from .errors import DomainError, EstimateError, InstabilityError
-from .series import PrecisionContext, Real, to_mpf
+from .series import PrecisionContext, Real, _common_denominator, to_mpf
 
 __all__ = [
     "TransformInput",
@@ -56,7 +61,7 @@ class TransformInput:
     def __post_init__(self):
         if len(self.omega) < len(self.s):
             raise DomainError("need a remainder estimate for every partial sum")
-        if float(self.beta) <= 0:
+        if _exact_or_mpf(self.beta) <= 0:  # not float(): it overflows at 1e400, reads 1e-400 as 0
             raise DomainError(f"beta must be > 0, got {self.beta}")
 
     @classmethod
@@ -99,7 +104,7 @@ def _weighted_ratio(
     prec: PrecisionContext,
 ) -> mpmath.mpf:
     """sum_j c_j s_{n+j} / sum_j c_j, c_j = (-1)^j C(k, j) w_j / omega_{n+j},
-    with the k+1 weights w_j = weights(beta + n, k)."""
+    with the k+1 weights w_j = weights(p, q, k) / q^(k-1), p/q = beta + n."""
     if k < 0 or n < 0:
         raise DomainError(f"need k, n >= 0, got k={k}, n={n}")
     if n + k >= len(inp.s):
@@ -109,16 +114,17 @@ def _weighted_ratio(
     with prec.workdps(10):
         window = (inp.beta, *inp.s[n : n + k + 1], *inp.omega[n : n + k + 1])
         exact = all(isinstance(x, (int, Fraction)) for x in window)
-        beta, *rest = map(Fraction if exact else to_mpf, window)
+        beta, *rest = window if exact else map(to_mpf, window)
         s, omega = rest[: k + 1], rest[k + 1 :]
-        num = den = scale = 0
-        for j, w in enumerate(weights(beta + n, k)):
-            if omega[j] == 0:
-                raise EstimateError(f"omega[{n + j}] is zero")
-            c = (-1) ** j * comb(k, j) * w / omega[j]
-            num += c * s[j]
-            den += c
-            scale = max(scale, abs(c))
+        if 0 in omega:
+            raise EstimateError(f"omega[{n + omega.index(0)}] is zero")
+        b = beta + n
+        if exact:
+            num, den, scale = _cleared_cell(b.numerator, b.denominator, s, omega, k, weights)
+        else:
+            c = [(-1) ** j * comb(k, j) * w / o
+                 for j, (w, o) in enumerate(zip(weights(b, 1, k), omega))]
+            num, den, scale = sum(map(mul, c, s)), sum(c), max(map(abs, c))
         # one rounding each; mpf and Fraction do not compare, so test after it
         num, den, scale = to_mpf(num), to_mpf(den), to_mpf(scale)
         if abs(den) < prec.tol(6) * scale:
@@ -128,17 +134,37 @@ def _weighted_ratio(
         return num / den
 
 
-def _power_weights(b, k: int) -> list:
-    """(b+j)^(k-1) for j = 0..k (all 1 when k <= 1)."""
-    return [(b + j) ** max(k - 1, 0) for j in range(k + 1)]
+def _cleared_cell(p: int, q: int, s: list, omega: list, k: int, weights: Callable) -> tuple:
+    """The exact (num, den, max |c_j|) of a rational window, as three Fractions.
+
+    With L the lcm of the omega numerators, each c_j is an integer C_j over
+    q^(k-1) L, and the s_j are cleared to integers over one denominator, so
+    each sum is one integer dot product or sum, reduced once.
+    """
+    d_omega = lcm(*(w.numerator for w in omega))
+    d_s, s_ints = _common_denominator(s)
+    c = [(-1) ** j * comb(k, j) * w * o.denominator * (d_omega // o.numerator)
+         for j, (w, o) in enumerate(zip(weights(p, q, k), omega))]
+    d = q ** max(k - 1, 0) * d_omega
+    return (Fraction(sum(map(mul, c, s_ints)), d * d_s), Fraction(sum(c), d),
+            Fraction(max(map(abs, c)), d))
 
 
-def _pochhammer_weights(b, k: int) -> list:
-    """(b+j)_(k-1) for j = 0..k (all 1 when k <= 1), each from the last by a ratio."""
+def _power_weights(p, q, k: int) -> list:
+    """(p + jq)^(k-1), i.e. (b+j)^(k-1) q^(k-1) with b = p/q, for j = 0..k
+    (all 1 when k <= 1)."""
+    return [(p + j * q) ** max(k - 1, 0) for j in range(k + 1)]
+
+
+def _pochhammer_weights(p, q, k: int) -> list:
+    """prod_i (p + (j+i)q), i.e. (b+j)_(k-1) q^(k-1) with b = p/q, for j = 0..k
+    (all 1 when k <= 1), each from the last by the ratio (b+j+k-1)/(b+j):
+    exactly, by //, for integer p and q."""
     m = max(k - 1, 0)
-    out = [prod((b + i for i in range(m)), start=1)]
+    div = floordiv if isinstance(p, int) else truediv
+    out = [prod((p + i * q for i in range(m)), start=1)]
     for j in range(k):
-        out.append(out[-1] * (b + j + m) / (b + j))
+        out.append(div(out[-1] * (p + j * q + m * q), p + j * q))
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -367,6 +368,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+# main parses with one parser per process, built on its first call (not at
+# import); parsing does not change the parser, so every call sees the same one
+_parser = functools.cache(build_parser)
+
+
 def _precision(args) -> PrecisionContext:
     """--precision, else FACSERIES_PRECISION, else 64 digits."""
     text = os.environ.get("FACSERIES_PRECISION", "64")
@@ -379,7 +385,7 @@ def _precision(args) -> PrecisionContext:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args, _precision(args))
     except (OSError, _UsageError) as exc:

@@ -43,7 +43,14 @@ Real = Union[int, float, str, Fraction, mpmath.mpf]
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Decimal working precision for every approximate real computation."""
+    """Decimal working precision for every approximate real computation.
+
+    The precision in force is mpmath's process-global ``mp.dps``: ``workdps``
+    and ``tol`` set it for the whole process and restore it on exit.  Library
+    calls made from two threads at once therefore run at one another's
+    precision and are unsupported.  The Stirling and oscillator caches stay
+    thread-shareable.
+    """
 
     digits: int = 64
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,6 +262,111 @@ class TestExactCells:
             k = len(inp.s) - 1
             assert transform_table(inp, method, k, 0, PREC)[k] == \
                 TRANSFORMS[method](inp, k, 0, PREC)
+
+
+def fraction_loop_cell(inp, k, n, method, prec=PREC):
+    """T_k^(n) by the term-by-term loop the transforms used before they cleared
+    the exact cell to integers: Fraction sums (mpf ones for an mpf window), the
+    weights as functions of b = beta + n."""
+    def power(b, k):
+        return [(b + j) ** max(k - 1, 0) for j in range(k + 1)]
+
+    def pochhammer(b, k):
+        m = max(k - 1, 0)
+        out = [prod((b + i for i in range(m)), start=1)]
+        for j in range(k):
+            out.append(out[-1] * (b + j + m) / (b + j))
+        return out
+
+    with prec.workdps(10):
+        window = (inp.beta, *inp.s[n : n + k + 1], *inp.omega[n : n + k + 1])
+        exact = all(isinstance(x, (int, Fraction)) for x in window)
+        beta, *rest = map(Fraction if exact else to_mpf, window)
+        s, omega = rest[: k + 1], rest[k + 1 :]
+        num = den = scale = 0
+        for j, w in enumerate((power if method == "levin" else pochhammer)(beta + n, k)):
+            if omega[j] == 0:
+                raise EstimateError(f"omega[{n + j}] is zero")
+            c = (-1) ** j * comb(k, j) * w / omega[j]
+            num += c * s[j]
+            den += c
+            scale = max(scale, abs(c))
+        num, den, scale = to_mpf(num), to_mpf(den), to_mpf(scale)
+        if abs(den) < prec.tol(6) * scale:
+            raise InstabilityError(
+                f"denominator vanished at (k={k}, n={n}): |den|={abs(den)}"
+            )
+        return num / den
+
+
+@st.composite
+def hard_windows(draw):
+    """(inp, k, n): beta with a denominator > 1, and omega either free, nearly
+    constant (the binomial sum of the weights over a constant omega is 0, so
+    the denominator nearly cancels: by 10^-e relative, e up to 80, across the
+    instability threshold), or holding zeros."""
+    k, n = draw(st.integers(0, 8)), draw(st.integers(0, 2))
+    size = n + k + 1
+    beta = draw(st.fractions(min_value=Fraction(1, 40), max_value=20, max_denominator=40)
+                .filter(lambda b: b.denominator > 1))
+    s = draw(st.lists(small_fractions, min_size=size, max_size=size))
+    shape = draw(st.sampled_from(["free", "near_constant", "zero"]))
+    omega = draw(st.lists(small_fractions.filter(bool), min_size=size, max_size=size))
+    if shape == "near_constant":
+        e = draw(st.integers(0, 80))
+        wiggle = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        omega = [omega[0] * (1 + Fraction(d, 10**e)) for d in wiggle]
+    elif shape == "zero":
+        zeros = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
+        omega = [0 if i in zeros else w for i, w in enumerate(omega)]
+    return TransformInput(tuple(s), tuple(omega), beta), k, n
+
+
+def outcome(fn, *args):
+    """The value's _mpf_, or the exception's class and message."""
+    try:
+        return fn(*args)._mpf_
+    except (EstimateError, InstabilityError) as exc:
+        return type(exc), str(exc)
+
+
+class TestClearedCells:
+    """The integer cell rounds to the very bits of the Fraction loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hard_windows(), st.sampled_from(sorted(TRANSFORMS)))
+    def test_bit_identical_to_fraction_loop(self, case, method):
+        inp, k, n = case
+        assert outcome(TRANSFORMS[method], inp, k, n, PREC) == \
+            outcome(fraction_loop_cell, inp, k, n, method)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hard_windows(), st.sampled_from(sorted(TRANSFORMS)))
+    def test_mpf_window_unchanged(self, case, method):
+        inp, k, n = case
+        with PREC.workdps(10):
+            inp = TransformInput(tuple(map(to_mpf, inp.s)), tuple(map(to_mpf, inp.omega)),
+                                 to_mpf(inp.beta))
+        assert outcome(TRANSFORMS[method], inp, k, n, PREC) == \
+            outcome(fraction_loop_cell, inp, k, n, method)
+
+    @pytest.mark.parametrize("delta, unstable", [(Fraction(9, 10**59), True),
+                                                 (Fraction(11, 10**59), False)])
+    def test_instability_threshold_against_largest_abs_c(self, delta, unstable):
+        # Levin, k = 2, beta = 1: c = (1, -4/(1+delta), 3) and |den|/max|c_j| = delta,
+        # on either side of 10^(6-64); the largest |c_j| is that of a negative c_j
+        inp = TransformInput((1, 2, 4), (1, 1 + delta, 1), 1)
+        got = outcome(levin, inp, 2, 0, PREC)
+        assert got == outcome(fraction_loop_cell, inp, 2, 0, "levin")
+        assert (got[0] is InstabilityError) == unstable
+
+    @pytest.mark.parametrize("beta", [Fraction(10) ** 400, Fraction(1, 10**400)])
+    def test_extreme_beta(self, beta):
+        # beta is compared exactly: float(beta) overflows, resp. reads 0
+        terms = [Fraction((-1) ** m, m + 1) for m in range(8)]
+        inp = TransformInput.from_terms(terms, "scaled_term", beta)
+        for method, fn in TRANSFORMS.items():
+            assert outcome(fn, inp, 6, 0, PREC) == outcome(fraction_loop_cell, inp, 6, 0, method)
 
 
 class TestTable:

@@ -14,7 +14,9 @@ from mpmath import mp
 
 import facseries
 from facseries.applications import e1_factorial_coeffs, e1_inverse_power_coeffs
-from facseries.cli import _fmt, main
+from facseries import cli
+from facseries.acceleration import TransformInput, levin, weniger_s
+from facseries.cli import _fmt, _load_terms, build_parser, main
 from facseries.pade import pade_construct, pade_eval
 from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
 
@@ -108,6 +110,19 @@ class TestAccelerate:
         import math
 
         assert abs(float(doc["values"]["10"]) - math.log(2)) < 1e-8
+
+    @pytest.mark.parametrize("beta", ["1e400", "1e-400"])
+    def test_extreme_beta(self, capsys, tmp_path, beta):
+        # beta > 0 is checked exactly: float(1e400) overflowed, float(1e-400) read 0
+        terms = tmp_path / "terms.json"
+        terms.write_text(json.dumps([f"{(-1) ** m}/{m + 1}" for m in range(6)]))
+        prec = PrecisionContext(64)
+        inp = TransformInput.from_terms(_load_terms(str(terms)), "first_neglected", Fraction(beta))
+        for method, fn in (("levin", levin), ("weniger", weniger_s)):
+            code, doc = run_json(capsys, "accelerate", "--method", method, "--beta", beta,
+                                 "--in", str(terms), "--k", "3")
+            assert code == 0
+            assert doc["values"] == {str(k): _fmt(fn(inp, k, 0, prec), prec) for k in range(4)}
 
 
 class TestPade:
@@ -348,6 +363,56 @@ class TestPlumbing:
         assert not csv_path.exists()
 
 
+def run_any(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """main parses every call with one parser built on its first call."""
+
+    SEQUENCE = [
+        ["e1", "--z", "abc", "--terms", "5"],                  # usage error, exit 1
+        ["stirling", "--kind", "7", "--n", "2"],               # argparse's usage error
+        ["e1", "--z", "5", "--terms", "6"],
+        ["e1", "--z", "5", "--terms", "6", "--compare"],
+        ["e1", "--z", "5", "--terms", "6"],                    # no "accelerated" left over
+        ["e1", "--z", "1/3", "--terms", "4", "--precision", "30"],
+        ["e1", "--z", "1/3", "--terms", "4"],                  # back to 64 digits
+        ["--version"],
+    ]
+
+    def test_each_call_as_with_a_fresh_parser(self, capsys, monkeypatch):
+        monkeypatch.delenv("FACSERIES_PRECISION", raising=False)
+        reused = [run_any(capsys, argv) for argv in self.SEQUENCE]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", build_parser)  # a new parser per call
+        fresh = [run_any(capsys, argv) for argv in self.SEQUENCE]
+        assert reused == fresh
+        codes = [code for code, _, _ in reused]
+        assert codes == [1, 1, 0, 0, 0, 0, 0, 0]
+        docs = [json.loads(out) for code, out, _ in reused[2:7]]
+        assert "accelerated" in docs[1]
+        assert "accelerated" not in docs[0] and "accelerated" not in docs[2]
+        assert [d["precision_digits"] for d in docs[3:]] == [30, 64]
+        assert reused[7][1].strip() == facseries.__version__
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(facseries.__file__))
+        code = "import facseries.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+
+
 def assert_usage_error(capsys, argv):
     """Exit 1 with a single "facseries: ..." line on stderr."""
     assert main(argv) == 1
@@ -396,11 +461,13 @@ class TestUsageErrors:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
-        option=st.sampled_from(["--z", "--beta", "FACSERIES_PRECISION", "--in"]),
+        option=st.sampled_from(["--z", "--beta", "accelerate --beta", "FACSERIES_PRECISION",
+                                "--in"]),
         value=st.one_of(
             st.text(max_size=8),
             st.text(alphabet="0123456789/-+.e_ ", max_size=6),
-            st.sampled_from(["1/0", "nan", "inf", "-1", "0", "3/7", "1e3", "2", "99"]),
+            st.sampled_from(["1/0", "nan", "inf", "-1", "0", "3/7", "1e3", "2", "99",
+                             "1e400", "1e-400"]),
         ),
     )
     def test_fuzzed_inputs_never_escape(self, capsys, monkeypatch, tmp_path, option, value):
@@ -412,6 +479,10 @@ class TestUsageErrors:
             argv = ["e1", "--z", value, "--terms", "4"]
         elif option == "--beta":
             argv = ["oscillator", "--beta", value, "--order", "4", "--method", "pade"]
+        elif option == "accelerate --beta":
+            path.write_text('[1, "-1/2", "1/3", "-1/4"]')
+            argv = ["accelerate", "--method", "weniger", "--beta", value,
+                    "--in", str(path), "--k", "2"]
         elif option == "FACSERIES_PRECISION":
             assume("\x00" not in value)  # no environment can hold it
             monkeypatch.setenv("FACSERIES_PRECISION", value)
