@@ -69,11 +69,10 @@ class TransformInput:
         cls, terms: Sequence, strategy: str = "first_neglected", beta: Real = 1
     ) -> "TransformInput":
         """Partial sums and remainder estimates of a term list; rational terms stay exact."""
-        ts = [_exact_or_mpf(t) for t in terms]
-        s = tuple(accumulate(ts))
-        omega = remainder_estimates(ts, strategy, beta)
-        n = min(len(s), len(omega))
-        return cls(s[:n], omega[:n], beta)
+        if _exact_or_mpf(beta) <= 0:  # before the estimates: beta = -n makes omega_n zero
+            raise DomainError(f"beta must be > 0, got {beta}")
+        omega = remainder_estimates(terms, strategy, beta)
+        return cls(tuple(accumulate(map(_exact_or_mpf, terms)))[: len(omega)], omega, beta)
 
 
 def remainder_estimates(terms: Sequence, strategy: str, beta: Real = 1) -> tuple:

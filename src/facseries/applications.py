@@ -22,7 +22,13 @@ equation gives, per power x^(2m),
         = sum_{i=1..j} b_i A[j-i][m],
 
 which is solved top-down from m = 2j; the m = 0 equation then yields
-b_j = -2 A[j][1].
+b_j = -2 A[j][1].  On the integers C[j][m] = 8^j m! A[j][m] it reads
+
+    2m C[j][m] = (2m+1) C[j][m+1] - sum_{i<j} C[i][1] C[j-i][m] - 4m(m-1) C[j-1][m-2],
+
+with b_j = -2 C[j][1] / 8^j.  Each denominator of A[j][m] divides 8^j m! (4^j m! fails
+at A[1][1] = -3/8).  That is found through j = 200, not proved, so each entry's
+division by 2m is a divmod whose remainder must be 0.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import itemgetter, mul
 
 import mpmath
@@ -171,9 +177,9 @@ class OscillatorSeries:
 
 
 # growing recursion state, extended under _grow_lock and read without it:
-# _rows[j] = (D_j, [D_j * A[j][m] for m = 0..2j]), _b[j] = b_j,
+# _rows[j] = [C[j][m] for m = 0..2j+1] (C[j][2j+1] = 0), C = 8^j m! A; _b[j] = b_j;
 # _approx[(order, route)] = the checked approximant oscillator_energy uses
-_rows: list[tuple[int, list[int]]] = [(1, [1])]
+_rows: list[list[int]] = [[1]]
 _b: list[Fraction] = [Fraction(1)]
 _approx: dict[tuple[int, str], PadeApprox] = {}
 _grow_lock = threading.Lock()
@@ -185,25 +191,20 @@ def _extend_oscillator(order: int) -> None:
     with _grow_lock:
         while len(_b) <= order:
             j = len(_b)
-            # c * (sum_i b_i A[j-i][m] - A[j-1][m-2]) as one integer dot product
-            # per m: multiplier ws[i-1] for row j-i, and -w for row j-1 shifted by 2
-            dens = [_b[i].denominator * _rows[j - i][0] for i in range(1, j)]
-            c = lcm(_rows[j - 1][0], *dens)
-            ws = [_b[i].numerator * (c // d) for i, d in enumerate(dens, 1)]
-            rows = [_rows[j - i][1] for i in range(1, j)]
-            w, prev = c // _rows[j - 1][0], _rows[j - 1][1]
-            a = [Fraction(0)] * (2 * j + 1)
-            hi = Fraction(0)  # A[j][m+1]
+            # sum_i C[i][1] C[j-i][m] as one integer dot product per m (ws[i-1],
+            # rows[i-1]); the row is appended before b_j, so readers of b_j see it
+            ws, rows, prev = [r[1] for r in _rows[1:]], _rows[:0:-1], _rows[-1]
+            c = [0] * (2 * j + 2)
             for m in range(2 * j, 0, -1):
                 k = j - (m + 1) // 2  # rows j-i with i <= k reach x^(2m)
-                s = sum(map(mul, ws[:k], map(itemgetter(m), rows[:k])))
+                s = (2 * m + 1) * c[m + 1] - sum(map(mul, ws[:k], map(itemgetter(m), rows[:k])))
                 if m >= 2:
-                    s -= w * prev[m - 2]
-                t = (2 * m + 2) * (2 * m + 1) * c
-                q = hi.denominator
-                a[m] = hi = Fraction(t * hi.numerator + s * q, 4 * m * q * c)
-            _rows.append(_common_denominator(a))
-            _b.append(-2 * a[1])
+                    s -= 4 * m * (m - 1) * prev[m - 2]
+                c[m], r = divmod(s, 2 * m)
+                if r:
+                    raise IntegrityError(f"C[{j}][{m}] is not an integer: remainder {r} mod {2 * m}")
+            _rows.append(c)
+            _b.append(Fraction(-2 * c[1], 8**j))
 
 
 def oscillator_coeffs(order: int) -> OscillatorSeries:

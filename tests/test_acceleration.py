@@ -57,6 +57,15 @@ class TestTransformInput:
         with pytest.raises(DomainError):
             TransformInput(s=(1,), omega=(1,), beta=0)
 
+    @pytest.mark.parametrize("strategy", ["scaled_term", "first_neglected"])
+    @pytest.mark.parametrize("beta", [0, -1])
+    def test_from_terms_checks_beta_first(self, strategy, beta):
+        # scaled_term's omega_n = (beta + n) a_n is zero at n = -beta: the bad
+        # beta is reported as such, not as a zero remainder estimate
+        terms = [1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4)]
+        with pytest.raises(DomainError, match=f"beta must be > 0, got {beta}"):
+            TransformInput.from_terms(terms, strategy, beta)
+
 
 class TestIdentities:
     def test_k0_returns_partial_sum(self):

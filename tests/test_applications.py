@@ -1,5 +1,6 @@
 """Case studies: the exponential integral E1 and the quartic oscillator."""
 
+import hashlib
 import itertools
 import sys
 import threading
@@ -230,6 +231,7 @@ B100_NUMERATOR = int(
     "7102306340395"
 )
 B100_DENOMINATOR = 127314748520905380391777855525586135065716774604121015664758778084648831235208544136462336
+B0_TO_B200_SHA256 = "6cb105e0799bc5028ec30067518ef1081010e38158d55561bfd33c47f2efe5b3"
 
 
 class TestOscillatorIntegerRecursion:
@@ -241,10 +243,31 @@ class TestOscillatorIntegerRecursion:
         assert (b100.numerator, b100.denominator) == (B100_NUMERATOR, B100_DENOMINATOR)
         assert B100_DENOMINATOR == 2**296
 
+    def test_b0_to_b200_pinned(self):
+        # SHA-256 of repr([(numerator, denominator) of b_0..b_200]), recorded
+        # from the Fraction-row recursion this integer one replaced
+        bs = oscillator_coeffs(200).coeffs
+        pairs = repr([(b.numerator, b.denominator) for b in bs]).encode()
+        assert hashlib.sha256(pairs).hexdigest() == B0_TO_B200_SHA256
+        den = bs[200].denominator
+        assert den & (den - 1) == 0  # a power of two
+
+    def test_remainder_check_is_live(self, monkeypatch):
+        # a corrupted stored entry must stop the recursion, not be truncated:
+        # C[2][4] + 1 first enters row 4 at m = 4, where it moves 2m C[4][4] by
+        # -C[2][1] = -42, which 8 does not divide
+        monkeypatch.setattr(applications, "_rows", [[1]])
+        monkeypatch.setattr(applications, "_b", [Fraction(1)])
+        assert oscillator_coeffs(3).coeffs == fraction_recursion_reference(3)
+        applications._rows[2][4] += 1
+        with pytest.raises(IntegrityError, match=r"C\[4\]\[4\]"):
+            oscillator_coeffs(4)
+        assert len(applications._rows) == len(applications._b) == 4
+
     def test_concurrent_growth_from_fresh_state(self, monkeypatch):
         # a fresh recursion state grown by several threads at once must equal the
         # serial build: growth is serialised by the lock, reads take none
-        monkeypatch.setattr(applications, "_rows", [(1, [1])])
+        monkeypatch.setattr(applications, "_rows", [[1]])
         monkeypatch.setattr(applications, "_b", [Fraction(1)])
         orders = [12, 30, 5, 30, 21, 30, 1, 26]
         results, errors = {}, []

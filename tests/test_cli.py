@@ -124,6 +124,15 @@ class TestAccelerate:
             assert code == 0
             assert doc["values"] == {str(k): _fmt(fn(inp, k, 0, prec), prec) for k in range(4)}
 
+    def test_scaled_term_beta_zero_exit_2(self, capsys, tmp_path):
+        terms = tmp_path / "terms.json"
+        terms.write_text(json.dumps([1, "-1/2", "1/3", "-1/4"]))
+        code, doc = run_json(capsys, "accelerate", "--method", "levin", "--omega", "scaled_term",
+                             "--beta", "0", "--in", str(terms), "--k", "2")
+        assert code == 2
+        assert doc["error"] == "domain"
+        assert doc["message"] == "beta must be > 0, got 0"
+
 
 class TestPade:
     def test_exp_1_1_with_eval(self, capsys, tmp_path):
