@@ -193,6 +193,8 @@ def _cmd_pade(args, prec):
 
 
 def _cmd_sum(args, prec):
+    if args.pade and args.backend != "integral":
+        raise _UsageError("--pade applies only to --backend integral")
     series = _load_series(args.infile)
     z = _rational(args.z, "--z")
     terms = args.terms if args.terms is not None else len(series)
@@ -209,7 +211,7 @@ def _cmd_sum(args, prec):
         if series.kind is not SeriesKind.FACTORIAL:
             raise IntegrityError("integral backend expects a factorial series input")
         reduced = [d / factorial(n) for n, d in enumerate(series.coeffs[:terms])]
-        pl, pm = (args.pade if args.pade else (terms - 1, 0))
+        pl, pm = args.pade or (terms - 1, 0)
         final = euler_integral_eval(reduced, z, pl, pm, QuadratureSpec(), prec)
         partials = ()
     doc = {
@@ -217,8 +219,8 @@ def _cmd_sum(args, prec):
         "partial_sums": [_fmt(s, prec) for s in partials],
         "final": _fmt(final, prec),
     }
-    if args.pade:
-        doc["pade"] = {"L": args.pade[0], "M": args.pade[1]}
+    if args.backend == "integral":  # the degrees used, given or not
+        doc["pade"] = {"L": pl, "M": pm}
     _emit(doc, args, prec)
     if args.csv:
         _emit_csv(args.csv, ["m", "partial_sum"],
@@ -343,7 +345,8 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--terms", type=int, default=None, metavar="N")
-    p.add_argument("--pade", nargs=2, type=int, default=None, metavar=("L", "M"))
+    p.add_argument("--pade", nargs=2, type=int, default=None, metavar=("L", "M"),
+                   help="Pade degrees for --backend integral (default: terms-1 0)")
     p.add_argument("--in", dest="infile", required=True, metavar="SERIES.json")
     p.set_defaults(fn=_cmd_sum)
 

@@ -6,10 +6,10 @@ order L+M.  The denominator solves the Toeplitz system
 
     sum_{j=0}^{M} b_j c_{L+i-j} = 0,   i = 1..M,   b_0 = 1,
 
-cleared to integers over one common denominator, by Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968), so the match-through-order property is
-exact, not approximate.  Singular systems raise DegeneracyError carrying the
-largest denominator degree that is solvable.
+cleared to integers row by row (column contents divided out) and solved by
+Bareiss's fraction-free elimination (Math. Comp. 22, 1968), so the
+match-through-order property is exact, not approximate.  Singular systems
+raise DegeneracyError carrying the largest denominator degree that is solvable.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 import mpmath
@@ -58,13 +59,18 @@ class PadeApprox:
 def _solve_exact(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Bareiss elimination on the integer-cleared system; None if singular.
 
-    After the forward pass every entry is a minor of the original integer
-    matrix, so each division by the previous pivot is exact, and the last
-    pivot d (the determinant up to sign) makes d * x integral by Cramer's rule.
+    Each augmented row is cleared by its own least common denominator, and
+    each coefficient column j divided by the gcd g_j of its integers (1 for a
+    zero column), so y_j = g_j x_j; no zero entry changes, so neither do the
+    pivot rows.  After the forward pass every entry is a minor of the scaled
+    integer matrix, so each division by the previous pivot is exact, and the
+    last pivot d (its determinant up to sign) makes d * y_j integral by
+    Cramer's rule: x_j = d * y_j / (d * g_j).
     """
     m = len(rhs)
-    _, flat = _common_denominator([v for row in a for v in row] + list(rhs))
-    aug = [flat[i * m : (i + 1) * m] + [flat[m * m + i]] for i in range(m)]
+    aug = [_common_denominator(row + [v])[1] for row, v in zip(a, rhs)]
+    g = [gcd(*(row[j] for row in aug)) or 1 for j in range(m)]
+    aug = [[v // d for v, d in zip(row, g)] + [row[m]] for row in aug]
     prev = 1
     for col in range(m):
         pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
@@ -81,7 +87,7 @@ def _solve_exact(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
     for i in range(m - 1, -1, -1):
         row = aug[i]
         y[i] = (prev * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))) // row[i]
-    return [Fraction(v, prev) for v in y]
+    return [Fraction(v, prev * d) for v, d in zip(y, g)]
 
 
 def _try_denominator(c: Sequence[Fraction], L: int, M: int) -> list[Fraction] | None:

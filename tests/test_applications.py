@@ -315,6 +315,42 @@ class TestAsymptotics:
             asymptotics_check(oscillator_coeffs(10), PREC)
 
 
+# SHA-256 of repr([(order, num pairs, den pairs), ...]) per route, each pair a
+# coefficient's (numerator, denominator), over the orders 20..54 whose
+# integral approximant has no pole in (0, 1); recorded from the solver that
+# cleared the whole Toeplitz system over one common denominator
+APPROX_20_TO_54_SHA256 = {
+    "pade": "684601a5e6f355c568bff85f1e44ffc2271f6b69120291cada5543e3f1245e8c",
+    "integral": "72543c5f6573e579e8ec8e8ced14da40233d24091acdebb130c00e423d56fcdb",
+}
+
+
+def fraction_pairs(values):
+    return [(v.numerator, v.denominator) for v in values]
+
+
+def approximant_digests(orders):
+    """(orders whose integral approximant has a pole in (0, 1), {route: SHA-256})."""
+    poles, rows = [], {"pade": [], "integral": []}
+    for order in orders:
+        try:
+            applications._oscillator_approx(order, "integral")
+        except PoleInDomainError:
+            poles.append(order)
+            continue
+        for route, kept in rows.items():
+            p = applications._oscillator_approx(order, route)
+            kept.append((order, fraction_pairs(p.num), fraction_pairs(p.den)))
+    return poles, {route: hashlib.sha256(repr(kept).encode()).hexdigest() for route, kept in rows.items()}
+
+
+class TestOscillatorApproximantsPinned:
+    def test_orders_20_to_54_pinned(self):
+        poles, digests = approximant_digests(range(20, 55))
+        assert poles == [36, 40, 44]
+        assert digests == APPROX_20_TO_54_SHA256
+
+
 @pytest.fixture
 def pade_builds(monkeypatch):
     """(L, M) of each pade_construct call applications makes, from no kept approximant."""

@@ -176,6 +176,30 @@ class TestSum:
         assert code == 2
         assert doc["error"] == "pole"
 
+    @pytest.mark.parametrize("backend, kind", [
+        ("direct", SeriesKind.FACTORIAL),
+        ("product", SeriesKind.POWER),
+    ])
+    def test_pade_only_with_integral(self, capsys, tmp_path, backend, kind):
+        path = tmp_path / "s.json"
+        FormalSeries(kind, [1, Fraction(-1, 2), Fraction(1, 3)]).dump(path)
+        argv = ["sum", "--backend", backend, "--z", "3", "--in", str(path)]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and "pade" not in doc
+        assert main(argv + ["--pade", "2", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--pade" in captured.err
+
+    def test_integral_reports_degrees_used(self, capsys, e1_factorial_file):
+        argv = ["sum", "--backend", "integral", "--z", "5", "--terms", "12",
+                "--in", e1_factorial_file]
+        code, chosen = run_json(capsys, *argv, "--pade", "5", "6")
+        assert code == 0 and chosen["pade"] == {"L": 5, "M": 6}
+        code, default = run_json(capsys, *argv)
+        assert code == 0 and default["pade"] == {"L": 11, "M": 0}
+        code, explicit = run_json(capsys, *argv, "--pade", "11", "0")
+        assert code == 0 and explicit == default
+
 
 class TestE1:
     def test_pole_message_rounds_the_tolerance(self, capsys, monkeypatch):

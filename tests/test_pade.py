@@ -178,10 +178,47 @@ def linear_systems(draw):
     return a, draw(st.lists(rationals, min_size=m, max_size=m))
 
 
+@st.composite
+def scaled_systems(draw):
+    """Rows over denominators 2^a 3^b k! of very different sizes, columns that
+    share an integer content, and one deformation: a zero column, a zero row,
+    a zero right-hand side, or a row that is a multiple of another."""
+    m = draw(st.integers(1, 6))
+    small = st.integers(-4, 4)  # zero entries, and so zero pivots, stay common
+    row_den = [
+        2 ** draw(st.integers(0, 60)) * 3 ** draw(st.integers(0, 30)) * factorial(draw(st.integers(0, 20)))
+        for _ in range(m)
+    ]
+    content = [
+        draw(st.one_of(st.just(1), st.integers(2, 10**6), st.builds(lambda e: 8**e, st.integers(1, 30))))
+        for _ in range(m)
+    ]
+    a = [[Fraction(draw(small) * g, d * draw(st.integers(1, 6))) for g in content] for d in row_den]
+    rhs = [Fraction(draw(small), d * draw(st.integers(1, 6))) for d in row_den]
+    shape = draw(st.sampled_from(["none", "zero column", "zero row", "zero rhs", "rank deficient"]))
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    if shape == "zero column":
+        for row in a:
+            row[j] = Fraction(0)
+    elif shape == "zero row":
+        a[i] = [Fraction(0)] * m
+    elif shape == "zero rhs":
+        rhs = [Fraction(0)] * m
+    elif shape == "rank deficient" and i != j:
+        a[i] = [draw(rationals) * x for x in a[j]]
+    return a, rhs
+
+
 class TestFractionFreeSolver:
     @settings(max_examples=300, deadline=None)
     @given(linear_systems())
     def test_matches_gauss_jordan(self, system):
+        a, rhs = system
+        assert _solve_exact(a, rhs) == gauss_jordan_reference(a, rhs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_systems())
+    def test_row_and_column_scaling_matches_gauss_jordan(self, system):
         a, rhs = system
         assert _solve_exact(a, rhs) == gauss_jordan_reference(a, rhs)
 
