@@ -12,23 +12,36 @@ series sum b_{n+1} beta^n is a Stieltjes series with strictly alternating
 terms for beta > 0, which makes it a good candidate for factorial-series and
 Pade summation.
 
-The b_n are generated exactly by a difference-equation recursion on the
-polynomial part of the perturbed wavefunction: writing
-psi = exp(-x^2/2) sum_j beta^j P_j(x) with even polynomials
-P_j(x) = sum_m A[j][m] x^(2m), A[j][0] = 0 for j >= 1, the Schrodinger
-equation gives, per power x^(2m),
+The b_n come from Rayleigh-Schrodinger theory in the ladder basis
+|k) = (a+)^k |0), with a|k) = k|k-1), a+|k) = |k+1) and (k|k) = k!.  There
+H_0 - 1 = 2 a+ a and x^4 = (a + a+)^4 / 4, so every coefficient is rational.
+With psi_0 = |0), (0|psi_n) = 0 and psi_n = sum_{s=1..2n} c[n][s] |2s), the
+integers C[n][s] = 8^n 2^s s! c[n][s] (C[0] = [1]) and w_n = 8^n b_n obey
 
-    -(2m+2)(2m+1) A[j][m+1] + 4m A[j][m] + A[j-1][m-2]
-        = sum_{i=1..j} b_i A[j-i][m],
+    4s C[n][s] = sum_{i<n} w_i C[n-i][s] - 2 v_s(C[n-1]),
+    v_s(P) = k(k-2) P[s-2] + (4k-2)k P[s-1] + (6k^2+6k+3) P[s]
+             + (k+1)(4k+6) P[s+1] + (k+3)(k+1) P[s+2],   k = 2s,
 
-which is solved top-down from m = 2j; the m = 0 equation then yields
-b_j = -2 A[j][1].  On the integers C[j][m] = 8^j m! A[j][m] it reads
+where v is the five-term band of x^4, and w_n = 12 C[n-1][1] + 6 C[n-1][2].
+Wigner's 2n+1 rule takes b_(2n) and b_(2n+1) from psi_0..psi_n (k, l >= 1):
 
-    2m C[j][m] = (2m+1) C[j][m+1] - sum_{i<j} C[i][1] C[j-i][m] - 4m(m-1) C[j-1][m-2],
+    E_2n   = (psi_(n-1)|V|psi_n) - sum_{k<=n, l<=n-1} E_(2n-k-l) (psi_k|psi_l),
+    E_2n+1 = (psi_n|V|psi_n)     - sum_{k,l<=n} E_(2n+1-k-l) (psi_k|psi_l),
 
-with b_j = -2 C[j][1] / 8^j.  Each denominator of A[j][m] divides 8^j m! (4^j m! fails
-at A[1][1] = -3/8).  That is found through j = 200, not proved, so each entry's
-division by 2m is a divmod whose remainder must be 0.
+with V = x^4 and, on the same integers,
+
+    (psi_k|psi_l)   = sum_s C[k][s] C[l][s] C(2s,s) 4^-s / 8^(k+l),
+    (psi_k|V|psi_l) = sum_s C[k][s] v_s(C[l]) C(2s,s) 4^-s / (4 8^(k+l)).
+
+Summed by anti-diagonal, T_t = 32^t sum_{k+l=t} (psi_k|psi_l) is an integer,
+and so, with G[n][s] = C[n][s] C(2s,s) 4^(2n-s), is each energy:
+
+    4^m w_m = 2 4^(m-2n) sum_s G[n][s] v_s(C[m-n-1]) - sum_{j=1..m-2} 4^j w_j T_(m-j),
+
+for m = 2n and 2n+1.  So b_0..b_n need the rows only to N = ceil((n-1)/2):
+about 2N^3/3 integer products, a quarter of running the rows to order n.
+C and w are found integral through n = 100 (b_201), not proved, so every
+division is a divmod whose remainder must be 0.
 """
 
 from __future__ import annotations
@@ -176,13 +189,36 @@ class OscillatorSeries:
         return self.coeffs[1 : order + 2]
 
 
-# growing recursion state, extended under _grow_lock and read without it:
-# _rows[j] = [C[j][m] for m = 0..2j+1] (C[j][2j+1] = 0), C = 8^j m! A; _b[j] = b_j;
+# growing state, extended under _grow_lock and read without it, for rows n = 0..N:
+# _rows[n] = [C[n][s] for s = 0..2n]; _weighted[n] = [G[n][s] for s = 0..2n];
+# _T[t] = T_t over the pairs k, l <= N; _w[m] = w_m and _b[m] = b_m, m = 0..2N+1;
 # _approx[(order, route)] = the checked approximant oscillator_energy uses
 _rows: list[list[int]] = [[1]]
-_b: list[Fraction] = [Fraction(1)]
+_weighted: list[list[int]] = [[1]]
+_T: list[int] = [0, 0]
+_w: list[int] = [1, 6]
+_b: list[Fraction] = [Fraction(1), Fraction(3, 4)]
 _approx: dict[tuple[int, str], PadeApprox] = {}
 _grow_lock = threading.Lock()
+
+
+def _band(p: list[int]) -> list[int]:
+    """[v_s(P) for s = 0..len(P)+1], the band of the module docstring."""
+    q = [0, 0, *p, 0, 0, 0, 0]
+    out = []
+    for s in range(len(p) + 2):
+        k = 2 * s
+        out.append(k * (k - 2) * q[s] + (4 * k - 2) * k * q[s + 1]
+                   + (6 * k * k + 6 * k + 3) * q[s + 2] + (k + 1) * (4 * k + 6) * q[s + 3]
+                   + (k + 3) * (k + 1) * q[s + 4])
+    return out
+
+
+def _exact(num: int, den: int, name: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise IntegrityError(f"{name} is not an integer: remainder {r} mod {den}")
+    return q
 
 
 def _extend_oscillator(order: int) -> None:
@@ -190,21 +226,35 @@ def _extend_oscillator(order: int) -> None:
         return
     with _grow_lock:
         while len(_b) <= order:
-            j = len(_b)
-            # sum_i C[i][1] C[j-i][m] as one integer dot product per m (ws[i-1],
-            # rows[i-1]); the row is appended before b_j, so readers of b_j see it
-            ws, rows, prev = [r[1] for r in _rows[1:]], _rows[:0:-1], _rows[-1]
-            c = [0] * (2 * j + 2)
-            for m in range(2 * j, 0, -1):
-                k = j - (m + 1) // 2  # rows j-i with i <= k reach x^(2m)
-                s = (2 * m + 1) * c[m + 1] - sum(map(mul, ws[:k], map(itemgetter(m), rows[:k])))
-                if m >= 2:
-                    s -= 4 * m * (m - 1) * prev[m - 2]
-                c[m], r = divmod(s, 2 * m)
-                if r:
-                    raise IntegrityError(f"C[{j}][{m}] is not an integer: remainder {r} mod {2 * m}")
+            # row n, then w_2n and w_2n+1; nothing is stored until every division
+            # is exact, and b is appended last, so readers of b see the rest
+            n = len(_rows)
+            ws, rows, vp = _w[1:n], _rows[:0:-1], _band(_rows[-1])
+            c = [0] * (2 * n + 1)
+            for s in range(1, 2 * n + 1):
+                k = n - (s + 1) // 2  # rows n-i with i <= k reach |2s)
+                dot = sum(map(mul, ws[:k], map(itemgetter(s), rows[:k])))
+                c[s] = _exact(dot - 2 * vp[s], 4 * s, f"C[{n}][{s}]")
+            g = [x * comb(2 * s, s) << 2 * (2 * n - s) for s, x in enumerate(c)]
+            # o[l] = 32^(n+l) (psi_n|psi_l), l = 1..n; w4[j] = 4^j w_j; t[i] = T_i
+            o = [0] + [sum(map(mul, c, gl)) << 2 * (n - l) for l, gl in enumerate(_weighted[1:], 1)]
+            o.append(sum(map(mul, c, g)))
+            w4, t = [x << 2 * j for j, x in enumerate(_w)], _T + [0, 0]
+            for l in range(1, n):  # E_2n's sum takes the pairs (n, l < n) ...
+                t[n + l] += o[l]
+            even = 2 * sum(map(mul, g, vp)) - sum(map(mul, w4[1:], t[2 * n - 1 : 1 : -1]))
+            even = _exact(even, 4 ** (2 * n), f"w_{2 * n}")
+            for l in range(1, n):  # ... and E_2n+1's (l < n, n) and (n, n) too
+                t[n + l] += o[l]
+            t[2 * n] = o[n]
+            w4.append(even << 4 * n)
+            odd = 8 * sum(map(mul, g, _band(c))) - sum(map(mul, w4[1:], t[2 * n : 1 : -1]))
+            odd = _exact(odd, 4 ** (2 * n + 1), f"w_{2 * n + 1}")
             _rows.append(c)
-            _b.append(Fraction(-2 * c[1], 8**j))
+            _weighted.append(g)
+            _T[:] = t
+            _w.extend((even, odd))
+            _b.extend((Fraction(even, 8 ** (2 * n)), Fraction(odd, 8 ** (2 * n + 1))))
 
 
 def oscillator_coeffs(order: int) -> OscillatorSeries:

@@ -35,7 +35,14 @@ from .evaluate import (
     sum_factorial_series,
 )
 from .pade import pade_construct, pade_eval
-from .series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
+from .series import (
+    FormalSeries,
+    PrecisionContext,
+    SeriesKind,
+    _fraction_obj,
+    _int_to_decimal,
+    to_mpf,
+)
 from .transforms import (
     factorial_to_inverse_power,
     inverse_power_to_factorial,
@@ -85,10 +92,6 @@ def _load_series(path) -> FormalSeries:
     return FormalSeries.from_json_obj(_read_json(path))
 
 
-def _frac_obj(c: Fraction) -> dict:
-    return {"num": str(c.numerator), "den": str(c.denominator)}
-
-
 def _load_terms(path) -> list:
     """Accept either a series file or a bare JSON array of numbers/strings."""
     obj = _read_json(path)
@@ -124,9 +127,9 @@ def _cmd_stirling(args, prec):
     values = cache.row(args.n) if args.k is None else [cache.value(args.n, args.k)]
     if args.json or args.out:
         _emit({"command": "stirling", "kind": args.kind, "n": args.n,
-               "k": args.k, "values": [str(v) for v in values]}, args, prec)
+               "k": args.k, "values": [_int_to_decimal(v) for v in values]}, args, prec)
     else:
-        print(*values, sep="\n")
+        print(*map(_int_to_decimal, values), sep="\n")
     return 0
 
 
@@ -182,8 +185,8 @@ def _cmd_pade(args, prec):
     approx = pade_construct(series.coeffs, args.L, args.M)
     doc = {
         "command": "pade", "L": approx.L, "M": approx.M,
-        "num": [_frac_obj(c) for c in approx.num],
-        "den": [_frac_obj(c) for c in approx.den],
+        "num": [_fraction_obj(c) for c in approx.num],
+        "den": [_fraction_obj(c) for c in approx.den],
     }
     if args.eval is not None:
         doc["eval_at"] = args.eval
@@ -198,6 +201,8 @@ def _cmd_sum(args, prec):
     series = _load_series(args.infile)
     z = _rational(args.z, "--z")
     terms = args.terms if args.terms is not None else len(series)
+    if not 1 <= terms <= len(series):  # before any default built from it
+        raise DomainError(f"terms must be in 1..{len(series)}, got {terms}")
     if args.backend == "direct":
         report = sum_factorial_series(series, z, terms, prec)
         partials, final = report.partial_sums, report.final

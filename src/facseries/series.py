@@ -93,6 +93,46 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
+# CPython refuses int <-> str beyond sys.get_int_max_str_digits() digits (4300 by
+# default, never below 640 when set); past it, integers go in 512-digit chunks
+_CHUNK_DIGITS = 512
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_to_decimal(n: int) -> str:
+    """str(n) at any size."""
+    try:
+        return str(n)
+    except ValueError:
+        q, chunks = abs(n), []
+        while q >= _CHUNK:
+            q, r = divmod(q, _CHUNK)
+            chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
+        chunks.append(str(q))
+        return "-" * (n < 0) + "".join(reversed(chunks))
+
+
+def _decimal_to_int(text) -> int:
+    """int(text) at any size; past the limit, text must be [+-]digits."""
+    try:
+        return int(text)
+    except ValueError:
+        text = text.strip()
+        digits = text.lstrip("+-")
+        if len(text) - len(digits) > 1 or not (digits.isascii() and digits.isdigit()):
+            raise
+        n = 0
+        for i in range(0, len(digits), _CHUNK_DIGITS):
+            chunk = digits[i : i + _CHUNK_DIGITS]
+            n = n * 10 ** len(chunk) + int(chunk)
+        return -n if text[0] == "-" else n
+
+
+def _fraction_obj(c: Fraction) -> dict:
+    """{"num", "den"} of the wire format, as decimal strings."""
+    return {"num": _int_to_decimal(c.numerator), "den": _int_to_decimal(c.denominator)}
+
+
 @dataclass(frozen=True)
 class FormalSeries:
     """Tagged list of exact series coefficients (index = term order)."""
@@ -119,10 +159,7 @@ class FormalSeries:
         return {
             "schema": "facseries/1",
             "kind": self.kind.value,
-            "coeffs": [
-                {"num": str(c.numerator), "den": str(c.denominator)}
-                for c in self.coeffs
-            ],
+            "coeffs": [_fraction_obj(c) for c in self.coeffs],
         }
 
     def dump(self, path) -> None:
@@ -133,7 +170,8 @@ class FormalSeries:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FormalSeries":
         try:
-            return cls(obj["kind"], [Fraction(int(c["num"]), int(c["den"])) for c in obj["coeffs"]])
+            return cls(obj["kind"], [Fraction(_decimal_to_int(c["num"]), _decimal_to_int(c["den"]))
+                                      for c in obj["coeffs"]])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise IntegrityError(f"malformed series object: {exc}") from exc
 

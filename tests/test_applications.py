@@ -1,5 +1,6 @@
 """Case studies: the exponential integral E1 and the quartic oscillator."""
 
+import copy
 import hashlib
 import itertools
 import sys
@@ -205,7 +206,14 @@ class TestOscillatorCoefficients:
 
 
 def fraction_recursion_reference(order):
-    """b_0..b_order by the row recursion of the module docstring, all in Fractions."""
+    """b_0..b_order in Fractions by the x-power-basis recursion, a route apart from
+    the module's: with psi = exp(-x^2/2) sum_j beta^j P_j(x) and even polynomials
+    P_j(x) = sum_m A[j][m] x^(2m), A[j][0] = 0 for j >= 1, the Schrodinger equation
+    gives, per power x^(2m),
+
+        -(2m+2)(2m+1) A[j][m+1] + 4m A[j][m] + A[j-1][m-2] = sum_{i=1..j} b_i A[j-i][m],
+
+    solved top-down from m = 2j; the m = 0 equation yields b_j = -2 A[j][1]."""
     poly, b = [[Fraction(1)]], [Fraction(1)]
     for j in range(1, order + 1):
         a = [Fraction(0)] * (2 * j + 1)
@@ -221,6 +229,19 @@ def fraction_recursion_reference(order):
         poly.append(a)
         b.append(-2 * a[1])
     return tuple(b)
+
+
+def fresh_oscillator_state(monkeypatch):
+    """Give the module the state it starts from: row 0, b_0 and b_1."""
+    for name, value in [("_rows", [[1]]), ("_weighted", [[1]]), ("_T", [0, 0]),
+                        ("_w", [1, 6]), ("_b", [Fraction(1), Fraction(3, 4)])]:
+        monkeypatch.setattr(applications, name, value)
+
+
+def oscillator_state():
+    """A copy of the growing state, b last."""
+    names = ("_rows", "_weighted", "_T", "_w", "_b")
+    return tuple(copy.deepcopy(getattr(applications, name)) for name in names)
 
 
 # b_100, from the Fraction recursion; its denominator is 2^296
@@ -253,22 +274,31 @@ class TestOscillatorIntegerRecursion:
         assert den & (den - 1) == 0  # a power of two
 
     def test_remainder_check_is_live(self, monkeypatch):
-        # a corrupted stored entry must stop the recursion, not be truncated:
-        # C[2][4] + 1 first enters row 4 at m = 4, where it moves 2m C[4][4] by
-        # -C[2][1] = -42, which 8 does not divide
-        monkeypatch.setattr(applications, "_rows", [[1]])
-        monkeypatch.setattr(applications, "_b", [Fraction(1)])
-        assert oscillator_coeffs(3).coeffs == fraction_recursion_reference(3)
+        # a corrupted stored row entry must stop the growth, not be truncated:
+        # C[2][4] + 1 first enters row 3 at s = 2, through the band term
+        # (k+3)(k+1) P[s+2] = 35 P[4], and moves 8 C[3][2] by -70
+        fresh_oscillator_state(monkeypatch)
+        assert oscillator_coeffs(5).coeffs == fraction_recursion_reference(5)
         applications._rows[2][4] += 1
-        with pytest.raises(IntegrityError, match=r"C\[4\]\[4\]"):
-            oscillator_coeffs(4)
-        assert len(applications._rows) == len(applications._b) == 4
+        before = oscillator_state()
+        with pytest.raises(IntegrityError, match=r"C\[3\]\[2\] is not an integer"):
+            oscillator_coeffs(7)
+        assert oscillator_state() == before
+
+    def test_energy_remainder_check_is_live(self, monkeypatch):
+        # C[2][2] + 1 leaves every division of row 3 exact, and w_6 catches it
+        fresh_oscillator_state(monkeypatch)
+        oscillator_coeffs(5)
+        applications._rows[2][2] += 1
+        before = oscillator_state()
+        with pytest.raises(IntegrityError, match=r"w_6 is not an integer"):
+            oscillator_coeffs(7)
+        assert oscillator_state() == before
 
     def test_concurrent_growth_from_fresh_state(self, monkeypatch):
-        # a fresh recursion state grown by several threads at once must equal the
-        # serial build: growth is serialised by the lock, reads take none
-        monkeypatch.setattr(applications, "_rows", [[1]])
-        monkeypatch.setattr(applications, "_b", [Fraction(1)])
+        # a fresh state grown by several threads at once must equal the serial
+        # build: growth is serialised by the lock, reads take none
+        fresh_oscillator_state(monkeypatch)
         orders = [12, 30, 5, 30, 21, 30, 1, 26]
         results, errors = {}, []
         barrier = threading.Barrier(len(orders))
@@ -292,10 +322,35 @@ class TestOscillatorIntegerRecursion:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+        grown = oscillator_state()
+        fresh_oscillator_state(monkeypatch)
+        oscillator_coeffs(30)
+        assert grown == oscillator_state()
+        assert len(applications._rows) == 16 and len(applications._b) == 32
         serial = fraction_recursion_reference(30)
-        assert len(applications._b) == 31
         for slot, order in enumerate(orders):
             assert results[slot] == serial[: order + 1]
+
+    def test_stepwise_growth_equals_one_shot(self, monkeypatch):
+        # growth continues the rows and the T_t; it recomputes nothing
+        fresh_oscillator_state(monkeypatch)
+        oscillator_coeffs(200)
+        one_shot = oscillator_state()
+        fresh_oscillator_state(monkeypatch)
+        for order in [*range(1, 41), 5, 120, 200]:
+            assert oscillator_coeffs(order).coeffs == tuple(one_shot[-1][: order + 1])
+        assert oscillator_state() == one_shot
+
+    def test_rule_energies_equal_row_energies(self):
+        # w_j from the 2n+1 rule against w_j = 12 C[j-1][1] + 6 C[j-1][2] from
+        # the rows, for every row the build to b_200 holds
+        oscillator_coeffs(200)
+        rows, w, b = applications._rows, applications._w, applications._b
+        assert len(rows) == 101 and len(w) == len(b) == 202
+        assert w[:2] == [1, 6]
+        for j in range(2, len(rows) + 1):
+            assert w[j] == 12 * rows[j - 1][1] + 6 * rows[j - 1][2]
+        assert all(bj == Fraction(wj, 8**j) for j, (wj, bj) in enumerate(zip(w, b)))
 
 
 class TestAsymptotics:

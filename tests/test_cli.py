@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
@@ -45,6 +46,14 @@ class TestStirling:
         assert code == 0
         assert out.split() == ["0", "2", "-3", "1"]
 
+    def test_value_past_the_digit_limit(self, capsys):
+        # s1(2000, 1) = -1999!, 5733 digits
+        expected = str(Decimal(-factorial(1999)))
+        code, out = run(capsys, "stirling", "--kind", "1", "--n", "2000", "--k", "1")
+        assert code == 0 and out == expected + "\n"
+        code, doc = run_json(capsys, "stirling", "--kind", "1", "--n", "2000", "--k", "1", "--json")
+        assert code == 0 and doc["values"] == [expected]
+
     def test_single_value_json(self, capsys):
         code, doc = run_json(
             capsys, "stirling", "--kind", "2", "--n", "4", "--k", "2", "--json"
@@ -77,6 +86,20 @@ class TestTransform:
         assert main(["transform", "--from", "fact", "--to", "invpow",
                      "--in", str(mid), "--out", str(back)]) == 0
         assert FormalSeries.load(back) == FormalSeries.load(src)
+
+    def test_coefficient_past_the_digit_limit(self, capsys, tmp_path):
+        # a 5000-digit numerator through both transforms and the wire format
+        src, mid, back = (tmp_path / f"{name}.json" for name in ("c", "d", "c2"))
+        big = Fraction(-(3**10479) - 2, 7)
+        FormalSeries(SeriesKind.INVERSE_POWER, [big, 1, Fraction(1, 2)]).dump(src)
+        assert main(["transform", "--from", "invpow", "--to", "fact",
+                     "--in", str(src), "--out", str(mid)]) == 0
+        assert main(["transform", "--from", "fact", "--to", "invpow",
+                     "--in", str(mid), "--out", str(back)]) == 0
+        assert FormalSeries.load(back) == FormalSeries.load(src)
+        code, out = run(capsys, "transform", "--from", "invpow", "--to", "fact", "--in", str(src))
+        assert code == 0
+        assert json.loads(out)["coeffs"][0]["num"] == str(Decimal(big.numerator))
 
     def test_kind_mismatch_is_numerical_failure(self, capsys, tmp_path):
         src = tmp_path / "c.json"
@@ -189,6 +212,19 @@ class TestSum:
         assert main(argv + ["--pade", "2", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "--pade" in captured.err
+
+    @pytest.mark.parametrize("backend", ["direct", "product", "integral"])
+    @pytest.mark.parametrize("terms", ["0", "-1", "16"])
+    def test_terms_checked_before_defaults(self, capsys, tmp_path, backend, terms):
+        # every backend names --terms itself, not a degree or order made from it
+        path = tmp_path / "s.json"
+        kind = SeriesKind.POWER if backend == "product" else SeriesKind.FACTORIAL
+        FormalSeries(kind, e1_factorial_coeffs(14)).dump(path)
+        code, doc = run_json(capsys, "sum", "--backend", backend, "--z", "5",
+                             "--terms", terms, "--in", str(path))
+        assert code == 2
+        assert doc == {"schema": "facseries/1", "error": "domain",
+                       "message": f"terms must be in 1..15, got {terms}"}
 
     def test_integral_reports_degrees_used(self, capsys, e1_factorial_file):
         argv = ["sum", "--backend", "integral", "--z", "5", "--terms", "12",

@@ -1,5 +1,6 @@
 """Series containers, precision handling, and Pochhammer term arithmetic."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -78,6 +79,30 @@ class TestFormalSeries:
         obj = FormalSeries(SeriesKind.FACTORIAL, [Fraction(1, 2)]).to_json_obj()
         assert obj["schema"] == "facseries/1"
         assert obj["coeffs"] == [{"num": "1", "den": "2"}]
+
+    def test_coefficients_past_the_digit_limit(self, tmp_path):
+        # 5000 and 5000 decimal digits, past CPython's default limit of 4300 on
+        # int <-> str; Decimal formats them by its own route
+        c = Fraction(-(3**10479) - 2, 2**16609)
+        obj = FormalSeries(SeriesKind.POWER, [c, Fraction(1, 3)]).to_json_obj()
+        assert obj["coeffs"] == [
+            {"num": str(Decimal(c.numerator)), "den": str(Decimal(c.denominator))},
+            {"num": "1", "den": "3"},
+        ]
+        assert len(obj["coeffs"][0]["num"]) == len(obj["coeffs"][0]["den"]) + 1 == 5001
+        s = FormalSeries(SeriesKind.POWER, [c, Fraction(1, 3)])
+        s.dump(tmp_path / "big.json")
+        assert FormalSeries.load(tmp_path / "big.json") == s
+
+    @pytest.mark.parametrize("num", ["1" * 5000 + "x", "--" + "1" * 5000, "1_" * 2500])
+    def test_long_malformed_integer(self, num):
+        with pytest.raises(IntegrityError):
+            FormalSeries.from_json_obj({"kind": "power", "coeffs": [{"num": num, "den": "1"}]})
+
+    def test_long_integer_in_whitespace(self):
+        # 9000 ones, read as int() reads a shorter string
+        obj = {"kind": "power", "coeffs": [{"num": " -" + "1" * 9000 + "\n", "den": "1"}]}
+        assert FormalSeries.from_json_obj(obj).coeffs == (Fraction(-(10**9000 - 1) // 9),)
 
     def test_malformed_json(self):
         with pytest.raises(IntegrityError):
