@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from math import factorial
@@ -39,6 +40,7 @@ from .series import (
     FormalSeries,
     PrecisionContext,
     SeriesKind,
+    _decimal_to_int,
     _fraction_obj,
     _int_to_decimal,
     to_mpf,
@@ -50,6 +52,7 @@ from .transforms import (
 )
 
 SCHEMA = "facseries/1"
+_NUM_DEN = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*", re.ASCII)  # as Fraction(str) reads them
 
 # reference ground energy at beta = 1/5 from an independent high-order summation
 E_EXACT_BETA_ONE_FIFTH = "1.118292654367039154"
@@ -74,7 +77,12 @@ def _fmt(x, prec: PrecisionContext) -> str:
 
 def _rational(text: str, option: str) -> Fraction:
     try:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:  # past the digit limit, a num/den text is read a side at a time
+            if not (m := _NUM_DEN.fullmatch(text)):
+                raise
+            return Fraction(_decimal_to_int(m[1]), _decimal_to_int(m[2] or "1"))
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"{option}: not a rational number: {text!r}") from None
 
@@ -121,10 +129,17 @@ def _emit_csv(path, header: list, rows: list) -> None:
 
 
 def _cmd_stirling(args, prec):
-    from .stirling import StirlingCache
+    from .stirling import _next_row
 
-    cache = StirlingCache(args.kind)
-    values = cache.row(args.n) if args.k is None else [cache.value(args.n, args.k)]
+    n, k = args.n, args.k
+    if k is None and n < 0:
+        raise DomainError(f"row index must be >= 0, got {n}")
+    if k is not None and not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
+    row = [1]
+    for m in range(n):  # one row at a time, not the triangle, and of it entries 0..k only
+        row = _next_row(args.kind, m, row)[: None if k is None else k + 1]
+    values = row if k is None else [row[k]]
     if args.json or args.out:
         _emit({"command": "stirling", "kind": args.kind, "n": args.n,
                "k": args.k, "values": [_int_to_decimal(v) for v in values]}, args, prec)

@@ -113,7 +113,10 @@ def _int_to_decimal(n: int) -> str:
 
 
 def _decimal_to_int(text) -> int:
-    """int(text) at any size; past the limit, text must be [+-]digits."""
+    """int(text) of a str or an int at any size; past the limit, text must be [+-]digits.
+    Any other type (a float, which int() would truncate, or a bool) is a TypeError."""
+    if type(text) is not int and not isinstance(text, str):
+        raise TypeError(f"expected an integer or a decimal string, got {text!r}")
     try:
         return int(text)
     except ValueError:

@@ -22,6 +22,7 @@ shared freely between threads; reading rows already built takes no lock.
 from __future__ import annotations
 
 import threading
+from itertools import count, repeat
 
 from .errors import DomainError
 
@@ -52,31 +53,29 @@ class StirlingCache:
     def n_max(self) -> int:
         return len(self._rows) - 1
 
-    def _extend(self, n: int) -> None:
+    def _extend(self, n: int) -> list[list[int]]:  # the rows, grown through row n
         if self.n_max < n:
             with self._grow_lock:  # re-checked inside: another thread may have grown it
                 while self.n_max < n:
-                    m = self.n_max
-                    prev = self._rows[m]
-                    row = [0] * (m + 2)
-                    for k in range(m + 2):
-                        acc = prev[k - 1] if 1 <= k <= m + 1 else 0
-                        if k <= m:
-                            acc += (-m if self.kind == 1 else k) * prev[k]
-                        row[k] = acc
-                    self._rows.append(row)
+                    self._rows.append(_next_row(self.kind, self.n_max, self._rows[-1]))
+        return self._rows
 
     def row(self, n: int) -> list[int]:
         if n < 0:
             raise DomainError(f"row index must be >= 0, got {n}")
-        self._extend(n)
-        return list(self._rows[n])
+        return list(self._extend(n)[n])
 
     def value(self, n: int, k: int) -> int:
         if not 0 <= k <= n:
             raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
-        self._extend(n)
-        return self._rows[n][k]
+        return self._extend(n)[n][k]
+
+
+def _next_row(kind: int, m: int, prev: list[int]) -> list[int]:
+    """Row m+1 by the recurrence of ``kind`` from row m, or from its first j entries
+    only: entry k needs entries k-1 and k, so the first j entries returned are right."""
+    c = repeat(-m) if kind == 1 else count()
+    return [a + ck * b for ck, a, b in zip(c, [0, *prev], [*prev, 0])]
 
 
 _FIRST = StirlingCache(1)
@@ -97,9 +96,7 @@ def orthogonality_defect(n: int, k: int) -> int:
     """sum_{v=k}^{n} s1(n, v) s2(v, k) - delta_{nk}; zero for every valid (n, k)."""
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
-    _FIRST._extend(n)
-    _SECOND._extend(n)
-    s1, s2 = _FIRST._rows[n], _SECOND._rows
+    s1, s2 = _FIRST._extend(n)[n], _SECOND._extend(n)
     total = sum(s1[v] * s2[v][k] for v in range(k, n + 1))
     return total - (1 if n == k else 0)
 

@@ -9,9 +9,9 @@ which are mutually inverse thanks to the Stirling orthogonality relations.
 Both, and the power-series variant producing the lambda_m coefficients of the
 product-form evaluator, are special cases of a generic inversion framework for
 pairs of lower-triangular matrices (A, B) with sum_r B_nr A_rk = delta_nk.
-Every product and solve here, the orthogonality check and the inverse included,
-is one kernel, _lower_apply, over rows kept cleared to integers, as (D, ints): it
-clears only the vector, so each output is one integer dot product and one Fraction.
+Every product and solve here, the orthogonality check and the inverse included, is
+one kernel, _lower_apply, over the integer rows (D, ints) that a TransformMatrix keeps:
+it clears only the vector, so each output is one integer dot product and one Fraction.
 
 All transforms here are purely formal truncations: the leading N+1 output
 coefficients depend only on the leading N+1 inputs (triangularity), the tail
@@ -21,6 +21,7 @@ problem.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,7 +30,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, IntegrityError
-from .series import FormalSeries, SeriesKind, _as_fractions, _common_denominator
+from .series import FormalSeries, SeriesKind, _common_denominator
 from .stirling import _FIRST, _SECOND, StirlingCache
 
 __all__ = [
@@ -62,8 +63,7 @@ def _stirling_transform(
     if not 0 <= order < len(series):
         raise DomainError(f"order must be in 0..{len(series) - 1}, got {order}")
     x = [-v if mu & 1 else v for mu, v in enumerate(series.coeffs[: order + 1])]
-    s._extend(order)  # the cache's own integer rows, read without a copy
-    y = _lower_apply(((1, row) for row in s._rows[: order + 1]), x)
+    y = _lower_apply(((1, row) for row in s._extend(order)[: order + 1]), x)  # not copied
     return tuple(-v if m & 1 else v for m, v in enumerate(y))
 
 
@@ -104,59 +104,60 @@ def moments_to_factorial(moments, order: int) -> FormalSeries:
 class TransformMatrix:
     """Lower-triangular exact matrix A (row n has n+1 entries), optional companion B.
 
-    When the companion is present the pair must satisfy
-    sum_{r=k}^{n} B_nr A_rk = delta_nk exactly.  The instance is immutable, so a
-    pass of verify_orthogonality, and the rows cleared once, are kept for later applies.
+    Row n is kept once, as (D_n, ints_n) over its least common denominator D_n, from
+    which rows, entry and n_max are read.  With a companion, sum_{r=k}^{n} B_nr A_rk =
+    delta_nk must hold exactly; a pass of verify_orthogonality is kept for later applies.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    _cleared: tuple[tuple[int, tuple[int, ...]], ...]
     companion: Optional["TransformMatrix"] = None
 
     def __init__(self, rows: Iterable[Iterable], companion=None):
-        frozen = tuple(map(_as_fractions, rows))
-        for n, row in enumerate(frozen):
-            if len(row) != n + 1:
-                raise IntegrityError(f"row {n} has {len(row)} entries, expected {n + 1}")
-        object.__setattr__(self, "rows", frozen)
-        object.__setattr__(self, "companion", companion)
-        object.__setattr__(self, "_verified", False)
+        cleared = []
+        for n, row in enumerate(rows):  # int and Fraction entries are cleared as they are
+            d, ints = _common_denominator([c if type(c) in (int, Fraction) else Fraction(c)
+                                           for c in row])
+            if len(ints) != n + 1:
+                raise IntegrityError(f"row {n} has {len(ints)} entries, expected {n + 1}")
+            cleared.append((d, tuple(ints)))
+        vars(self).update(_cleared=tuple(cleared), companion=companion, _verified=False)
 
     @cached_property
-    def _cleared(self) -> tuple[tuple[int, list[int]], ...]:  # on first use, not at build
-        return tuple(map(_common_denominator, self.rows))
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:  # on first read, not at build
+        return tuple(tuple(map(Fraction, ints)) if d == 1 else tuple(Fraction(i, d) for i in ints)
+                     for d, ints in self._cleared)  # Fraction(i) holds i, Fraction(i, 1) a copy
 
     @property
     def n_max(self) -> int:
-        return len(self.rows) - 1
+        return len(self._cleared) - 1
 
     def entry(self, n: int, k: int) -> Fraction:
-        return self.rows[n][k] if k <= n else Fraction(0)
+        return Fraction(self._cleared[n][1][k], self._cleared[n][0]) if k <= n else Fraction(0)
 
     @classmethod
     def identity(cls, n_max: int) -> "TransformMatrix":
-        rows = [[Fraction(int(k == n)) for k in range(n + 1)] for n in range(n_max + 1)]
+        rows = [[int(k == n) for k in range(n + 1)] for n in range(n_max + 1)]
         return cls(rows, companion=cls(rows))
 
     @classmethod
     def stirling_pair(cls, n_max: int) -> "TransformMatrix":
         """A = signed first-kind triangle, companion B = second-kind triangle."""
-        a_rows, b_rows = (map(s.row, range(n_max + 1)) for s in (_FIRST, _SECOND))
-        return cls(a_rows, companion=cls(b_rows))
+        a, b = (map(s._extend(n_max).__getitem__, range(n_max + 1)) for s in (_FIRST, _SECOND))
+        return cls(a, companion=cls(b))
 
     def with_computed_companion(self) -> "TransformMatrix":
         """Attach the exact inverse B, built row by row by forward substitution.
 
-        Requires a nonzero diagonal p_r = A_rr.  B_rr = 1/p_r; for k < r all
-        B_rk = -(sum_{j=k}^{r-1} A_rj B_jk) / p_r are one _lower_apply of the columns,
-        each kept as (D_k, ints) zero-padded to k and rescaled only when an entry's
-        denominator does not divide D_k, over D_k * -num(p_r) and x = A_r,<r * den(p_r).
+        Requires a nonzero diagonal.  With row r of A kept as (D_r, a), B_rr = D_r / a_r,
+        and for k < r all B_rk = -(sum_{j=k}^{r-1} a_j B_jk) / a_r are one _lower_apply
+        of the columns, each kept as (D_k, ints) zero-padded to k and rescaled only when
+        an entry's denominator does not divide D_k.  The result shares A's kept rows.
         """
         b, columns = [], []
-        for r, row in enumerate(self.rows):
-            if (p := row[r]) == 0:
+        for r, (d_r, a) in enumerate(self._cleared):
+            if (p := a[r]) == 0:
                 raise IntegrityError(f"zero diagonal entry at row {r}; not invertible")
-            x = row[:r] if p.denominator == 1 else [a * p.denominator for a in row[:r]]
-            b.append([*_lower_apply(((-d * p.numerator, ints) for d, ints in columns), x), 1 / p])
+            b.append([*_lower_apply(((-d * p, c) for d, c in columns), a[:r]), Fraction(d_r, p)])
             columns.append((1, [0] * r))
             for k, v in enumerate(b[r]):
                 d, ints = columns[k]
@@ -164,19 +165,20 @@ class TransformMatrix:
                     scale = lcm(d, v.denominator) // d
                     d, ints = columns[k] = d * scale, [i * scale for i in ints]
                 ints.append(v.numerator * (d // v.denominator))
-        return TransformMatrix(self.rows, companion=TransformMatrix(b))
+        out = copy.copy(self)  # shares the kept rows; frozen, so set past __setattr__
+        vars(out).update(companion=TransformMatrix(b), _verified=False)
+        return out
 
     def verify_orthogonality(self) -> None:
         """Check sum_r B_nr A_rk = delta_nk exactly; raise IntegrityError if not."""
         if self.companion is None:
             raise IntegrityError("no companion matrix attached")
-        b = self.companion
-        n_max = min(self.n_max, b.n_max)
+        n_max = min(self.n_max, self.companion.n_max)
         for k in range(n_max + 1):
             # rows n >= k of B times column k of A, both from index k on
-            rows = ((d, ints[k:]) for d, ints in b._cleared[k : n_max + 1])
-            products = _lower_apply(rows, [self.rows[r][k] for r in range(k, n_max + 1)])
-            for n, total in enumerate(products, k):
+            rows = ((d, ints[k:]) for d, ints in self.companion._cleared[k : n_max + 1])
+            column = [Fraction(ints[k], d) for d, ints in self._cleared[k : n_max + 1]]
+            for n, total in enumerate(_lower_apply(rows, column), k):
                 if total != (1 if n == k else 0):
                     raise IntegrityError(f"orthogonality fails at (n={n}, k={k}): {total}")
         object.__setattr__(self, "_verified", True)

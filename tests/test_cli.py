@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
@@ -62,6 +63,41 @@ class TestStirling:
         assert doc["schema"] == "facseries/1"
         assert doc["values"] == ["7"]
 
+    def test_one_row_kept_not_the_triangle(self, capsys):
+        # rows 0..400 of s1 take about 15 MB; the command keeps one row at a time
+        tracemalloc.start()
+        try:
+            code, out = run(capsys, "stirling", "--kind", "1", "--n", "400", "--k", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out == f"{-factorial(399)}\n"
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_rows_and_values_match_the_cache(self, capsys, kind):
+        from facseries.stirling import StirlingCache
+
+        cache = StirlingCache(kind)
+        for n in range(9):
+            code, out = run(capsys, "stirling", "--kind", str(kind), "--n", str(n))
+            assert code == 0 and out.split() == [str(v) for v in cache.row(n)]
+            for k in range(n + 1):
+                code, out = run(capsys, "stirling", "--kind", str(kind), "--n", str(n),
+                                "--k", str(k))
+                assert code == 0 and out == f"{cache.value(n, k)}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "-1"], "row index must be >= 0, got -1"),
+        (["--n", "-1", "--k", "0"], "need 0 <= k <= n, got n=-1, k=0"),
+        (["--n", "3", "--k", "4"], "need 0 <= k <= n, got n=3, k=4"),
+        (["--n", "3", "--k", "-1"], "need 0 <= k <= n, got n=3, k=-1"),
+    ])
+    def test_out_of_range_is_domain_error(self, capsys, argv, message):
+        code, doc = run_json(capsys, "stirling", "--kind", "2", *argv)
+        assert code == 2
+        assert doc["error"] == "domain" and doc["message"] == message
+
 
 class TestTransform:
     def test_trivial_fixed_point(self, capsys, tmp_path):
@@ -100,6 +136,17 @@ class TestTransform:
         code, out = run(capsys, "transform", "--from", "invpow", "--to", "fact", "--in", str(src))
         assert code == 0
         assert json.loads(out)["coeffs"][0]["num"] == str(Decimal(big.numerator))
+
+    @pytest.mark.parametrize("num, den", [(1.5, 1), ("1", 2.9), (True, 1), (2.0, 1)])
+    def test_non_string_numbers_refused(self, capsys, tmp_path, num, den):
+        # a JSON float or boolean is not read as the integer it truncates to
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps({"schema": "facseries/1", "kind": "inverse_power",
+                                   "coeffs": [{"num": num, "den": den}]}))
+        code, doc = run_json(capsys, "transform", "--from", "invpow", "--to", "fact",
+                             "--in", str(src))
+        assert code == 2
+        assert doc["error"] == "integrity"
 
     def test_kind_mismatch_is_numerical_failure(self, capsys, tmp_path):
         src = tmp_path / "c.json"
@@ -146,6 +193,24 @@ class TestAccelerate:
                                  "--in", str(terms), "--k", "3")
             assert code == 0
             assert doc["values"] == {str(k): _fmt(fn(inp, k, 0, prec), prec) for k in range(4)}
+
+    def test_terms_past_the_digit_limit(self, capsys, tmp_path):
+        # 5000 ones, and a 5000-digit numerator over 3, as bare-array terms
+        ones = (10**5000 - 1) // 9
+        terms = tmp_path / "terms.json"
+        terms.write_text(json.dumps(["1" * 5000, " -" + "1" * 5000 + "/3 ", "1/2", 3]))
+        assert _load_terms(str(terms)) == [ones, Fraction(-ones, 3), Fraction(1, 2), 3]
+        code, doc = run_json(capsys, "accelerate", "--method", "levin", "--in", str(terms),
+                             "--k", "1")
+        assert code == 0 and list(doc["values"]) == ["0", "1"]
+
+    @pytest.mark.parametrize("term", ["1" * 5000 + "x", "1" * 5000 + "/0", "1" * 5000 + "/-3",
+                                      "1" * 5000 + ".5"])
+    def test_long_malformed_term_is_usage_error(self, capsys, tmp_path, term):
+        terms = tmp_path / "terms.json"
+        terms.write_text(json.dumps([term, "1/2"]))
+        assert main(["accelerate", "--method", "levin", "--in", str(terms), "--k", "0"]) == 1
+        assert "not a rational number" in capsys.readouterr().err
 
     def test_scaled_term_beta_zero_exit_2(self, capsys, tmp_path):
         terms = tmp_path / "terms.json"

@@ -104,6 +104,17 @@ class TestFormalSeries:
         obj = {"kind": "power", "coeffs": [{"num": " -" + "1" * 9000 + "\n", "den": "1"}]}
         assert FormalSeries.from_json_obj(obj).coeffs == (Fraction(-(10**9000 - 1) // 9),)
 
+    @pytest.mark.parametrize("num, den", [(1.5, 1), ("1", 2.9), (True, 1), ("1", False),
+                                          (2.0, 1), (None, 1)])
+    def test_non_string_numbers_refused(self, num, den):
+        # int() would truncate 1.5 to 1 and read true as 1
+        with pytest.raises(IntegrityError, match="malformed series object"):
+            FormalSeries.from_json_obj({"kind": "power", "coeffs": [{"num": num, "den": den}]})
+
+    def test_json_integers_accepted(self):
+        obj = {"kind": "power", "coeffs": [{"num": -3, "den": 4}, {"num": "5", "den": 10**30}]}
+        assert FormalSeries.from_json_obj(obj).coeffs == (Fraction(-3, 4), Fraction(5, 10**30))
+
     def test_malformed_json(self):
         with pytest.raises(IntegrityError):
             FormalSeries.from_json_obj({"kind": "factorial"})

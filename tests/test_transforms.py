@@ -13,7 +13,7 @@ from facseries import transforms
 from facseries.applications import e1_factorial_coeffs
 from facseries.errors import DomainError, IntegrityError
 from facseries.series import FormalSeries, MomentSequence, SeriesKind, _common_denominator
-from facseries.stirling import stirling2
+from facseries.stirling import stirling1, stirling2
 from facseries.transforms import (
     TransformMatrix,
     _lower_apply,
@@ -347,15 +347,19 @@ class TestVerifyOnce:
 
 
 class TestClearedOnce:
-    """Each exact row is cleared where it is kept, not on every product."""
+    """Each exact row is cleared once, at build, where it is kept; a product clears
+    only its vector."""
 
     def test_forward_clears_only_the_vector_after_first_use(self, monkeypatch):
         rng = random.Random(23)
-        m = TransformMatrix([random_rationals(rng, n + 1) for n in range(12)])
+        rows = [random_rationals(rng, n + 1) for n in range(12)]
         x = random_rationals(rng, 12)
         calls = counting(monkeypatch, "_common_denominator")
+        m = TransformMatrix(rows)
+        assert calls == [(row,) for row in rows]  # the 12 rows, once, at build
+        calls.clear()
         first = triangular_forward(m, x)
-        assert len(calls) == 13  # the 12 rows, once, and x
+        assert calls == [(x,)]
         calls.clear()
         assert triangular_forward(m, x) == first
         assert calls == [(x,)]
@@ -382,13 +386,16 @@ class TestClearedOnce:
                 for r in range(16)]
         m = TransformMatrix(rows)
         calls = counting(monkeypatch, "_common_denominator")
-        m.with_computed_companion()
-        # one kernel call a row, whose vector is row r's r entries left of the diagonal
-        assert [len(args[0]) for args in calls] == list(range(16))
+        computed = m.with_computed_companion()
+        # one kernel call a row, whose vector is row r's r entries left of the diagonal,
+        # then B's 16 rows, once each at build; A's rows are not cleared again
+        assert [len(args[0]) for args in calls] == [*range(16), *range(1, 17)]
+        assert computed._cleared is m._cleared
 
 
 class TestSharedFirstUse:
-    """The rows cleared on first use keep TransformMatrix thread-shareable."""
+    """Applies share one TransformMatrix between threads: the rows are kept at build,
+    and the only state an apply adds is the record of a passed check."""
 
     @staticmethod
     def matrix():
@@ -425,9 +432,56 @@ class TestSharedFirstUse:
         used, fresh = self.matrix(), self.matrix()
         triangular_inverse_apply(used, triangular_forward(used, [1] * 40))
         assert used._verified and not fresh._verified
-        assert vars(used).keys() - vars(fresh).keys() == {"_cleared"}  # the state differs
+        assert vars(used).keys() == vars(fresh).keys()  # no state beyond _verified
         assert used == fresh
         assert hash(used) == hash(fresh)
+
+
+class TestKeptRows:
+    """The integer rows are the one stored form; rows and entry are read from them."""
+
+    entries = st.one_of(
+        st.integers(-10**30, 10**30),
+        st.fractions(max_denominator=10**6),
+        st.fractions(max_denominator=10**6).map(str),
+        st.decimals(-10**6, 10**6, allow_nan=False, places=4).map(str),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_rows_and_entry_equal_the_fraction_reference(self, data):
+        size = data.draw(st.integers(0, 8))
+        rows = [data.draw(st.lists(self.entries, min_size=n + 1, max_size=n + 1))
+                for n in range(size)]
+        ref = tuple(tuple(map(Fraction, row)) for row in rows)
+        m = TransformMatrix(rows)
+        assert m.rows == ref and m.n_max == size - 1
+        assert all(type(v) is Fraction for row in m.rows for v in row)
+        for n in range(size):
+            for k in range(size + 1):
+                v = m.entry(n, k)
+                assert type(v) is Fraction and v == (ref[n][k] if k <= n else 0)
+        # equal values, whatever their types, make equal matrices with equal hashes
+        for same in (TransformMatrix(ref), TransformMatrix([map(str, row) for row in ref])):
+            assert same == m and hash(same) == hash(m)
+
+    def test_integer_rows_build_no_fraction(self, monkeypatch):
+        made, original = [], Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        pair = TransformMatrix.stirling_pair(40)
+        identity = TransformMatrix.identity(40)
+        TransformMatrix([[1], [-2, 3], [4, 5, -6]])
+        assert made == []
+        assert pair.rows[40][1] == stirling1(40, 1) and identity.entry(3, 3) == 1
+        assert made  # the Fractions are made when rows and entry are read
+        # and hold the kept integers themselves, not copies
+        assert all(f.numerator is i for f, i in zip(pair.rows[40], pair._cleared[40][1]))
 
 
 class TestTriangularActions:
