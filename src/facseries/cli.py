@@ -84,7 +84,8 @@ def _rational(text: str, option: str) -> Fraction:
                 raise
             return Fraction(_decimal_to_int(m[1]), _decimal_to_int(m[2] or "1"))
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"{option}: not a rational number: {text!r}") from None
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise _UsageError(f"{option}: not a rational number: {shown}") from None
 
 
 def _read_json(path):

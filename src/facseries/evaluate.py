@@ -5,19 +5,27 @@ Three routes:
 * direct partial sums of sum_n d_n/(z)_{n+1};
 * the product form sum_m (lambda_m/m!) prod_{k=1..m} z/(z+1/k) for power
   series transformed by transforms.power_to_factorial_coeffs;
-* the Euler-integral representation int_0^1 t^(z-1) phi(t) dt with the
-  conjugate function phi(t) = sum_n a_n (1-t)^n rebuilt as a Pade
-  approximant in u = 1-t.
+* the Euler-integral representation int_0^1 t^(z-1) phi(1-t) dt with the
+  conjugate function phi(u) = sum_n a_n u^n rebuilt as a Pade approximant.
 
-Quadrature is composite Gauss-Legendre with high-precision nodes.  For
-0 < z < 1 the integrand has an integrable singularity at t = 0; the leading
-subinterval [0, eps] is handled by the substitution t = u^(1/z), which turns
-t^(z-1) dt into du/z and leaves a smooth integrand.
+quadrature_01 is composite Gauss-Legendre with high-precision nodes.  The Euler
+integral runs on octaves.  A zero of order m of den at u = 1 is divided out,
+psi = num/(den/(1-u)^m) and z' = z - m (z <= m is a DomainError: the integral
+diverges).  With h = 2^-K and a = 2^-z',
 
-The conjugate function is evaluated by a fixed-point integer Horner kernel;
-_fixed_point_phi states its error bound.  Each PadeApprox keeps for its lifetime
-a node table per beta-independent piece ([0, 1], or [1/16, 1] for z < 1), keyed
-by (lo, hi, points, panels, prec): t, phi(1-t) and, once needed, log t (_mpf_).
+    int_0^1 = int_0^h + sum_{k<K} a^(k+1) int_1^2 s^(z'-1) psi(1 - 2^-(k+1) s) ds,
+
+so one Gauss-Legendre rule on [1, 2] serves every octave.  Its nodes carry
+Phi_j = sum_k a^k psi_(k,j), an integer Horner in a over a fixed-point table
+psi_(k,j) that depends on the approximant alone (kept in PadeApprox._node_tables),
+and a request forms only the powers s_j^(z'-1).  The head is exact for every
+z' > 0: h^z' sum_k c_k h^k/(z'+k), c_k the Taylor coefficients of psi(1-t) at
+t = 0 from the exact shift num(1-t), den(1-t) and a fixed-point division.  K >= 4
+puts h at most 1/8 of Fujiwara's lower bound on the root moduli of den(1-t)/t^m,
+so the head series converges like 5^-k or faster.  A QuadratureSpec(points, panels)
+runs max(1, panels // 4) panels of `points` nodes on [1, 2], then twice as many,
+the second pass taking the head one term further; the value is the second pass,
+their difference the estimate.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
-from math import factorial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import cache, partial
+from itertools import accumulate
+from math import comb, factorial
+from typing import Callable, Optional, Sequence
 
 import mpmath
 from mpmath import libmp, mp
@@ -61,6 +70,11 @@ class QuadratureConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Gauss-Legendre points per panel and a panel count; each rule runs a coarse
+    and a fine pass.  quadrature_01 cuts [0, 1] into `panels`, then 2 `panels`,
+    panels; the Euler integral's octave rule cuts [1, 2] into max(1, panels // 4),
+    then twice as many."""
+
     points_per_panel: int = 32
     panels: int = 8
 
@@ -106,14 +120,16 @@ def _legendre(n: int, x):
 def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
     """Nodes (descending) and weights on [-1, 1] at the current mpmath precision.
 
-    Newton iteration on P_n, seeded from a float64 Newton root, for the
-    ceil(n/2) non-negative nodes; the rest are their mirror images, with the
-    same weights.  Cached per (n, working precision).
+    For the ceil(n/2) non-negative nodes, Newton on P_n from a float64 Newton
+    root, then in fixed-point integers with 20 guard bits, rounded once to an
+    mpf node x; the weight is 2/((1 - x^2) P_n'(x)^2) in mpf.  The rest are
+    their mirror images, with the same weights.  Cached per (n, working precision).
     """
     key = (n, mp.prec)
     if key in _GL_CACHE:
         return _GL_CACHE[key]
-    tol = mp.mpf(10) ** (-mp.dps + 4)
+    bits = mp.prec + 20
+    one = 1 << bits
     half = []
     for i in range((n + 1) // 2):
         # mpmath's cos: a first math.cos faults libm pages in, +64 KB of peak RSS
@@ -121,13 +137,17 @@ def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
         for _ in range(8):
             p, dp = _legendre(n, x)
             x -= p / dp
-        x = mp.mpf(x)
+        fx = 0 if 2 * i + 1 == n else int(x * 2.0**bits)  # the middle root of an odd P_n is 0
         for _ in range(100):
-            p, dp = _legendre(n, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < tol:
+            p0, p1 = one, fx
+            for j in range(2, n + 1):
+                p0, p1 = p1, (((2 * j - 1) * fx * p1 >> bits) - (j - 1) * p0) // j
+            # dx = P_n/P_n' = P_n (x^2 - 1) / (n (x P_n - P_(n-1))), all scaled by 2^bits
+            dx = p1 * ((fx * fx >> bits) - one) // (n * ((fx * p1 >> bits) - p0) or 1)
+            fx -= dx
+            if abs(dx) < 1 << 10:
                 break
+        x = mp.make_mpf(libmp.from_man_exp(fx, -bits, mp.prec, libmp.round_nearest))
         _, dp = _legendre(n, x)
         half.append((x, 2 / ((1 - x * x) * dp * dp)))
     half += [(-x, w) for x, w in reversed(half[: n // 2])]
@@ -135,12 +155,12 @@ def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
     return _GL_CACHE[key]
 
 
-def _gl_rows(f: Callable, lo, hi, points: int, panels: int) -> Iterator[tuple]:
-    """(w, t, f(t)) as _mpf_ tuples over the composite rule's nodes t, w the
-    weight on [-1, 1]; raises on a non-finite f(t)."""
+def _composite_gl(f: Callable, lo, hi, points: int, panels: int) -> mpmath.mpf:
+    """Composite Gauss-Legendre sum of f over [lo, hi]; raises on a non-finite f(t)."""
     nodes, weights = _gauss_legendre_nodes(points)
     width = (hi - lo) / panels
     half = width / 2
+    total = mp.mpf(0)
     for p in range(panels):
         mid = lo + p * width + half
         for x, w in zip(nodes, weights):
@@ -148,40 +168,8 @@ def _gl_rows(f: Callable, lo, hi, points: int, panels: int) -> Iterator[tuple]:
             val = f(t)
             if not mp.isfinite(val):
                 raise IntegrationError(f"non-finite integrand value at t={t}")
-            yield w._mpf_, t._mpf_, val._mpf_
-
-
-def _gl_sum(rows: Iterable, lo, hi, panels: int) -> mpmath.mpf:
-    """(hi - lo)/(2 panels) sum w f over rows (w, t, f) as _gl_rows gives them,
-    each step rounded as the mpf operators round total += w * f."""
-    prec, rnd = mp.prec, libmp.round_nearest
-    total = libmp.fzero
-    for w, _, val in rows:
-        total = libmp.mpf_add(total, libmp.mpf_mul(w, val, prec, rnd), prec, rnd)
-    return mp.make_mpf(total) * ((hi - lo) / panels) / 2
-
-
-def _composite_gl(f: Callable, lo, hi, points: int, panels: int) -> mpmath.mpf:
-    return _gl_sum(_gl_rows(f, lo, hi, points, panels), lo, hi, panels)
-
-
-def _weighted_gl(approx: PadeApprox, zv, lo, hi, points: int, panels: int) -> mpmath.mpf:
-    """int_lo^hi t^(z-1) phi(1-t) dt from approx's node table, bit for bit as the
-    mpf operators form t ** (z-1) * phi(1-t): t^(z-1) takes mpf_pow's own steps."""
-    prec, rnd = mp.prec, libmp.round_nearest
-    tables, key = approx._node_tables, (lo._mpf_, hi._mpf_, points, panels, prec)
-    if key not in tables:  # a build that raises publishes nothing
-        phi = _fixed_point_phi(approx)
-        tables.setdefault(key, list(_gl_rows(lambda t: phi(1 - t), lo, hi, points, panels)))
-    rows, s = tables[key], (zv - 1)._mpf_
-    if s[2] >= -1:  # an integer or half-integer exponent: mpf_pow's own branches
-        powers = (libmp.mpf_pow(t, s, prec, rnd) for _, t, _ in rows)
-    else:  # mpf_pow's general branch, exp(s log t)
-        logs = tables.get((key, "log")) or tables.setdefault(
-            (key, "log"), [libmp.mpf_log(t, prec + 10, rnd) for _, t, _ in rows])
-        powers = (libmp.mpf_exp(libmp.mpf_mul(s, c), prec, rnd) for c in logs)
-    weighted = ((w, t, libmp.mpf_mul(c, f, prec, rnd)) for (w, t, f), c in zip(rows, powers))
-    return _gl_sum(weighted, lo, hi, panels)
+            total += w * val
+    return total * width / 2
 
 
 def _panel_doubled(pieces: Sequence, spec: QuadratureSpec, prec: PrecisionContext) -> mpmath.mpf:
@@ -277,6 +265,11 @@ def _horner_fixed(coeffs: Sequence[int], m: int, s: int) -> int:
     return acc
 
 
+def _fixed(n: int, d: int, bits: int) -> int:
+    """floor(n/d 2^bits)."""
+    return (n << max(bits, 0)) // (d << max(-bits, 0))
+
+
 def _fixed_point(p: PadeApprox) -> list[tuple[int, list[int]]]:
     """[(w, [ceil(c 2^w) for c in cs]) for cs in (p.num, p.den)], each w as
     _fixed_point_phi states."""
@@ -285,44 +278,35 @@ def _fixed_point(p: PadeApprox) -> list[tuple[int, list[int]]]:
     for cs in (p.num, p.den):
         big = max(abs(c) for c in cs)  # 2^e < big < 2^(e+2), e from the bit lengths
         w = mp.prec + guard - (big.numerator.bit_length() - big.denominator.bit_length() - 1)
-        lo, hi = max(w, 0), max(-w, 0)
-        scaled.append((w, [-((-c.numerator << lo) // (c.denominator << hi)) for c in cs]))
+        scaled.append((w, [-_fixed(-c.numerator, c.denominator, w) for c in cs]))
     return scaled
 
 
-def _fixed_point_phi(p: PadeApprox) -> Callable:
-    """num(u)/den(u) at mpf u in [0, 1] by fixed-point integer Horner.
+def _fixed_point_phi(p: PadeApprox) -> tuple[int, Callable]:
+    """(F, phi) with phi(m, s) = floor(num(u)/den(u) 2^F) at u = m 2^-s in [0, 1],
+    by fixed-point integer Horner; ZeroDivisionError where den(u) rounds to 0.
 
     Each polynomial has its own scale 2^-w: with 2^e < max|c| < 2^(e+2),
-    w = prec + g - e and g = bitlen(L+M+2) + 4 guard bits.  With u = m 2^-s
-    read from the mpf, acc = ((acc m) >> s) + C runs over C = ceil(c 2^w):
-    C rounds up and the shift down, so each step errs by less than 2^-w and
-    |u| <= 1 keeps the errors from growing.  Each polynomial is therefore off
-    by at most (deg+1) 2^-w < 2^-(prec+4) max|c|, relative to its own largest
-    coefficient, however small or large the coefficients are; an mpf Horner's
-    bound, about 2 deg 2^-prec sum_k |c_k| u^k, is no smaller at u = 1 but
-    shrinks with u where the top coefficients dominate.  The quotient is one
-    correctly rounded mpf division.
+    w = prec + g - e and g = bitlen(L+M+2) + 4 guard bits.  acc = ((acc m) >> s) + C
+    runs over C = ceil(c 2^w): C rounds up and the shift down, so each step errs
+    by less than 2^-w and |u| <= 1 keeps the errors from growing.  Each polynomial
+    is therefore off by at most (deg+1) 2^-w < 2^-(prec+4) max|c|, relative to its
+    own largest coefficient, however small or large the coefficients are.  The
+    quotient is one integer division, floor(N 2^(prec+40) / D), so F = prec + 40 +
+    w_num - w_den; as D < 2^(prec+g+2) (M+1) < 2^(prec+40), its unit 2^-F is below
+    one unit of N over D.
     """
     (wn, num), (wd, den) = _fixed_point(p)
-
-    def phi(u):
-        _, m, e, _ = u._mpf_  # u = m 2^e >= 0, and e <= 0 as u <= 1
-        return mp.make_mpf(libmp.mpf_div(
-            libmp.from_man_exp(_horner_fixed(num, m, -e), -wn),
-            libmp.from_man_exp(_horner_fixed(den, m, -e), -wd),
-            mp.prec, libmp.round_nearest))
-
-    return phi
+    shift = mp.prec + 40
+    return shift + wn - wd, lambda m, s: (_horner_fixed(num, m, s) << shift) // _horner_fixed(den, m, s)
 
 
 def _check_poles_in_unit_interval(p: PadeApprox) -> None:
     """Exact sign scan of the denominator on 65 interior points of (0, 1).
 
     At u = q/130, den(u) has the sign of the integer sum_k (D den_k) q^k 130^(M-k),
-    D > 0 the common denominator, so the scan forms no Fraction.
-    Endpoint poles are tolerated: the t^(z-1) weight keeps them integrable
-    and Gauss-Legendre nodes never touch the endpoints.
+    D > 0 the common denominator, so the scan forms no Fraction.  den(0) = 1, and
+    a pole at u = 1 lowers the Euler integral's exponent (see _octave_setup).
     """
     _, cleared = _common_denominator(p.den)
     scaled = [c * 130 ** (p.M - k) for k, c in enumerate(cleared)]
@@ -345,7 +329,7 @@ def euler_integral_eval(
     spec: QuadratureSpec = QuadratureSpec(),
     prec: PrecisionContext = PrecisionContext(),
 ) -> mpmath.mpf:
-    """Evaluate a factorial series via int_0^1 t^(z-1) phi(t) dt.
+    """Evaluate a factorial series via int_0^1 t^(z-1) phi(1-t) dt.
 
     ``a`` are the reduced coefficients a_n = d_n/n! of the series; phi is the
     power series sum_n a_n u^n in u = 1-t, replaced by its [pade_l/pade_m]
@@ -359,15 +343,135 @@ def euler_integral_eval(
 def _euler_integral(
     approx: PadeApprox, z: Real, spec: QuadratureSpec, prec: PrecisionContext
 ) -> mpmath.mpf:
-    """int_0^1 t^(z-1) phi(1-t) dt, phi the approximant, which
-    _check_poles_in_unit_interval has already passed."""
+    """int_0^1 t^(z-1) phi(1-t) dt by the octave rule (see the module docstring),
+    phi the approximant, which _check_poles_in_unit_interval has already passed."""
     with prec.workdps(10):
-        zv = to_mpf(z)
-        if not (zv > 0):
-            raise DomainError(f"integral representation requires z > 0, got {z}")
-        lo = mp.mpf(1) / 16 if zv < 1 else mp.mpf(0)
-        pieces = [partial(_weighted_gl, approx, zv, lo, mp.mpf(1))]
-        if zv < 1:  # [0, lo] with t = u^(1/z): the integrand becomes phi(1 - u^(1/z))/z
-            phi, inv = _fixed_point_phi(approx), 1 / zv  # phi pole-free by the caller's scan
-            pieces.append(partial(_composite_gl, lambda u: phi(1 - u**inv) / zv, mp.mpf(0), lo**zv))
-        return _panel_doubled(pieces, spec, prec)
+        zv, setup = to_mpf(z), _octave_setup(approx)
+        m, K = setup[:2]
+        if not (zv > m):
+            pole = f" (phi has a pole of order {m} at t = 0)" if m else ""
+            raise DomainError(f"integral representation requires z > {m}, got {z}{pole}")
+        zm, g = zv - m, mp.prec + 20
+        a, zf, (f, head) = mp.mpf(2) ** -zm, libmp.to_fixed(zm._mpf_, g), _head_series(approx, setup)
+        coarse = max(1, spec.panels // 4)
+
+        def rule(points: int, panels: int) -> mpmath.mpf:
+            fine = panels > spec.panels  # the fine pass also takes the head one term further
+            terms = sum((e << g) // (zf + (k << g)) for k, e in enumerate(head[: len(head) - 1 + fine]))
+            return (a**K * mp.make_mpf(libmp.from_man_exp(terms, -f, mp.prec, libmp.round_nearest))
+                    + a * _octave_sum(approx, setup, zm, a, points, coarse << fine))
+
+        return _panel_doubled([rule], spec, prec)
+
+
+def _octave_setup(approx: PadeApprox) -> tuple:
+    """(m, K, psi, p, b, q), kept for the approximant's lifetime: m the order of
+    den's zero at u = 1, K the octave count, psi = num/(den/(1-u)^m) as a
+    PadeApprox, and integers with psi(1-t) = (sum_k p_k t^k / b) / (sum_i q_i t^i / q_0).
+
+    K is the least integer >= 4 with h = 2^-K at most 1/8 of Fujiwara's lower bound
+    1/(2 max(|q_1/q_0|, ..., |q_n/(2 q_0)|^(1/n))) on the root moduli of den(1-t)/t^m:
+    then |q_i/q_0| h^i <= 16^-i (twice that at i = n).
+    """
+    tables = approx._node_tables
+    if "setup" not in tables:
+        (dn, p), (dd, q) = map(_common_denominator, (approx.num, approx.den))
+        m, psi = 0, PadeApprox(approx.num, approx.den)  # not approx itself: no reference cycle
+        while sum(q) == 0:  # den(1) = 0: den/(1-u) has den's prefix sums as coefficients
+            q, m = list(accumulate(q[:-1])), m + 1
+            psi = PadeApprox(approx.num, tuple(Fraction(c, dd) for c in q))
+        p, q = ([(-1) ** k * sum(comb(j, k) * c for j, c in enumerate(cs) if j >= k)
+                 for k in range(len(cs))] for cs in (p, q))  # c(1 - t) from c(u)
+        n, k = len(q) - 1, 4
+        while any(abs(c) > abs(q[0]) << ((k - 4) * i + (i == n)) for i, c in enumerate(q[1:], 1)):
+            k += 1
+        tables.setdefault("setup", (m, k, psi, [c * dd for c in p], dn * q[0], q))
+    return tables["setup"]
+
+
+def _head_series(approx: PadeApprox, setup: tuple) -> tuple[int, list[int]]:
+    """(F, [E_0 .. E_N]), kept per working precision: E_k = c_k h^k 2^F, c_k the
+    Taylor coefficients of psi(1-t) at t = 0, so the head is h^z' sum_k E_k 2^-F/(z'+k).
+
+    With g = prec + 20, E_k = P_k - (sum_i R_i E_(k-i) >> g) over P_k =
+    floor(p_k h^k 2^F / b) and R_i = floor(q_i h^i 2^g / q_0), F putting the
+    largest |P_k| near 2^g.  As |q_i/q_0| h^i <= 16^-i, 1/(sum_i q_i h^i x^i / q_0)
+    has coefficients below (3/16)^k < 5^-k: errors do not grow, |E_k| <= 5^-k T with
+    T = sum_k |P_k| 5^k, and past N, the least with 5^N > T, the terms sum to < 5/4 unit.
+    """
+    tables, key = approx._node_tables, ("head", mp.prec)
+    if key not in tables:
+        _, K, _, p, b, q = setup
+        g = mp.prec + 20
+        f = g - max((c.bit_length() - b.bit_length() - K * k for k, c in enumerate(p) if c), default=0)
+        P = [_fixed(c, b, f - K * k) for k, c in enumerate(p)]
+        R = [_fixed(c, q[0], g - K * i) for i, c in enumerate(q[1:], 1)]
+        bound, n, E = sum(abs(c) * 5**k for k, c in enumerate(P)), 0, []
+        while 5**n <= bound:
+            n += 1
+        for k in range(n + 1):
+            tail = sum(R[i - 1] * E[k - i] for i in range(1, min(k, len(R)) + 1))
+            E.append((P[k] if k < len(P) else 0) - (tail >> g))
+        tables.setdefault(key, (f, E))
+    return tables[key]
+
+
+@cache
+def _octave_nodes(points: int, panels: int, prec: int) -> tuple[list, list, list]:
+    """Nodes s_j of the composite rule on [1, 2], their weights with the panel's
+    half-width folded in, and log s_j, as _mpf_; called at mpmath precision prec.
+
+    log s = log c + 2 atanh(y), y = (s - c)/(s + c), c the panel's midpoint: |y| < 1/9,
+    so the series runs in fixed point and mpf_log meets only the midpoints.
+    """
+    nodes, weights = _gauss_legendre_nodes(points)
+    half, bits, rows = mp.mpf(1) / (2 * panels), prec + 20, []
+    for p in range(panels):
+        c = 1 + (2 * p + 1) * half
+        cf, log_c = (libmp.to_fixed(v, bits) for v in (c._mpf_, libmp.mpf_log(c._mpf_, bits)))
+        for x, w in zip(nodes, weights):
+            s = c + half * x
+            sf = libmp.to_fixed(s._mpf_, bits)
+            y = (abs(sf - cf) << bits) // (sf + cf)
+            y2, term, atanh, i = y * y >> bits, y, 0, 1
+            while term:  # atanh is odd: the series runs on |y|
+                atanh, term, i = atanh + term // i, term * y2 >> bits, i + 2
+            log_s = log_c + (2 * atanh if sf > cf else -2 * atanh)
+            rows.append((s._mpf_, (w * half)._mpf_, libmp.from_man_exp(log_s, -bits)))
+    return tuple(map(list, zip(*rows)))
+
+
+def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int) -> tuple:
+    """(F, columns), kept per (points, panels, prec): column j holds
+    floor(psi(1 - 2^-(k+1) s_j) 2^F) for k = K-1 .. 0, by _fixed_point_phi."""
+    tables, key = approx._node_tables, ("table", points, panels, mp.prec)
+    if key not in tables:  # a build that raises publishes nothing
+        _, K, psi = setup[:3]
+        (f, phi), columns = _fixed_point_phi(psi), []
+        for _, man, e, _ in _octave_nodes(points, panels, mp.prec)[0]:
+            column = []
+            for k in reversed(range(K)):  # u = 1 - man 2^(e-k-1)
+                try:
+                    column.append(phi((1 << k + 1 - e) - man, k + 1 - e))
+                except ZeroDivisionError:
+                    t = mp.make_mpf(libmp.from_man_exp(man, e - k - 1))
+                    raise IntegrationError(f"non-finite integrand value at t={t}") from None
+            columns.append(column)
+        tables.setdefault(key, (f, columns))
+    return tables[key]
+
+
+def _octave_sum(approx: PadeApprox, setup: tuple, zm, a, points: int, panels: int) -> mpmath.mpf:
+    """sum_j W_j s_j^(z'-1) Phi_j, Phi_j = sum_k a^k psi_(k,j) by integer Horner in
+    a = 2^-z' (a < 1, so each step's rounding stays one unit of 2^-F)."""
+    f, columns = _octave_table(approx, setup, points, panels)
+    _, weights, logs = _octave_nodes(points, panels, mp.prec)
+    g, rnd = mp.prec + 20, libmp.round_nearest
+    A, e, total = libmp.to_fixed(a._mpf_, g), (zm - 1)._mpf_, 0
+    for column, w, log in zip(columns, weights, logs):
+        acc = 0
+        for v in column:
+            acc = v + (acc * A >> g)
+        power = libmp.mpf_exp(libmp.mpf_mul(e, log), g, rnd)
+        total += libmp.to_fixed(libmp.mpf_mul(w, power, g, rnd), g) * acc
+    return mp.make_mpf(libmp.from_man_exp(total, -g - f, mp.prec, rnd))

@@ -100,6 +100,11 @@ def moments_to_factorial(moments, order: int) -> FormalSeries:
 # --- generic triangular / orthogonal inversion framework -------------------
 
 
+def _check_size(n_max: int) -> None:
+    if n_max < 0:
+        raise DomainError(f"matrix size must be >= 0, got {n_max}")
+
+
 @dataclass(frozen=True)
 class TransformMatrix:
     """Lower-triangular exact matrix A (row n has n+1 entries), optional companion B.
@@ -136,12 +141,14 @@ class TransformMatrix:
 
     @classmethod
     def identity(cls, n_max: int) -> "TransformMatrix":
+        _check_size(n_max)
         rows = [[int(k == n) for k in range(n + 1)] for n in range(n_max + 1)]
         return cls(rows, companion=cls(rows))
 
     @classmethod
     def stirling_pair(cls, n_max: int) -> "TransformMatrix":
         """A = signed first-kind triangle, companion B = second-kind triangle."""
+        _check_size(n_max)
         a, b = (map(s._extend(n_max).__getitem__, range(n_max + 1)) for s in (_FIRST, _SECOND))
         return cls(a, companion=cls(b))
 

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import sys
 import threading
-import warnings
 from fractions import Fraction
 from math import factorial
 
@@ -28,9 +27,9 @@ from facseries.applications import (
 )
 from facseries.errors import DomainError, IntegrityError, PoleInDomainError
 from facseries.evaluate import (
-    QuadratureConvergenceWarning,
     QuadratureSpec,
-    _weighted_gl,
+    _octave_setup,
+    _octave_sum,
     euler_integral_eval,
 )
 from facseries.pade import pade_construct, pade_eval
@@ -420,6 +419,42 @@ def pade_builds(monkeypatch):
     return calls
 
 
+def closed_form_energy(approx, betas, dps=110):
+    """1 + int_0^1 t^(z-1) phi(1-t) dt at z = 1/beta for each beta, phi = num/den
+    the approximant, in closed form at dps digits: with u_k den's roots (simple,
+    none in [0, 1]) and r_k = num(u_k)/den'(u_k) their residues, c_k = 1 - u_k,
+    the integral is q/z + sum_k r_k 2F1(1, z; z+1; 1/c_k)/(c_k z), q = num_L/den_M
+    when L = M and 0 when L < M."""
+    with mp.workdps(dps):
+        num, den = ([mp.mpf(c.numerator) / c.denominator for c in cs]
+                    for cs in (approx.num, approx.den))
+        q = num[-1] / den[-1] if approx.L == approx.M else 0
+        dden = [k * c for k, c in enumerate(den)][1:]
+        poles = [(1 - u, mp.polyval(num[::-1], u) / mp.polyval(dden[::-1], u))
+                 for u in mp.polyroots(den[::-1], maxsteps=400, extraprec=2 * dps)]
+        out = {}
+        for beta in betas:
+            z = mp.mpf(beta.denominator) / beta.numerator
+            total = q / z + sum(r * mp.hyp2f1(1, z, z + 1, 1 / c) / (c * z) for c, r in poles)
+            out[beta] = 1 + mp.re(total)
+        return out
+
+
+class TestIntegralOracle:
+    # z = 1/beta from 20 down to 1/4, generic values next to z = 1 included
+    BETAS_34 = [Fraction(1, 20), Fraction(1, 5), Fraction(7, 10), Fraction(9, 10),
+                Fraction(1001, 1000), Fraction(10, 7), Fraction(2), Fraction(217, 100),
+                Fraction(4)]
+
+    @pytest.mark.parametrize("order, betas", [(34, BETAS_34), (53, [Fraction(1, 5), Fraction(4)])])
+    def test_printed_digits_are_the_closed_form(self, order, betas):
+        oracle = closed_form_energy(applications._oscillator_approx(order, "integral"), betas)
+        for beta in betas:
+            energy = oscillator_energy(beta, order, "integral", PREC)
+            with mp.workdps(110):
+                assert mp.nstr(energy, 64) == mp.nstr(oracle[beta], 64), beta
+
+
 class TestOscillatorEnergy:
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -433,11 +468,9 @@ class TestOscillatorEnergy:
         # coarse run: every route lands in the right neighbourhood already
         # at order 6 for the weak coupling beta = 1/5
         ref = mp.mpf("1.118292654367039154")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QuadratureConvergenceWarning)
-            for method in OSCILLATOR_METHODS:
-                e = oscillator_energy(Fraction(1, 5), 6, method, PREC)
-                assert abs(e - ref) < mp.mpf("0.01")
+        for method in OSCILLATOR_METHODS:
+            e = oscillator_energy(Fraction(1, 5), 6, method, PREC)
+            assert abs(e - ref) < mp.mpf("0.01")
 
     def test_pade_beats_truncation_at_moderate_order(self):
         ref = mp.mpf("1.118292654367039154")
@@ -451,14 +484,13 @@ class TestOscillatorEnergy:
             pade = oscillator_energy(Fraction(1, 5), 12, "pade", PREC)
             assert abs(pade - ref) < abs(truncated - ref)
 
-    # 64-digit integral energies at order 34, recorded before the fixed-point
-    # quadrature kernel and the mirrored Gauss-Legendre nodes replaced the mpf
-    # Horner and the n-root Newton build; the rebuilt path must reproduce them
+    # 64-digit integral energies at order 34: the closed-form oracle's rounding
+    # (TestIntegralOracle), which the octave rule reproduces
     INTEGRAL_ORDER_34 = {
         Fraction(1, 20): "1.034729697255483804270223252253604604069184256186584563437983952",
-        Fraction(1, 5): "1.118292654368740442901792846152361900933443159046968163607309169",
-        Fraction(2): "1.609568258429662756572025552782775855533725900122504867040871543",
-        Fraction(4): "1.927420778416946147315092190035242178669926943082243640802982088",
+        Fraction(1, 5): "1.118292654368740442901792846152361900604898341574310255428006501",
+        Fraction(2): "1.609568258429662756572025552782775855533725900122504879248629046",
+        Fraction(4): "1.927420778416946147315092190035242178669926943082243733869033196",
     }
 
     @pytest.mark.parametrize("beta", sorted(INTEGRAL_ORDER_34))
@@ -472,19 +504,17 @@ class TestOscillatorEnergy:
         lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), 34)
         reduced = [l / factorial(m) for m, l in enumerate(lam)]
         solved = pade_construct(shift, 17, 17)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QuadratureConvergenceWarning)
-            for beta in (Fraction(i * i, 64) for i in range(2, 18)):  # 1/16 .. 289/64
-                # each energy as oscillator_energy formed it with no approximant kept
-                with prec.workdps(10):
-                    w = 1 / to_mpf(beta)
-                omega = euler_integral_eval(reduced, w, 17, 17, spec, prec)
-                with prec.workdps():
-                    bv = to_mpf(beta)
-                    pade = 1 + bv * pade_eval(solved, beta, prec)
-                    integral = 1 + bv * (omega / bv)
-                assert oscillator_energy(beta, 34, "pade", prec) == pade
-                assert oscillator_energy(beta, 34, "integral", prec, spec) == integral
+        for beta in (Fraction(i * i, 64) for i in range(2, 18)):  # 1/16 .. 289/64
+            # each energy as oscillator_energy formed it with no approximant kept
+            with prec.workdps(10):
+                w = 1 / to_mpf(beta)
+            omega = euler_integral_eval(reduced, w, 17, 17, spec, prec)
+            with prec.workdps():
+                bv = to_mpf(beta)
+                pade = 1 + bv * pade_eval(solved, beta, prec)
+                integral = 1 + bv * (omega / bv)
+            assert oscillator_energy(beta, 34, "pade", prec) == pade
+            assert oscillator_energy(beta, 34, "integral", prec, spec) == integral
         assert pade_builds == [(17, 17), (17, 17)]
 
     def test_concurrent_approximant_builds_keep_one(self, monkeypatch):
@@ -520,21 +550,20 @@ class TestOscillatorEnergy:
         assert applications._approx[(14, "pade")] == pade_construct(shift, 7, 7)
 
     def test_concurrent_node_tables_match_serial(self, monkeypatch):
-        # threads racing to build one approximant's node tables and log tables,
-        # at beta on both sides of 1, all get the pieces of a serial run.  They
-        # call the tabled rule itself: mpmath's precision is one global, which
-        # every workdps (PrecisionContext.tol's too) sets on entry and restores
-        # on exit, so whole integrals run concurrently can take one another's
+        # threads racing to build one approximant's set-up and octave tables, at
+        # beta on both sides of 1, all get the sums of a serial run.  They call
+        # the tabled rule itself: mpmath's precision is one global, which every
+        # workdps (PrecisionContext.tol's too) sets on entry and restores on
+        # exit, so whole integrals run concurrently can take one another's
         # precision whatever the tables do
         betas = [Fraction(1, 5), Fraction(3, 7), Fraction(2), Fraction(4)]
 
         def pieces(order):
             approx = applications._oscillator_approx(16, "integral")
-            out = {}
-            for b, panels in itertools.product(order, (8, 16)):
+            setup, out = _octave_setup(approx), {}
+            for b, panels in itertools.product(order, (2, 4)):
                 zv = 1 / to_mpf(b)
-                lo = mp.mpf(0) if zv >= 1 else mp.mpf(1) / 16
-                out[b, panels] = _weighted_gl(approx, zv, lo, mp.mpf(1), 16, panels)
+                out[b, panels] = _octave_sum(approx, setup, zv, mp.mpf(2) ** -zv, 16, panels)
             return out
 
         def compute(slot):
@@ -564,8 +593,8 @@ class TestOscillatorEnergy:
                     assert all(results[slot] == serial for slot in range(8))
             finally:
                 sys.setswitchinterval(old)
-        # [0, 1] and [1/16, 1] at 8 and 16 panels, and their logs for 7/3 and 1/4
-        assert len(applications._approx[16, "integral"]._node_tables) == 8
+        # the set-up and the octave tables at 2 and 4 panels, one precision
+        assert len(applications._approx[16, "integral"]._node_tables) == 3
 
     def test_approximant_with_pole_not_kept(self, pade_builds):
         for _ in range(2):

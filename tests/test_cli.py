@@ -210,7 +210,10 @@ class TestAccelerate:
         terms = tmp_path / "terms.json"
         terms.write_text(json.dumps([term, "1/2"]))
         assert main(["accelerate", "--method", "levin", "--in", str(terms), "--k", "0"]) == 1
-        assert "not a rational number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the refused text is quoted by its first 40 characters and its length
+        assert "not a rational number" in err and f"({len(term)} characters)" in err
+        assert len(err) < 200
 
     def test_scaled_term_beta_zero_exit_2(self, capsys, tmp_path):
         terms = tmp_path / "terms.json"

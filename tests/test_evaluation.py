@@ -2,7 +2,7 @@
 
 import gc
 import itertools
-import warnings
+import math
 import weakref
 from fractions import Fraction
 from math import factorial
@@ -23,11 +23,14 @@ from facseries.evaluate import (
     QuadratureConvergenceWarning,
     _check_poles_in_unit_interval,
     _euler_integral,
-    _weighted_gl,
     _fixed_point,
     _fixed_point_phi,
+    _head_series,
     _horner_fixed,
     _gauss_legendre_nodes,
+    _octave_nodes,
+    _octave_setup,
+    _octave_table,
     QuadratureSpec,
     eval_power_as_factorial,
     euler_integral_eval,
@@ -156,12 +159,25 @@ class TestProductForm:
 
 class TestEulerIntegral:
     def test_truncated_geometric_conjugate(self):
-        # phi(u) = sum u^n rebuilt as [1/1] = 1/(1-u): integrand t^(z-2),
-        # whose integral is 1/(z-1); the endpoint pole at u=1 must be tolerated
+        # phi(u) = sum u^n rebuilt as [1/1] = 1/(1-u): integrand t^(z-2), whose
+        # integral is 1/(z-1); the endpoint pole at u=1 lowers the exponent by one
         a = [Fraction(1)] * 3
         v = euler_integral_eval(a, 3, 1, 1, QuadratureSpec(), PREC)
         with PREC.workdps():
-            assert abs(v - mp.mpf("0.5")) < PREC.tol(10)
+            assert mp.nstr(v, PREC.digits) == "0.5"
+        for z in (1, Fraction(1, 2)):  # the integral diverges
+            with pytest.raises(DomainError, match="pole of order 1"):
+                euler_integral_eval(a, z, 1, 1, QuadratureSpec(), PREC)
+
+    def test_double_endpoint_pole(self):
+        # phi(u) = (1 + u)/(1-u)^2: integrand (2 - t)/t^2 t^(z-1), integral 2/(z-2) - 1/(z-1)
+        p = PadeApprox(num=(Fraction(1), Fraction(1)), den=(Fraction(1), Fraction(-2), Fraction(1)))
+        for z in (Fraction(5, 2), Fraction(7)):
+            value = _euler_integral(p, z, QuadratureSpec(), PREC)
+            with PREC.workdps(10):
+                assert abs(value - (2 / (to_mpf(z) - 2) - 1 / (to_mpf(z) - 1))) < PREC.tol(-2)
+        with pytest.raises(DomainError, match="pole of order 2"):
+            _euler_integral(p, 2, QuadratureSpec(), PREC)
 
     def test_interior_pole_rejected(self):
         # phi(u) = 1/(1 - 2u) has a pole at u = 1/2
@@ -172,22 +188,19 @@ class TestEulerIntegral:
     def test_e1_series_matches_reference(self):
         d = e1_factorial_coeffs(21)
         a = [dn / factorial(n) for n, dn in enumerate(d)]
-        with warnings.catch_warnings():
-            # the panel-doubling check sits right at the guard-digit floor here
-            warnings.simplefilter("ignore", QuadratureConvergenceWarning)
-            v = euler_integral_eval(a, 5, 10, 11, QuadratureSpec(), PREC)
+        v = euler_integral_eval(a, 5, 10, 11, QuadratureSpec(), PREC)
         with PREC.workdps():
             ref = mp.e**5 * e1_reference(5, PREC)
             assert abs(v - ref) / ref < mp.mpf(10) ** -10
 
     def test_panel_check_is_relative_below_one(self):
         # the integral is about 0.17; scaled by 2^-200 its estimate moves by the
-        # same relative amount, so both must warn
+        # same relative amount, so both must warn at a spec this coarse
         d = e1_factorial_coeffs(21)
         a = [dn / factorial(n) for n, dn in enumerate(d)]
         for coeffs in (a, [c / 2**200 for c in a]):
             with pytest.warns(QuadratureConvergenceWarning):
-                euler_integral_eval(coeffs, 5, 10, 11, QuadratureSpec(), PREC)
+                euler_integral_eval(coeffs, 5, 10, 11, QuadratureSpec(8, 2), PREC)
 
     def test_singularity_split_small_z(self):
         # phi = 1: integral of t^(z-1) is 1/z, singular at t=0 for z < 1
@@ -215,24 +228,33 @@ def reference_composite_gl(f, lo, hi, points, panels):
     return total * width / 2
 
 
+def floor_fixed(x, bits):
+    """floor(x 2^bits) for an mpf x, exactly."""
+    return math.floor(mpf_fraction(x) * Fraction(2) ** bits)
+
+
 def reference_euler_integral(approx, z, spec, prec):
-    """int_0^1 t^(z-1) phi(1-t) dt as the untabled rule forms it: t ** (z-1) *
-    phi(1-t) at every node, the [0, 1/16] piece substituted for z < 1, at the
-    doubled panel count whose value the program returns."""
+    """int_0^1 t^(z-1) phi(1-t) dt as the octave rule forms it with no node table:
+    psi(1 - 2^-(k+1) s) at every node as it is needed, on a copy of the approximant
+    that keeps nothing between calls, at the fine pass whose value the program returns."""
     with prec.workdps(10):
-        zv = to_mpf(z)
-        phi = _fixed_point_phi(approx)
-
-        def integrand(t):
-            return t ** (zv - 1) * phi(1 - t)
-
-        pieces = [(integrand, mp.mpf(0), mp.mpf(1))]
-        if zv < 1:
-            eps = mp.mpf(1) / 16
-            pieces = [(lambda u: phi(1 - u ** (1 / zv)) / zv, mp.mpf(0), eps**zv),
-                      (integrand, eps, mp.mpf(1))]
-        return sum(reference_composite_gl(f, lo, hi, spec.points_per_panel, 2 * spec.panels)
-                   for f, lo, hi in pieces)
+        fresh = PadeApprox(approx.num, approx.den)
+        m, K, psi = (setup := _octave_setup(fresh))[:3]
+        zm = to_mpf(z) - m
+        a, e, g = mp.mpf(2) ** -zm, zm - 1, mp.prec + 20
+        (f, phi), (f_head, head) = _fixed_point_phi(psi), _head_series(fresh, setup)
+        nodes = _octave_nodes(spec.points_per_panel, 2 * max(1, spec.panels // 4), mp.prec)
+        total = 0
+        for s, w, log in zip(*nodes):
+            acc = 0
+            for k in reversed(range(K)):  # Horner in a = 2^-z', from the last octave
+                _, man, exp, _ = mp.fsub(1, mp.ldexp(mp.make_mpf(s), -k - 1), exact=True)._mpf_
+                acc = phi(man, -exp) + (acc * floor_fixed(a, g) >> g)
+            with mp.workprec(g):
+                c = mp.make_mpf(w) * mp.exp(mp.fmul(e, mp.make_mpf(log), exact=True))
+            total += floor_fixed(c, g) * acc
+        terms = sum((c << g) // (floor_fixed(zm, g) + (k << g)) for k, c in enumerate(head))
+        return a**K * mp.ldexp(mp.mpf(terms), -f_head) + a * mp.ldexp(mp.mpf(total), -g - f)
 
 
 def oscillator_conjugate(order):
@@ -243,16 +265,14 @@ def oscillator_conjugate(order):
     return pade_construct(reduced, order // 2, order - order // 2)
 
 
-@pytest.mark.filterwarnings("ignore::facseries.evaluate.QuadratureConvergenceWarning")
 class TestNodeTables:
-    # z = 1/beta: integer (20, 5), half-integer (1/2, 5/2), generic (7/3, 1/4),
-    # each on mpf_pow's own branch, on both sides of z = 1
+    # z = 1/beta on both sides of 1, integer (20, 5, 1/2 ... ) and not (5/2, 7/3, 1/4)
     BETAS = [Fraction(1, 20), Fraction(1, 5), Fraction(2), Fraction(2, 5),
              Fraction(3, 7), Fraction(4)]
 
     def test_tabled_integral_is_the_untabled_rule(self):
         approx = oscillator_conjugate(12)
-        cases = [(beta, prec, spec) for spec in (QuadratureSpec(), QuadratureSpec(12, 3))
+        cases = [(beta, prec, spec) for spec in (QuadratureSpec(), QuadratureSpec(24, 5))
                  for prec in (PrecisionContext(30), PrecisionContext(64)) for beta in self.BETAS]
         expected = {case: reference_euler_integral(approx, 1 / case[0], case[2], case[1])._mpf_
                     for case in cases}
@@ -261,22 +281,42 @@ class TestNodeTables:
             for beta, prec, spec in cases:
                 got = _euler_integral(approx, 1 / beta, spec, prec)
                 assert got._mpf_ == expected[beta, prec, spec], (beta, prec, spec)
-        # [0, 1] and [1/16, 1] at two panel counts, two specs, two precisions
-        assert len([k for k in approx._node_tables if k[-1] != "log"]) == 16
+        # the set-up, a head per precision, and per precision the octave tables of
+        # the default spec (2 and 4 panels) and of 24 x 5 (1 and 2 panels)
+        kinds = [k if isinstance(k, str) else k[0] for k in approx._node_tables]
+        assert sorted(kinds) == ["head"] * 2 + ["setup"] + ["table"] * 8
 
-    def test_each_node_value_is_the_untabled_one(self, monkeypatch):
-        # the sums above can absorb a one-ulp change of a single term; this cannot
-        monkeypatch.setattr(evaluate, "_gl_sum", lambda rows, *bounds: list(rows))
+    def test_each_node_value_is_the_untabled_one(self):
+        # the sums above can absorb a one-unit change of a single entry; this cannot
         approx = oscillator_conjugate(12)
-        for prec in (PrecisionContext(30), PrecisionContext(64)):
+        for prec, (points, panels) in itertools.product(
+                (PrecisionContext(30), PrecisionContext(64)), ((32, 2), (32, 4), (24, 1))):
             with prec.workdps(10):
-                phi = _fixed_point_phi(approx)
-                for beta, lo in itertools.product(self.BETAS, (mp.mpf(0), mp.mpf(1) / 16)):
-                    zv = to_mpf(1 / beta)
-                    rows = _weighted_gl(approx, zv, lo, mp.mpf(1), 32, 8)
-                    ts = [mp.make_mpf(t) for _, t, _ in rows]
-                    expected = [(t ** (zv - 1) * phi(1 - t))._mpf_ for t in ts]
-                    assert [f for _, _, f in rows] == expected, beta
+                _, K, psi = (setup := _octave_setup(approx))[:3]
+                f, columns = _octave_table(approx, setup, points, panels)
+                phi = _fixed_point_phi(psi)[1]
+                ss = _octave_nodes(points, panels, mp.prec)[0]
+                assert len(columns) == len(ss) == points * panels
+                for s, column in zip(ss, columns):
+                    us = [mp.fsub(1, mp.ldexp(mp.make_mpf(s), -k - 1), exact=True)._mpf_
+                          for k in reversed(range(K))]
+                    assert column == [phi(man, -exp) for _, man, exp, _ in us]
+
+    def test_universal_nodes(self):
+        # the rule on [1, 2]: nodes and weights of the composite rule, and their logs
+        for prec, (points, panels) in itertools.product(
+                (PrecisionContext(30), PrecisionContext(64)), ((32, 2), (32, 4), (24, 1))):
+            with prec.workdps(10):
+                nodes, weights = _gauss_legendre_nodes(points)
+                half = mp.mpf(1) / (2 * panels)
+                ss, ws, logs = _octave_nodes(points, panels, mp.prec)
+                assert ss == [(1 + (2 * p + 1) * half + half * x)._mpf_
+                              for p in range(panels) for x in nodes]
+                assert ws == [(w * half)._mpf_ for _ in range(panels) for w in weights]
+                bound = mp.ldexp(1, -mp.prec - 8)
+                for s, log in zip(ss, logs):
+                    with mp.workprec(mp.prec + 40):
+                        assert abs(mp.make_mpf(log) - mp.log(mp.make_mpf(s))) <= bound
 
     def test_integral_energy_is_the_untabled_rule(self, monkeypatch):
         monkeypatch.setattr(applications, "_approx", {})
@@ -307,31 +347,35 @@ class TestNodeTables:
         assert tables > 0 and approx() is None
 
     @pytest.mark.parametrize("z, bad_u, t_range, kept", [
-        (Fraction(5, 2), lambda u: u < 0.5, (0.5, 1), 0),  # the [0, 1] table
-        (Fraction(1, 3), lambda u: u < 0.5, (0.5, 1), 0),  # the [1/16, 1] table
-        # the left piece, whose phi(1 - u^3) reads above 15/16 at u < (1/16)^(1/3),
-        # after the [1/16, 1] table at 8 panels and its logs are built, and kept
-        (Fraction(1, 3), lambda u: u > 0.9375, (0, 0.397), 2),
+        # the coarse table (2 panels) is built first, on both sides of z = 1
+        (Fraction(5, 2), lambda build, u: u < 0.5, (0.5, 1), ["head", "setup"]),
+        (Fraction(1, 3), lambda build, u: u < 0.5, (0.5, 1), ["head", "setup"]),
+        # the fine table (4 panels) in its last octave, after the coarse one is kept
+        (Fraction(1, 3), lambda build, u: build > 0 and u > 0.9375, (0, 0.0625),
+         ["head", "setup", "table"]),
     ])
     def test_non_finite_phi_raises_and_is_not_kept(self, monkeypatch, z, bad_u, t_range, kept):
-        def nan_at_one_node(p):
-            phi, hit = _fixed_point_phi(p), []
+        builds = []
 
-            def bad(u):
-                if bad_u(u) and not hit:
-                    hit.append(u)
-                    return mp.nan
-                return phi(u)
+        def den_zero_at_one_node(p):
+            (f, phi), hit, build = _fixed_point_phi(p), [], len(builds)
+            builds.append(p)
 
-            return bad
+            def bad(m, s):
+                if bad_u(build, m / 2**s) and not hit:
+                    hit.append(m)
+                    raise ZeroDivisionError
+                return phi(m, s)
+
+            return f, bad
 
         approx = pade_construct([Fraction(1, n + 1) for n in range(5)], 2, 2)
-        monkeypatch.setattr(evaluate, "_fixed_point_phi", nan_at_one_node)
-        for _ in range(2):
+        monkeypatch.setattr(evaluate, "_fixed_point_phi", den_zero_at_one_node)
+        for _ in range(2):  # from the failing build on, each build meets one bad node
             with pytest.raises(IntegrationError, match="non-finite integrand value") as info:
                 _euler_integral(approx, z, QuadratureSpec(), PREC)
             assert t_range[0] < float(str(info.value).split("t=")[1]) < t_range[1]
-            assert len(approx._node_tables) == kept
+            assert sorted(k if isinstance(k, str) else k[0] for k in approx._node_tables) == kept
         monkeypatch.undo()
         assert _euler_integral(approx, z, QuadratureSpec(), PREC) == \
             reference_euler_integral(approx, z, QuadratureSpec(), PREC)
@@ -437,7 +481,7 @@ class TestFixedPointPhi:
             s = data.draw(st.integers(0, mp.prec), label="s")
             m = data.draw(st.integers(0, 2**s), label="m")
             u = Fraction(m, 2**s)
-            fixed = []
+            scales, accs = [], []
             for coeffs, (w, fixed_coeffs) in zip((p.num, p.den), _fixed_point(p)):
                 big = max(abs(c) for c in coeffs)
                 if big:  # 2^-w is max|c| 2^-(prec+guard) to within a factor of 4
@@ -445,14 +489,16 @@ class TestFixedPointPhi:
                 exact = sum(c * u**k for k, c in enumerate(coeffs)) * Fraction(2) ** w
                 acc = _horner_fixed(fixed_coeffs, m, s)
                 assert abs(acc - exact) <= len(coeffs)  # (deg+1) units of 2^-w
-                fixed.append(acc * Fraction(2) ** -w)
-            if fixed[1] == 0:
+                scales.append(w)
+                accs.append(acc)
+            (wn, wd), (n_acc, d_acc) = scales, accs
+            if d_acc == 0:
                 return
-            got = _fixed_point_phi(p)(mp.ldexp(m, -s))
-            _, man, exp, bc = got._mpf_
-            # the quotient is rounded once, to nearest
-            half_ulp = Fraction(2) ** (exp + bc - mp.prec - 1) if man else 0
-            assert abs(mpf_fraction(got) - fixed[0] / fixed[1]) <= half_ulp
+            # the quotient is one floor division, its unit below one unit of N over D
+            f, phi = _fixed_point_phi(p)
+            assert f == mp.prec + 40 + wn - wd
+            assert phi(m, s) == (n_acc << (mp.prec + 40)) // d_acc
+            assert abs(d_acc) < 2 ** (mp.prec + 40)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -466,19 +512,18 @@ class TestFixedPointPhi:
         p = PadeApprox(num=tuple(num), den=(Fraction(1),) + tuple(den_tail))
         tiny = PadeApprox(num=tuple(c / 2**200 for c in num), den=p.den)
         with PREC.workdps(10):
-            u = mp.ldexp(m, -74)
-            value = _fixed_point_phi(tiny)(u)
-            assert value == mp.ldexp(_fixed_point_phi(p)(u), -200)
-            at_u = [sum(c * mpf_fraction(u) ** k for k, c in enumerate(cs)) for cs in (tiny.num, tiny.den)]
+            (f_tiny, phi_tiny), (f, phi) = _fixed_point_phi(tiny), _fixed_point_phi(p)
+            assert phi_tiny(m, 74) == phi(m, 74) and (f_tiny == f + 200 or not any(num))
+            u = Fraction(m, 2**74)
+            at_u = [sum(c * u**k for k, c in enumerate(cs)) for cs in (tiny.num, tiny.den)]
             if at_u[0] == 0:
                 return
-            # each polynomial within (deg+1) 2^-w < 2^-(prec+4) max|c|, then one rounding
-            rnd = Fraction(2) ** -mp.prec
-            eps_n, eps_d = (rnd / 16 * max(abs(c) for c in cs) / abs(v)
+            # each polynomial within (deg+1) 2^-w < 2^-(prec+4) max|c|, then the floor
+            value, exact = Fraction(phi_tiny(m, 74), 2**f_tiny), at_u[0] / at_u[1]
+            eps_n, eps_d = (Fraction(1, 2 ** (mp.prec + 4)) * max(abs(c) for c in cs) / abs(v)
                             for cs, v in zip((tiny.num, tiny.den), at_u))
-            quotient = (eps_n + eps_d) / (1 - eps_d)
-            bound = quotient + rnd + quotient * rnd
-            assert abs(mpf_fraction(value) / (at_u[0] / at_u[1]) - 1) <= bound
+            bound = (eps_n + eps_d) / (1 - eps_d) + Fraction(1, 2**f_tiny) / abs(exact)
+            assert abs(value / exact - 1) <= bound
 
     def test_integral_scales_exactly_with_tiny_coefficients(self):
         d = e1_factorial_coeffs(21)

@@ -233,6 +233,11 @@ class TestTransformMatrix:
         assert m.entry(3, 1) == 0
         assert m.entry(2, 4) == 0  # above the diagonal
 
+    @pytest.mark.parametrize("build", [TransformMatrix.identity, TransformMatrix.stirling_pair])
+    def test_negative_size_rejected(self, build):
+        with pytest.raises(DomainError):
+            build(-3)
+
     def test_stirling_pair_orthogonal(self):
         m = TransformMatrix.stirling_pair(12)
         m.verify_orthogonality()
