@@ -35,7 +35,7 @@ class PadeApprox:
 
     num: tuple[Fraction, ...]  # length L+1
     den: tuple[Fraction, ...]  # length M+1, den[0] == 1
-    _node_tables = cached_property(lambda self: {})  # evaluate._weighted_gl's quadrature nodes
+    _node_tables = cached_property(lambda self: {})  # evaluate._euler_integral: set-up, head, octave tables
 
     @property
     def L(self) -> int:
