@@ -214,20 +214,6 @@ class TestEulerIntegral:
             euler_integral_eval([Fraction(1)], -1, 0, 0, QuadratureSpec(), PREC)
 
 
-def reference_composite_gl(f, lo, hi, points, panels):
-    """The composite rule with no node table: f at every node, summed in mpf."""
-    nodes, weights = _gauss_legendre_nodes(points)
-    total = mp.mpf(0)
-    width = (hi - lo) / panels
-    for p in range(panels):
-        a = lo + p * width
-        half = width / 2
-        mid = a + half
-        for x, w in zip(nodes, weights):
-            total += w * f(mid + half * x)
-    return total * width / 2
-
-
 def floor_fixed(x, bits):
     """floor(x 2^bits) for an mpf x, exactly."""
     return math.floor(mpf_fraction(x) * Fraction(2) ** bits)
