@@ -18,14 +18,17 @@ diverges).  With h = 2^-K and a = 2^-z',
 so one Gauss-Legendre rule on [1, 2] serves every octave.  Its nodes carry
 Phi_j = sum_k a^k psi_(k,j), an integer Horner in a over a fixed-point table
 psi_(k,j) that depends on the approximant alone (kept in PadeApprox._node_tables),
-and a request forms only the powers s_j^(z'-1).  The head is exact for every
-z' > 0: h^z' sum_k c_k h^k/(z'+k), c_k the Taylor coefficients of psi(1-t) at
-t = 0 from the exact shift num(1-t), den(1-t) and a fixed-point division.  K >= 4
+and a request forms only the powers a s_j^(z'-1) = (s_j/2)^(z'-1)/2, at most 1
+for every z'.  The head is exact for every z' > 0: h^z' sum_k c_k h^k/(z'+k), c_k
+the Taylor coefficients of psi(1-t) at t = 0 from the exact shift num(1-t),
+den(1-t) and a fixed-point division, c_0/z' in floating point.  K >= 4
 puts h at most 1/8 of Fujiwara's lower bound on the root moduli of den(1-t)/t^m,
 so the head series converges like 5^-k or faster.  A QuadratureSpec(points, panels)
 runs max(1, panels // 4) panels of `points` nodes on [1, 2], then twice as many,
 the second pass taking the head one term further; the value is the second pass,
-their difference the estimate.
+their difference the estimate.  The layer of t^(z'-1) at t = 1 is about 1/z' wide,
+so while z' exceeds `points` times the coarse panel count, that count doubles, up
+to 64; past z' = 64 `points` the rule warns that z' is out of its reach.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate
 from math import comb, factorial
 from typing import Callable, Optional, Sequence
@@ -65,15 +68,16 @@ __all__ = [
 
 
 class QuadratureConvergenceWarning(UserWarning):
-    """Doubling the panel count moved the result by more than 10^-(P/2)."""
+    """Doubling the panel count moved the result by more than 10^-(P/2), or z' is
+    past the Euler integral's reach."""
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Legendre points per panel and a panel count; each rule runs a coarse
-    and a fine pass.  quadrature_01 cuts [0, 1] into `panels`, then 2 `panels`,
-    panels; the Euler integral's octave rule cuts [1, 2] into max(1, panels // 4),
-    then twice as many."""
+    and a fine pass.  quadrature_01 cuts [0, 1] into `panels`, then 2 `panels`
+    panels; the Euler integral's octave rule cuts [1, 2] into max(1, panels // 4)
+    (more for z' past `points` times that), then twice as many."""
 
     points_per_panel: int = 32
     panels: int = 8
@@ -172,13 +176,9 @@ def _composite_gl(f: Callable, lo, hi, points: int, panels: int) -> mpmath.mpf:
     return total * width / 2
 
 
-def _panel_doubled(pieces: Sequence, spec: QuadratureSpec, prec: PrecisionContext) -> mpmath.mpf:
-    """Composite Gauss-Legendre summed over pieces, each a rule(points, panels), at
-    spec.panels and at twice as many; warns and returns as quadrature_01 describes."""
-    coarse, fine = (
-        sum(rule(spec.points_per_panel, panels) for rule in pieces)
-        for panels in (spec.panels, 2 * spec.panels)
-    )
+def _refined(coarse: mpmath.mpf, fine: mpmath.mpf, prec: PrecisionContext) -> mpmath.mpf:
+    """fine, after a QuadratureConvergenceWarning if it differs from coarse by more
+    than 10^-(P/2) relative (absolute if fine is 0)."""
     if abs(fine - coarse) / (abs(fine) or 1) > prec.tol(prec.digits // 2):
         warnings.warn(
             f"panel doubling moved the estimate by {abs(fine - coarse)}",
@@ -199,7 +199,9 @@ def quadrature_01(
     0), a QuadratureConvergenceWarning is emitted.  The refined value is returned.
     """
     with prec.workdps(10):
-        return _panel_doubled([partial(_composite_gl, f, mp.mpf(0), mp.mpf(1))], spec, prec)
+        coarse, fine = (_composite_gl(f, mp.mpf(0), mp.mpf(1), spec.points_per_panel, n)
+                        for n in (spec.panels, 2 * spec.panels))
+        return _refined(coarse, fine, prec)
 
 
 # --- summation back-ends ----------------------------------------------------
@@ -351,17 +353,23 @@ def _euler_integral(
         if not (zv > m):
             pole = f" (phi has a pole of order {m} at t = 0)" if m else ""
             raise DomainError(f"integral representation requires z > {m}, got {z}{pole}")
-        zm, g = zv - m, mp.prec + 20
-        a, zf, (f, head) = mp.mpf(2) ** -zm, libmp.to_fixed(zm._mpf_, g), _head_series(approx, setup)
-        coarse = max(1, spec.panels // 4)
+        zm = to_mpf(z - m) if isinstance(z, (int, Fraction)) else zv - m  # exact z - m
+        a, g, (f, head) = mp.mpf(2) ** -zm, mp.prec + 20, _head_series(approx, setup)
+        zf, coarse = libmp.to_fixed(zm._mpf_, g), max(1, spec.panels // 4)
+        while spec.points_per_panel * coarse < zm and coarse < 64:  # the layer at t = 1
+            coarse *= 2
+        if spec.points_per_panel * coarse < zm:
+            warnings.warn(f"z' = {zm} is past the octave rule's reach", QuadratureConvergenceWarning)
 
-        def rule(points: int, panels: int) -> mpmath.mpf:
-            fine = panels > spec.panels  # the fine pass also takes the head one term further
-            terms = sum((e << g) // (zf + (k << g)) for k, e in enumerate(head[: len(head) - 1 + fine]))
-            return (a**K * mp.make_mpf(libmp.from_man_exp(terms, -f, mp.prec, libmp.round_nearest))
-                    + a * _octave_sum(approx, setup, zm, a, points, coarse << fine))
+        def octaves(n: int, panels: int) -> mpmath.mpf:
+            """The rule with the head's first n terms; E_0/z' in floating point, as
+            z' may lie far below 2^-g."""
+            rest = sum((e << g) // (zf + (k << g)) for k, e in enumerate(head[1:n], 1))
+            head_sum = mp.ldexp((head[0] / zm if n else 0) + rest, -f)
+            return a**K * head_sum + _octave_sum(approx, setup, zm, a, spec.points_per_panel, panels)
 
-        return _panel_doubled([rule], spec, prec)
+        # the fine pass doubles the panels and takes the head one term further
+        return _refined(octaves(len(head) - 1, coarse), octaves(len(head), 2 * coarse), prec)
 
 
 def _octave_setup(approx: PadeApprox) -> tuple:
@@ -419,16 +427,16 @@ def _head_series(approx: PadeApprox, setup: tuple) -> tuple[int, list[int]]:
 @cache
 def _octave_nodes(points: int, panels: int, prec: int) -> tuple[list, list, list]:
     """Nodes s_j of the composite rule on [1, 2], their weights with the panel's
-    half-width folded in, and log s_j, as _mpf_; called at mpmath precision prec.
+    half-width folded in, and log(s_j/2), as _mpf_; called at mpmath precision prec.
 
-    log s = log c + 2 atanh(y), y = (s - c)/(s + c), c the panel's midpoint: |y| < 1/9,
-    so the series runs in fixed point and mpf_log meets only the midpoints.
+    log(s/2) = log(c/2) + 2 atanh(y), y = (s - c)/(s + c), c the panel's midpoint:
+    |y| < 1/9, so the series runs in fixed point and mpf_log meets only the midpoints.
     """
     nodes, weights = _gauss_legendre_nodes(points)
     half, bits, rows = mp.mpf(1) / (2 * panels), prec + 20, []
     for p in range(panels):
         c = 1 + (2 * p + 1) * half
-        cf, log_c = (libmp.to_fixed(v, bits) for v in (c._mpf_, libmp.mpf_log(c._mpf_, bits)))
+        cf, log_c = (libmp.to_fixed(v, bits) for v in (c._mpf_, libmp.mpf_log((c / 2)._mpf_, bits)))
         for x, w in zip(nodes, weights):
             s = c + half * x
             sf = libmp.to_fixed(s._mpf_, bits)
@@ -462,8 +470,9 @@ def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int) ->
 
 
 def _octave_sum(approx: PadeApprox, setup: tuple, zm, a, points: int, panels: int) -> mpmath.mpf:
-    """sum_j W_j s_j^(z'-1) Phi_j, Phi_j = sum_k a^k psi_(k,j) by integer Horner in
-    a = 2^-z' (a < 1, so each step's rounding stays one unit of 2^-F)."""
+    """a sum_j W_j s_j^(z'-1) Phi_j = sum_j W_j (s_j/2)^(z'-1) Phi_j / 2, whose powers
+    stay at most 2 however large z' is; Phi_j = sum_k a^k psi_(k,j) by integer
+    Horner in a = 2^-z' (a < 1, so each step's rounding stays one unit of 2^-F)."""
     f, columns = _octave_table(approx, setup, points, panels)
     _, weights, logs = _octave_nodes(points, panels, mp.prec)
     g, rnd = mp.prec + 20, libmp.round_nearest
@@ -474,4 +483,4 @@ def _octave_sum(approx: PadeApprox, setup: tuple, zm, a, points: int, panels: in
             acc = v + (acc * A >> g)
         power = libmp.mpf_exp(libmp.mpf_mul(e, log), g, rnd)
         total += libmp.to_fixed(libmp.mpf_mul(w, power, g, rnd), g) * acc
-    return mp.make_mpf(libmp.from_man_exp(total, -g - f, mp.prec, rnd))
+    return mp.make_mpf(libmp.from_man_exp(total, -g - f - 1, mp.prec, rnd))

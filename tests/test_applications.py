@@ -28,11 +28,12 @@ from facseries.applications import (
 from facseries.errors import DomainError, IntegrityError, PoleInDomainError
 from facseries.evaluate import (
     QuadratureSpec,
+    _euler_integral,
     _octave_setup,
     _octave_sum,
     euler_integral_eval,
 )
-from facseries.pade import pade_construct, pade_eval
+from facseries.pade import PadeApprox, pade_construct, pade_eval
 from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
 from facseries.transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
@@ -419,12 +420,12 @@ def pade_builds(monkeypatch):
     return calls
 
 
-def closed_form_energy(approx, betas, dps=110):
-    """1 + int_0^1 t^(z-1) phi(1-t) dt at z = 1/beta for each beta, phi = num/den
-    the approximant, in closed form at dps digits: with u_k den's roots (simple,
-    none in [0, 1]) and r_k = num(u_k)/den'(u_k) their residues, c_k = 1 - u_k,
-    the integral is q/z + sum_k r_k 2F1(1, z; z+1; 1/c_k)/(c_k z), q = num_L/den_M
-    when L = M and 0 when L < M."""
+def closed_form_integral(approx, zs, dps=110):
+    """int_0^1 t^(z-1) phi(1-t) dt for each z in zs, phi = num/den the approximant,
+    in closed form at dps digits: with u_k den's roots (simple, none in [0, 1]) and
+    r_k = num(u_k)/den'(u_k) their residues, c_k = 1 - u_k, the integral is
+    q/z + sum_k r_k 2F1(1, z; z+1; 1/c_k)/(c_k z), q = num_L/den_M when L = M and
+    0 when L < M."""
     with mp.workdps(dps):
         num, den = ([mp.mpf(c.numerator) / c.denominator for c in cs]
                     for cs in (approx.num, approx.den))
@@ -433,26 +434,61 @@ def closed_form_energy(approx, betas, dps=110):
         poles = [(1 - u, mp.polyval(num[::-1], u) / mp.polyval(dden[::-1], u))
                  for u in mp.polyroots(den[::-1], maxsteps=400, extraprec=2 * dps)]
         out = {}
-        for beta in betas:
-            z = mp.mpf(beta.denominator) / beta.numerator
+        for zq in zs:
+            z = mp.mpf(zq.numerator) / zq.denominator
             total = q / z + sum(r * mp.hyp2f1(1, z, z + 1, 1 / c) / (c * z) for c, r in poles)
-            out[beta] = 1 + mp.re(total)
+            out[zq] = mp.re(total)
         return out
 
 
+def closed_form_energy(approx, betas, dps=110):
+    """1 + the closed-form integral at z = 1/beta for each beta."""
+    integrals = closed_form_integral(approx, [1 / beta for beta in betas], dps)
+    with mp.workdps(dps):
+        return {beta: 1 + integrals[1 / beta] for beta in betas}
+
+
 class TestIntegralOracle:
-    # z = 1/beta from 20 down to 1/4, generic values next to z = 1 included
+    # z = 1/beta from 20 down to 1/4, generic values next to z = 1 included; at
+    # order 34 also z from 150 to 2048, where the panels on [1, 2] double
     BETAS_34 = [Fraction(1, 20), Fraction(1, 5), Fraction(7, 10), Fraction(9, 10),
                 Fraction(1001, 1000), Fraction(10, 7), Fraction(2), Fraction(217, 100),
                 Fraction(4)]
 
-    @pytest.mark.parametrize("order, betas", [(34, BETAS_34), (53, [Fraction(1, 5), Fraction(4)])])
+    @pytest.mark.parametrize("order, betas", [
+        (34, BETAS_34 + [Fraction(1, 150), Fraction(1, 1000), Fraction(1, 2048)]),
+        (53, [Fraction(1, 5), Fraction(4)])])
     def test_printed_digits_are_the_closed_form(self, order, betas):
         oracle = closed_form_energy(applications._oscillator_approx(order, "integral"), betas)
         for beta in betas:
             energy = oscillator_energy(beta, order, "integral", PREC)
             with mp.workdps(110):
                 assert mp.nstr(energy, 64) == mp.nstr(oracle[beta], 64), beta
+
+    # the rule alone, off the oscillator: z' from 10^-30 up, other octave counts K,
+    # and a den root next to u = 1, which the head series has to carry
+    @pytest.mark.parametrize("L, K", [(10, 11), (20, 13)])
+    def test_e1_approximant_is_the_closed_form(self, L, K):
+        d = e1_factorial_coeffs(2 * L + 1)
+        approx = pade_construct([dn / factorial(n) for n, dn in enumerate(d)], L, L + 1)
+        assert _octave_setup(approx)[:2] == (0, K)
+        self.assert_every_digit(approx, [Fraction(1, 10**30), Fraction(1, 3), Fraction(7, 3), Fraction(5)])
+
+    def test_den_root_next_to_one(self):
+        # phi = (1 + u/3)/((1 - u/r)(1 + u/2)), r = 1 + 10^-3: den(1-t) vanishes at t = -10^-3
+        r = 1 + Fraction(1, 1000)
+        approx = PadeApprox(num=(Fraction(1), Fraction(1, 3)),
+                            den=(Fraction(1), Fraction(1, 2) - 1 / r, -1 / (2 * r)))
+        assert _octave_setup(approx)[:2] == (0, 14)
+        self.assert_every_digit(approx, [Fraction(1, 10**6), Fraction(1, 3), Fraction(5, 2), Fraction(20)])
+
+    @staticmethod
+    def assert_every_digit(approx, zs):
+        oracle = closed_form_integral(approx, zs)
+        for z in zs:
+            value = _euler_integral(approx, z, QuadratureSpec(), PREC)
+            with mp.workdps(110):
+                assert abs(value - oracle[z]) < abs(oracle[z]) * mp.mpf(10) ** -(PREC.digits + 1), z
 
 
 class TestOscillatorEnergy:

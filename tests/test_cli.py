@@ -19,6 +19,7 @@ from facseries.applications import e1_factorial_coeffs, e1_inverse_power_coeffs
 from facseries import cli
 from facseries.acceleration import TransformInput, levin, weniger_s
 from facseries.cli import _fmt, _load_terms, build_parser, main
+from facseries.evaluate import QuadratureConvergenceWarning
 from facseries.pade import pade_construct, pade_eval
 from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
 
@@ -431,6 +432,20 @@ class TestOscillator:
         )
         assert code == 0
         assert "reference" not in doc
+
+    def test_integral_at_extreme_coupling(self, capsys):
+        # z = 1/beta far below the fixed-point unit: every digit of the closed form
+        code, doc = run_json(capsys, "oscillator", "--beta", "1e100", "--order", "34",
+                             "--method", "integral")
+        assert code == 0
+        assert doc["energies"]["integral"] == \
+            "1.106108199286351291357048323866428921911588721779352429376521289e+99"
+        # and far past the octave rule's reach, which warns; 1 + beta omega still prints 1
+        with pytest.warns(QuadratureConvergenceWarning, match="reach"):
+            code, doc = run_json(capsys, "oscillator", "--beta", "1e-100", "--order", "34",
+                                 "--method", "integral")
+        assert code == 0
+        assert doc["energies"]["integral"] == "1.0"
 
     @pytest.mark.parametrize("order", ["200", "300", "0"])
     def test_order_out_of_range_names_the_value(self, capsys, order):

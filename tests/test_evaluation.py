@@ -209,6 +209,28 @@ class TestEulerIntegral:
         with PREC.workdps():
             assert abs(v - 2) < PREC.tol(20)
 
+    def test_tiny_z_prints_every_digit(self):
+        # phi = 1: the head's first term 1/z' is the whole integral, and z' lies far
+        # below the fixed-point unit of the head's other terms
+        for z in (Fraction(1, 10**30), Fraction(1, 10**100)):
+            v = euler_integral_eval([Fraction(1)], z, 0, 0, QuadratureSpec(), PREC)
+            with PREC.workdps():
+                assert mp.nstr(v, PREC.digits) == mp.nstr(mp.mpf(z.denominator), PREC.digits)
+        # phi = 1/(1-u) at z = 1 + 10^-40: integral 1/(z-1), z - 1 formed exactly
+        v = euler_integral_eval([Fraction(1)] * 3, 1 + Fraction(1, 10**40), 1, 1,
+                                QuadratureSpec(), PREC)
+        with PREC.workdps():
+            assert mp.nstr(v, PREC.digits) == mp.nstr(mp.mpf(10) ** 40, PREC.digits)
+
+    def test_large_z_up_to_the_reach(self):
+        # phi = 1: integral 1/z; the panels on [1, 2] double up to 64 coarse ones,
+        # enough for the layer at t = 1 up to z = 64 points per panel, and no further
+        v = euler_integral_eval([Fraction(1)], 2048, 0, 0, QuadratureSpec(), PREC)
+        with PREC.workdps():
+            assert mp.nstr(v, PREC.digits) == mp.nstr(mp.mpf(1) / 2048, PREC.digits)
+        with pytest.warns(QuadratureConvergenceWarning, match="reach"):
+            euler_integral_eval([Fraction(1)], 2049, 0, 0, QuadratureSpec(), PREC)
+
     def test_z_positive_required(self):
         with pytest.raises(DomainError):
             euler_integral_eval([Fraction(1)], -1, 0, 0, QuadratureSpec(), PREC)
@@ -226,7 +248,7 @@ def reference_euler_integral(approx, z, spec, prec):
     with prec.workdps(10):
         fresh = PadeApprox(approx.num, approx.den)
         m, K, psi = (setup := _octave_setup(fresh))[:3]
-        zm = to_mpf(z) - m
+        zm = to_mpf(z - m) if isinstance(z, (int, Fraction)) else to_mpf(z) - m
         a, e, g = mp.mpf(2) ** -zm, zm - 1, mp.prec + 20
         (f, phi), (f_head, head) = _fixed_point_phi(psi), _head_series(fresh, setup)
         nodes = _octave_nodes(spec.points_per_panel, 2 * max(1, spec.panels // 4), mp.prec)
@@ -239,8 +261,10 @@ def reference_euler_integral(approx, z, spec, prec):
             with mp.workprec(g):
                 c = mp.make_mpf(w) * mp.exp(mp.fmul(e, mp.make_mpf(log), exact=True))
             total += floor_fixed(c, g) * acc
-        terms = sum((c << g) // (floor_fixed(zm, g) + (k << g)) for k, c in enumerate(head))
-        return a**K * mp.ldexp(mp.mpf(terms), -f_head) + a * mp.ldexp(mp.mpf(total), -g - f)
+        zf = floor_fixed(zm, g)
+        rest = sum((c << g) // (zf + (k << g)) for k, c in enumerate(head[1:], 1))
+        # a s^(z'-1) = (s/2)^(z'-1)/2: the logs are of s/2
+        return a**K * mp.ldexp(head[0] / zm + rest, -f_head) + mp.ldexp(mp.mpf(total), -g - f - 1)
 
 
 def oscillator_conjugate(order):
@@ -289,7 +313,7 @@ class TestNodeTables:
                     assert column == [phi(man, -exp) for _, man, exp, _ in us]
 
     def test_universal_nodes(self):
-        # the rule on [1, 2]: nodes and weights of the composite rule, and their logs
+        # the rule on [1, 2]: nodes and weights of the composite rule, and the logs of s/2
         for prec, (points, panels) in itertools.product(
                 (PrecisionContext(30), PrecisionContext(64)), ((32, 2), (32, 4), (24, 1))):
             with prec.workdps(10):
@@ -302,7 +326,7 @@ class TestNodeTables:
                 bound = mp.ldexp(1, -mp.prec - 8)
                 for s, log in zip(ss, logs):
                     with mp.workprec(mp.prec + 40):
-                        assert abs(mp.make_mpf(log) - mp.log(mp.make_mpf(s))) <= bound
+                        assert abs(mp.make_mpf(log) - mp.log(mp.make_mpf(s) / 2)) <= bound
 
     def test_integral_energy_is_the_untabled_rule(self, monkeypatch):
         monkeypatch.setattr(applications, "_approx", {})
