@@ -130,13 +130,10 @@ def _emit_csv(path, header: list, rows: list) -> None:
 
 
 def _cmd_stirling(args, prec):
-    from .stirling import _next_row
+    from .stirling import _check_index, _next_row
 
     n, k = args.n, args.k
-    if k is None and n < 0:
-        raise DomainError(f"row index must be >= 0, got {n}")
-    if k is not None and not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
+    _check_index(n, k)  # the checks of StirlingCache.row and value, without a cache
     row = [1]
     for m in range(n):  # one row at a time, not the triangle, and of it entries 0..k only
         row = _next_row(args.kind, m, row)[: None if k is None else k + 1]
@@ -164,7 +161,7 @@ _KIND_ALIAS = {"invpow": SeriesKind.INVERSE_POWER, "fact": SeriesKind.FACTORIAL,
 def _cmd_transform(args, prec):
     key = (args.src, args.dst)
     if key not in _TRANSFORMS:
-        raise DomainError(f"no transform from {args.src} to {args.dst}")
+        raise _UsageError(f"no transform from {args.src} to {args.dst}")
     series = _load_series(args.infile)
     if series.kind is not _KIND_ALIAS[args.src]:
         raise IntegrityError(

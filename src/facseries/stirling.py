@@ -61,14 +61,19 @@ class StirlingCache:
         return self._rows
 
     def row(self, n: int) -> list[int]:
-        if n < 0:
-            raise DomainError(f"row index must be >= 0, got {n}")
+        _check_index(n)
         return list(self._extend(n)[n])
 
     def value(self, n: int, k: int) -> int:
-        if not 0 <= k <= n:
-            raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
+        _check_index(n, k)
         return self._extend(n)[n][k]
+
+
+def _check_index(n: int, k: int | None = None) -> None:  # row n >= 0; given k, 0 <= k <= n
+    if k is None and n < 0:
+        raise DomainError(f"row index must be >= 0, got {n}")
+    if k is not None and not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
 
 
 def _next_row(kind: int, m: int, prev: list[int]) -> list[int]:
@@ -94,8 +99,7 @@ def stirling2(n: int, k: int) -> int:
 
 def orthogonality_defect(n: int, k: int) -> int:
     """sum_{v=k}^{n} s1(n, v) s2(v, k) - delta_{nk}; zero for every valid (n, k)."""
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
+    _check_index(n, k)
     s1, s2 = _FIRST._extend(n)[n], _SECOND._extend(n)
     total = sum(s1[v] * s2[v][k] for v in range(k, n + 1))
     return total - (1 if n == k else 0)

@@ -6,12 +6,11 @@ The two workhorse formulas are
     c_m = (-1)^m sum_{mu<=m} (-1)^mu s2(m, mu) d_mu    (factorial -> inverse power)
 
 which are mutually inverse thanks to the Stirling orthogonality relations.
-Both, and the power-series variant producing the lambda_m coefficients of the
-product-form evaluator, are special cases of a generic inversion framework for
-pairs of lower-triangular matrices (A, B) with sum_r B_nr A_rk = delta_nk.
-Every product and solve here, the orthogonality check and the inverse included, is
-one kernel, _lower_apply, over the integer rows (D, ints) that a TransformMatrix keeps:
-it clears only the vector, so each output is one integer dot product and one Fraction.
+Both, and the power-series variant giving the lambda_m of the product-form evaluator,
+run the triangles' recurrences on the cleared vector itself (_stirling_transform).
+The generic framework for lower-triangular pairs (A, B) with sum_r B_nr A_rk = delta_nk
+keeps each matrix as integer rows (D, ints); its products, solves and orthogonality
+check are one kernel, _lower_apply, and its inverse is built on such rows.
 
 All transforms here are purely formal truncations: the leading N+1 output
 coefficients depend only on the leading N+1 inputs (triangularity), the tail
@@ -25,13 +24,14 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import count, repeat
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, IntegrityError
 from .series import FormalSeries, SeriesKind, _common_denominator
-from .stirling import _FIRST, _SECOND, StirlingCache
+from .stirling import _FIRST, _SECOND
 
 __all__ = [
     "TransformMatrix",
@@ -54,28 +54,33 @@ def _lower_apply(rows: Iterable[tuple[int, Sequence[int]]], x: Sequence) -> tupl
 
 
 def _stirling_transform(
-    series: FormalSeries, kind: SeriesKind, s: StirlingCache, order: int
+    series: FormalSeries, kind: SeriesKind, stirling: int, order: int
 ) -> tuple[Fraction, ...]:
-    """(-1)^m sum_mu s(m, mu) (-1)^mu x_mu for m = 0..order, x the coefficients
-    of a ``kind`` series, over the rows the Stirling cache ``s`` keeps."""
+    """(-1)^m sum_mu s(m, mu) (-1)^mu x_mu for m = 0..order, x the coefficients of a
+    ``kind`` series and s the Stirling triangle of kind ``stirling``, as V^m_0 / D by its
+    recurrence on V^0 = D x cleared: V^(m+1)_k = V^m_(k+1) + m V^m_k, V^m_k = L[t^k (t)_m],
+    L[t^mu] = x_mu (first kind), or V^m_(k+1) - k V^m_k, L[t^m (t)_k], L[(t)_mu] = x_mu."""
     if series.kind is not kind:
         raise DomainError(f"expected {kind.value} series, got {series.kind.value}")
     if not 0 <= order < len(series):
         raise DomainError(f"order must be in 0..{len(series) - 1}, got {order}")
-    x = [-v if mu & 1 else v for mu, v in enumerate(series.coeffs[: order + 1])]
-    y = _lower_apply(((1, row) for row in s._extend(order)[: order + 1]), x)  # not copied
-    return tuple(-v if m & 1 else v for m, v in enumerate(y))
+    dx, v = _common_denominator(series.coeffs[: order + 1])
+    out = []
+    for m in range(order + 1):  # a step is one big-by-small product an entry
+        out.append(Fraction(v[0], dx))
+        v = [a + c * b for c, a, b in zip(repeat(m) if stirling == 1 else count(0, -1), v[1:], v)]
+    return tuple(out)
 
 
 def inverse_power_to_factorial(c: FormalSeries, order: int) -> FormalSeries:
     """Factorial-series coefficients d_0..d_order from inverse-power coefficients."""
-    d = _stirling_transform(c, SeriesKind.INVERSE_POWER, _FIRST, order)
+    d = _stirling_transform(c, SeriesKind.INVERSE_POWER, 1, order)
     return FormalSeries(SeriesKind.FACTORIAL, d)
 
 
 def factorial_to_inverse_power(d: FormalSeries, order: int) -> FormalSeries:
     """Inverse of :func:`inverse_power_to_factorial` (second-kind Stirling weights)."""
-    c = _stirling_transform(d, SeriesKind.FACTORIAL, _SECOND, order)
+    c = _stirling_transform(d, SeriesKind.FACTORIAL, 2, order)
     return FormalSeries(SeriesKind.INVERSE_POWER, c)
 
 
@@ -85,7 +90,7 @@ def power_to_factorial_coeffs(gamma: FormalSeries, order: int) -> tuple[Fraction
     These feed the product-form evaluation
     sum_m (lambda_m/m!) prod_{k=1..m} z/(z+1/k); see evaluate.eval_power_as_factorial.
     """
-    return _stirling_transform(gamma, SeriesKind.POWER, _FIRST, order)
+    return _stirling_transform(gamma, SeriesKind.POWER, 1, order)
 
 
 def moments_to_factorial(moments, order: int) -> FormalSeries:
@@ -155,25 +160,29 @@ class TransformMatrix:
     def with_computed_companion(self) -> "TransformMatrix":
         """Attach the exact inverse B, built row by row by forward substitution.
 
-        Requires a nonzero diagonal.  With row r of A kept as (D_r, a), B_rr = D_r / a_r,
-        and for k < r all B_rk = -(sum_{j=k}^{r-1} a_j B_jk) / a_r are one _lower_apply
-        of the columns, each kept as (D_k, ints) zero-padded to k and rescaled only when
-        an entry's denominator does not divide D_k.  The result shares A's kept rows.
+        Requires a nonzero diagonal.  With row r of A kept as (D_r, a), B_rr = D_r / a_r and
+        B_rk = -(sum_{j=k}^{r-1} a_j B_jk) / a_r, k < r: an integer dot product with the Q B_jk,
+        Q a common denominator rescaled only when a row's does not divide it (never for an
+        integer unit-diagonal A).  Cut by its content, the row is B's kept row: no Fraction.
         """
-        b, columns = [], []
+        kept, columns, q = [], [], 1
         for r, (d_r, a) in enumerate(self._cleared):
             if (p := a[r]) == 0:
                 raise IntegrityError(f"zero diagonal entry at row {r}; not invertible")
-            b.append([*_lower_apply(((-d * p, c) for d, c in columns), a[:r]), Fraction(d_r, p)])
-            columns.append((1, [0] * r))
-            for k, v in enumerate(b[r]):
-                d, ints = columns[k]
-                if d % v.denominator:
-                    scale = lcm(d, v.denominator) // d
-                    d, ints = columns[k] = d * scale, [i * scale for i in ints]
-                ints.append(v.numerator * (d // v.denominator))
+            ints = [-sum(map(mul, a[k:r], c)) for k, c in enumerate(columns)] + [d_r * q]
+            if (g := gcd(e := p * q, *ints) * (1 if p > 0 else -1)) != 1:  # over e > 0, reduced
+                e, ints = e // g, [v // g for v in ints]
+            kept.append((e, tuple(ints)))
+            if q % e:
+                scale = lcm(q, e) // q
+                q, columns = q * scale, [[v * scale for v in c] for c in columns]
+            columns.append([])
+            for c, v in zip(columns, ints):
+                c.append(v * (q // e))
+        companion = object.__new__(TransformMatrix)  # from the kept rows, past __init__
+        vars(companion).update(_cleared=tuple(kept), companion=None, _verified=False)
         out = copy.copy(self)  # shares the kept rows; frozen, so set past __setattr__
-        vars(out).update(companion=TransformMatrix(b), _verified=False)
+        vars(out).update(companion=companion, _verified=False)
         return out
 
     def verify_orthogonality(self) -> None:

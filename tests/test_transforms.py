@@ -392,10 +392,10 @@ class TestClearedOnce:
         m = TransformMatrix(rows)
         calls = counting(monkeypatch, "_common_denominator")
         computed = m.with_computed_companion()
-        # one kernel call a row, whose vector is row r's r entries left of the diagonal,
-        # then B's 16 rows, once each at build; A's rows are not cleared again
-        assert [len(args[0]) for args in calls] == [*range(16), *range(1, 17)]
+        # B's rows are kept cleared as they are built, and A's are not cleared again
+        assert calls == []
         assert computed._cleared is m._cleared
+        assert computed.companion.rows == TransformMatrix(forward_substitution(rows)).rows
 
 
 class TestSharedFirstUse:
