@@ -610,6 +610,16 @@ class TestUsageErrors:
         path.write_text("not json {")
         assert_usage_error(capsys, ["pade", "--in", str(path), "--L", "1", "--M", "1"])
 
+    @pytest.mark.parametrize("src, dst", [("pow", "invpow"), ("fact", "fact"),
+                                          ("invpow", "invpow")])
+    def test_unsupported_transform_pair(self, capsys, tmp_path, src, dst):
+        path = tmp_path / "s.json"
+        FormalSeries(SeriesKind.POWER, [1, 2]).dump(path)
+        assert main(["transform", "--from", src, "--to", dst, "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"facseries: no transform from {src} to {dst}\n"
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

@@ -13,7 +13,7 @@ from facseries import transforms
 from facseries.applications import e1_factorial_coeffs
 from facseries.errors import DomainError, IntegrityError
 from facseries.series import FormalSeries, MomentSequence, SeriesKind, _common_denominator
-from facseries.stirling import stirling1, stirling2
+from facseries.stirling import _FIRST, _SECOND, StirlingCache, stirling1, stirling2
 from facseries.transforms import (
     TransformMatrix,
     _lower_apply,
@@ -75,6 +75,60 @@ class TestLowerApply:
         assert _lower_apply(cleared, x) == tuple(
             sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows
         )
+
+
+_REFERENCE_CACHES = {1: StirlingCache(1), 2: StirlingCache(2)}
+
+
+def row_dot_stirling_transform(series, kind, stirling, order):
+    """(-1)^m sum_mu s(m, mu) (-1)^mu x_mu by the row-dot product the transforms used
+    before they ran the recurrence: each output a dot product of the cleared vector with
+    a Stirling row, over caches of this module's own."""
+    if series.kind is not kind:
+        raise DomainError(f"expected {kind.value} series, got {series.kind.value}")
+    if not 0 <= order < len(series):
+        raise DomainError(f"order must be in 0..{len(series) - 1}, got {order}")
+    s = _REFERENCE_CACHES[stirling]
+    x = [-v if mu & 1 else v for mu, v in enumerate(series.coeffs[: order + 1])]
+    y = _lower_apply(((1, row) for row in s._extend(order)[: order + 1]), x)
+    return tuple(-v if m & 1 else v for m, v in enumerate(y))
+
+
+PUBLIC_TRANSFORMS = [  # (function, input kind, Stirling kind)
+    (inverse_power_to_factorial, SeriesKind.INVERSE_POWER, 1),
+    (factorial_to_inverse_power, SeriesKind.FACTORIAL, 2),
+    (power_to_factorial_coeffs, SeriesKind.POWER, 1),
+]
+
+
+class TestRecurrenceAgainstRowDot:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.lists(
+               st.fractions(max_denominator=10**4), min_size=n, max_size=n)),
+           st.sampled_from(PUBLIC_TRANSFORMS))
+    def test_bit_identical_at_every_order(self, x, case):
+        transform, kind, stirling = case
+        series = FormalSeries(kind, x)
+        want = row_dot_stirling_transform(series, kind, stirling, len(x) - 1)
+        for order in range(len(x)):  # output m reads only row m, so a prefix is order m's
+            got = transform(series, order)
+            got = got.coeffs if isinstance(got, FormalSeries) else got
+            assert got == want[: order + 1]
+            assert all(type(v) is Fraction for v in got)
+
+    def test_no_stirling_row_read_or_grown(self, monkeypatch):
+        order = max(_FIRST.n_max, _SECOND.n_max) + 20
+        sizes = (_FIRST.n_max, _SECOND.n_max)
+        monkeypatch.setattr(StirlingCache, "_extend", None)  # any read of a row fails
+        x = [Fraction(k - 7, 2 * k + 1) for k in range(order + 1)]
+        for transform, kind, stirling in PUBLIC_TRANSFORMS:
+            transform(FormalSeries(kind, x), order)
+        assert (_FIRST.n_max, _SECOND.n_max) == sizes
+        monkeypatch.undo()
+        for transform, kind, stirling in PUBLIC_TRANSFORMS:
+            got = transform(FormalSeries(kind, x), order)
+            got = got.coeffs if isinstance(got, FormalSeries) else got
+            assert got == row_dot_stirling_transform(FormalSeries(kind, x), kind, stirling, order)
 
 
 class TestStirlingPairTransforms:
@@ -269,6 +323,8 @@ class TestTransformMatrix:
                 for r in range(n)]
         m = TransformMatrix(rows).with_computed_companion()
         assert m.companion.rows == TransformMatrix(forward_substitution(rows)).rows
+        # and the same kept rows, each over its least common denominator, positive
+        assert m.companion == TransformMatrix(forward_substitution(rows))
         m.verify_orthogonality()
 
     def test_companion_columns_rescaled(self, monkeypatch):
@@ -478,12 +534,16 @@ class TestKeptRows:
             made.append(args)
             return original(cls, *args, **kwargs)
 
+        rng = random.Random(41)
+        lower = [[rng.randint(-3, 3) for _ in range(r)] + [1] for r in range(40)]
         monkeypatch.setattr(Fraction, "__new__", counting_new)
         pair = TransformMatrix.stirling_pair(40)
         identity = TransformMatrix.identity(40)
         TransformMatrix([[1], [-2, 3], [4, 5, -6]])
+        computed = TransformMatrix(lower).with_computed_companion()  # nor does its inverse
         assert made == []
         assert pair.rows[40][1] == stirling1(40, 1) and identity.entry(3, 3) == 1
+        assert computed.companion.rows == TransformMatrix(forward_substitution(lower)).rows
         assert made  # the Fractions are made when rows and entry are read
         # and hold the kept integers themselves, not copies
         assert all(f.numerator is i for f, i in zip(pair.rows[40], pair._cleared[40][1]))
