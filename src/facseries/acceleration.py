@@ -194,5 +194,7 @@ def transform_table(
     """Column of transform values {k: T_k^(n)} for k = 0..k_max."""
     if method not in _METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
+    if k_max < 0:  # as levin and weniger_s refuse k < 0, not an empty column
+        raise DomainError(f"need k_max >= 0, got k_max={k_max}")
     fn = _METHODS[method]
     return {k: fn(inp, k, n, prec) for k in range(k_max + 1)}

@@ -59,13 +59,13 @@ from .errors import DomainError, IntegrityError
 from .evaluate import (
     QuadratureSpec,
     SummationReport,
-    _check_poles_in_unit_interval,
     _euler_integral,
+    _octave_setup,
     eval_power_as_factorial,
     sum_factorial_series,
 )
-from .pade import PadeApprox, pade_construct, pade_eval
-from .series import FormalSeries, PrecisionContext, Real, SeriesKind, _common_denominator, to_mpf
+from .pade import PadeApprox, _with_numerator, pade_construct, pade_eval
+from .series import FormalSeries, PrecisionContext, Real, SeriesKind, to_mpf
 from .transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
 __all__ = [
@@ -149,17 +149,14 @@ class E1Series:
         sum (-1)^m m! w^m is the Stieltjes series of int_0^inf e^-t/(1+wt) dt;
         its [h-1/h] denominator is h! w^h L_h(-1/w), L_h the Laguerre
         polynomial, with coefficients b_k = C(h, k)^2 k! (Baker & Graves-Morris,
-        Pade Approximants; Bender & Orszag, ch. 8).  The numerator is the
-        convolution num_k = sum_j b_j c_(k-j), as pade_construct forms it, so the
-        result equals pade_construct(coeffs, max(h-1, 0), h) without a linear
-        solve.  The coefficients must be E1's, as build() makes them.
+        Pade Approximants; Bender & Orszag, ch. 8).  pade_construct's own
+        numerator step completes it, so the result equals
+        pade_construct(coeffs, max(h-1, 0), h) without a linear solve.  The
+        coefficients must be E1's, as build() makes them.
         """
-        c = self.inverse_power.coeffs
-        h = len(c) // 2
-        den = [comb(h, k) ** 2 * factorial(k) for k in range(h + 1)]
-        dc, cs = _common_denominator(c[: max(h, 1)])
-        num = [Fraction(sum(map(mul, den, reversed(cs[: k + 1]))), dc) for k in range(len(cs))]
-        return PadeApprox(num=tuple(num), den=tuple(map(Fraction, den)))
+        h = len(self.inverse_power.coeffs) // 2
+        den = [Fraction(comb(h, k) ** 2 * factorial(k)) for k in range(h + 1)]
+        return _with_numerator(self.inverse_power.coeffs, max(h - 1, 0), den)
 
 
 # --- quartic anharmonic oscillator ------------------------------------------
@@ -287,7 +284,7 @@ OSCILLATOR_METHODS = ("factorial", "pade", "integral")
 def _oscillator_approx(order: int, route: str) -> PadeApprox:
     """The [order//2 / order - order//2] approximant of the route, built once:
     for "pade" to the shift series, for "integral" to its conjugate function
-    sum_m lambda_m/m! u^m, which must pass the pole scan to be kept."""
+    sum_m lambda_m/m! u^m, which must pass _octave_setup's pole scan to be kept."""
     approx = _approx.get((order, route))
     if approx is None:
         shift = oscillator_coeffs(order + 1).shift_coeffs(order)
@@ -297,7 +294,7 @@ def _oscillator_approx(order: int, route: str) -> PadeApprox:
             lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
             reduced = [l / factorial(m) for m, l in enumerate(lam)]
             approx = pade_construct(reduced, order // 2, order - order // 2)
-            _check_poles_in_unit_interval(approx)
+            _octave_setup(approx)
         with _grow_lock:
             approx = _approx.setdefault((order, route), approx)
     return approx

@@ -31,6 +31,7 @@ from .applications import E1Series, OSCILLATOR_METHODS, oscillator_energy
 from .errors import DomainError, FacseriesError, IntegrityError
 from .evaluate import (
     QuadratureSpec,
+    SummationReport,
     euler_integral_eval,
     eval_power_as_factorial,
     sum_factorial_series,
@@ -109,9 +110,8 @@ def _load_terms(path) -> list:
     return list(FormalSeries.from_json_obj(obj).coeffs)
 
 
-def _emit(doc: dict, args, prec: PrecisionContext) -> None:
-    doc = {"schema": SCHEMA, **doc, "precision_digits": prec.digits}
-    text = json.dumps(doc, indent=1)
+def _write(text: str, args) -> None:
+    """text and a newline on stdout, or in the file --out names: every document's one writer."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -119,11 +119,15 @@ def _emit(doc: dict, args, prec: PrecisionContext) -> None:
         print(text)
 
 
-def _emit_csv(path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _emit(doc: dict, args, prec: PrecisionContext, header=(), rows=()) -> None:
+    """The facseries/1 document, after the --csv table of rows under header if one is
+    asked for: a table that cannot be written leaves stdout empty (exit 1)."""
+    if getattr(args, "csv", None):  # only the commands that write a table have --csv
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    _write(json.dumps({"schema": SCHEMA, **doc, "precision_digits": prec.digits}, indent=1), args)
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -142,7 +146,7 @@ def _cmd_stirling(args, prec):
         _emit({"command": "stirling", "kind": args.kind, "n": args.n,
                "k": args.k, "values": [_int_to_decimal(v) for v in values]}, args, prec)
     else:
-        print(*map(_int_to_decimal, values), sep="\n")
+        _write("\n".join(map(_int_to_decimal, values)), args)
     return 0
 
 
@@ -168,11 +172,7 @@ def _cmd_transform(args, prec):
             f"input file holds a {series.kind.value} series, --from says {args.src}"
         )
     order = args.order if args.order is not None else len(series) - 1
-    result = _TRANSFORMS[key](series, order)
-    if args.out:
-        result.dump(args.out)
-    else:
-        print(json.dumps(result.to_json_obj(), indent=1))
+    _write(json.dumps(_TRANSFORMS[key](series, order).to_json_obj(), indent=1), args)
     return 0
 
 
@@ -186,10 +186,7 @@ def _cmd_accelerate(args, prec):
         "omega": args.omega, "k_max": args.k,
         "values": {str(k): _fmt(v, prec) for k, v in table.items()},
     }
-    _emit(doc, args, prec)
-    if args.csv:
-        _emit_csv(args.csv, ["k", "value"],
-                  [[k, _fmt(v, prec)] for k, v in table.items()])
+    _emit(doc, args, prec, ["k", "value"], doc["values"].items())
     return 0
 
 
@@ -216,33 +213,26 @@ def _cmd_sum(args, prec):
     terms = args.terms if args.terms is not None else len(series)
     if not 1 <= terms <= len(series):  # before any default built from it
         raise DomainError(f"terms must be in 1..{len(series)}, got {terms}")
+    kind = SeriesKind.POWER if args.backend == "product" else SeriesKind.FACTORIAL
+    if series.kind is not kind:  # one check for every backend, before any work
+        raise IntegrityError(f"{args.backend} backend expects a {kind.value} series input")
     if args.backend == "direct":
         report = sum_factorial_series(series, z, terms, prec)
-        partials, final = report.partial_sums, report.final
     elif args.backend == "product":
-        if series.kind is not SeriesKind.POWER:
-            raise IntegrityError("product backend expects a power series input")
         lam = power_to_factorial_coeffs(series, terms - 1)
         report = eval_power_as_factorial(lam, z, terms, prec)
-        partials, final = report.partial_sums, report.final
-    else:  # integral
-        if series.kind is not SeriesKind.FACTORIAL:
-            raise IntegrityError("integral backend expects a factorial series input")
+    else:  # integral: a value and no partial sums
         reduced = [d / factorial(n) for n, d in enumerate(series.coeffs[:terms])]
         pl, pm = args.pade or (terms - 1, 0)
-        final = euler_integral_eval(reduced, z, pl, pm, QuadratureSpec(), prec)
-        partials = ()
+        report = SummationReport((), euler_integral_eval(reduced, z, pl, pm, QuadratureSpec(), prec))
     doc = {
         "command": "sum", "backend": args.backend, "z": args.z, "terms": terms,
-        "partial_sums": [_fmt(s, prec) for s in partials],
-        "final": _fmt(final, prec),
+        "partial_sums": [_fmt(s, prec) for s in report.partial_sums],
+        "final": _fmt(report.final, prec),
     }
     if args.backend == "integral":  # the degrees used, given or not
         doc["pade"] = {"L": pl, "M": pm}
-    _emit(doc, args, prec)
-    if args.csv:
-        _emit_csv(args.csv, ["m", "partial_sum"],
-                  [[m, _fmt(s, prec)] for m, s in enumerate(partials)])
+    _emit(doc, args, prec, ["m", "partial_sum"], enumerate(doc["partial_sums"]))
     return 0
 
 
@@ -280,10 +270,7 @@ def _cmd_e1(args, prec):
             # the Pade approximant is to 2F0(1,1;-1/z) = z e^z E1(z)
             comparison["pade"] = _fmt(pade_eval(series.pade(), 1 / zv, prec) / zv, prec)
             doc["accelerated"] = comparison
-    _emit(doc, args, prec)
-    if args.csv:
-        _emit_csv(args.csv, ["n", "partial_sum"],
-                  [[n, _fmt(s, prec)] for n, s in enumerate(report.partial_sums)])
+    _emit(doc, args, prec, ["n", "partial_sum"], enumerate(doc["partial_sums"]))
     return 0
 
 
@@ -301,9 +288,7 @@ def _cmd_oscillator(args, prec):
             ref = mp.mpf(E_EXACT_BETA_ONE_FIFTH)
             # three significant digits: the 19-digit reference fixes no more
             doc["errors"] = {m: f"{float(abs(mp.mpf(v) - ref)):.2e}" for m, v in results.items()}
-    _emit(doc, args, prec)
-    if args.csv:
-        _emit_csv(args.csv, ["method", "energy"], list(results.items()))
+    _emit(doc, args, prec, ["method", "energy"], results.items())
     return 0
 
 

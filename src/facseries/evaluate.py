@@ -113,21 +113,13 @@ class SummationReport:
 _GL_CACHE: dict = {}
 
 
-def _legendre(n: int, x):
-    """(P_n(x), P_n'(x)) by the three-term recurrence, in float or mpf."""
-    p0, p1 = 1, x
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    return p1, n * (x * p1 - p0) / (x * x - 1)
-
-
 def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
     """Nodes (descending) and weights on [-1, 1] at the current mpmath precision.
 
-    For the ceil(n/2) non-negative nodes, Newton on P_n from a float64 Newton
-    root, then in fixed-point integers with 20 guard bits, rounded once to an
-    mpf node x; the weight is 2/((1 - x^2) P_n'(x)^2) in mpf.  The rest are
-    their mirror images, with the same weights.  Cached per (n, working precision).
+    For the ceil(n/2) non-negative nodes, Newton on P_n in fixed-point integers
+    with 20 guard bits from the cosine guess, rounded once to an mpf node x; the
+    weight is 2/((1 - x^2) P_n'(x)^2) in mpf.  The rest are their mirror images,
+    with the same weights.  Cached per (n, working precision).
     """
     key = (n, mp.prec)
     if key in _GL_CACHE:
@@ -136,12 +128,9 @@ def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
     one = 1 << bits
     half = []
     for i in range((n + 1) // 2):
-        # mpmath's cos: a first math.cos faults libm pages in, +64 KB of peak RSS
-        x = float(mp.cos(mp.pi * (i + 0.75) / (n + 0.5)))
-        for _ in range(8):
-            p, dp = _legendre(n, x)
-            x -= p / dp
-        fx = 0 if 2 * i + 1 == n else int(x * 2.0**bits)  # the middle root of an odd P_n is 0
+        # mpmath's cos, not math.cos: a first math.cos faults libm pages in, +64 KB of peak RSS
+        guess = libmp.to_fixed(mp.cos(mp.pi * (i + 0.75) / (n + 0.5))._mpf_, bits)
+        fx = 0 if 2 * i + 1 == n else guess  # the middle root of an odd P_n is 0
         for _ in range(100):
             p0, p1 = one, fx
             for j in range(2, n + 1):
@@ -152,7 +141,10 @@ def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
             if abs(dx) < 1 << 10:
                 break
         x = mp.make_mpf(libmp.from_man_exp(fx, -bits, mp.prec, libmp.round_nearest))
-        _, dp = _legendre(n, x)
+        p0, p1 = 1, x  # P_(n-1)(x) and P_n(x) by the three-term recurrence, in mpf
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1)
         half.append((x, 2 / ((1 - x * x) * dp * dp)))
     half += [(-x, w) for x, w in reversed(half[: n // 2])]
     _GL_CACHE[key] = tuple(map(list, zip(*half)))
@@ -337,16 +329,14 @@ def euler_integral_eval(
     power series sum_n a_n u^n in u = 1-t, replaced by its [pade_l/pade_m]
     Pade approximant before integrating.
     """
-    approx = pade_construct(a, pade_l, pade_m)
-    _check_poles_in_unit_interval(approx)
-    return _euler_integral(approx, z, spec, prec)
+    return _euler_integral(pade_construct(a, pade_l, pade_m), z, spec, prec)
 
 
 def _euler_integral(
     approx: PadeApprox, z: Real, spec: QuadratureSpec, prec: PrecisionContext
 ) -> mpmath.mpf:
     """int_0^1 t^(z-1) phi(1-t) dt by the octave rule (see the module docstring),
-    phi the approximant, which _check_poles_in_unit_interval has already passed."""
+    phi the approximant; PoleInDomainError if _octave_setup's pole scan fails."""
     with prec.workdps(10):
         zv, setup = to_mpf(z), _octave_setup(approx)
         m, K = setup[:2]
@@ -379,10 +369,12 @@ def _octave_setup(approx: PadeApprox) -> tuple:
 
     K is the least integer >= 4 with h = 2^-K at most 1/8 of Fujiwara's lower bound
     1/(2 max(|q_1/q_0|, ..., |q_n/(2 q_0)|^(1/n))) on the root moduli of den(1-t)/t^m:
-    then |q_i/q_0| h^i <= 16^-i (twice that at i = n).
+    then |q_i/q_0| h^i <= 16^-i (twice that at i = n).  An approximant that fails
+    _check_poles_in_unit_interval raises PoleInDomainError and is given no set-up.
     """
     tables = approx._node_tables
     if "setup" not in tables:
+        _check_poles_in_unit_interval(approx)
         (dn, p), (dd, q) = map(_common_denominator, (approx.num, approx.den))
         m, psi = 0, PadeApprox(approx.num, approx.den)  # not approx itself: no reference cycle
         while sum(q) == 0:  # den(1) = 0: den/(1-u) has den's prefix sums as coefficients

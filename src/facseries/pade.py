@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 import mpmath
@@ -121,13 +122,15 @@ def pade_construct(coeffs: Sequence, L: int, M: int) -> PadeApprox:
             f"singular [{L}/{M}] system; largest solvable denominator degree is {largest}",
             largest_m=largest,
         )
-    # num_k = sum_j den_j c_{k-j} as one integer convolution over dd * dc
+    return _with_numerator(c, L, den)
+
+
+def _with_numerator(c: Sequence[Fraction], L: int, den: Sequence[Fraction]) -> PadeApprox:
+    """The [L/M] approximant with denominator den, M = len(den) - 1: its numerator
+    num_k = sum_j den_j c_{k-j}, k <= L, is one integer convolution over dd * dc."""
     dd, den_int = _common_denominator(den)
     dc, c_int = _common_denominator(c[: L + 1])
-    num = [
-        Fraction(sum(den_int[j] * c_int[k - j] for j in range(min(k, M) + 1)), dd * dc)
-        for k in range(L + 1)
-    ]
+    num = [Fraction(sum(map(mul, den_int, reversed(c_int[: k + 1]))), dd * dc) for k in range(L + 1)]
     return PadeApprox(num=tuple(num), den=tuple(den))
 
 

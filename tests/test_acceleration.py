@@ -388,3 +388,9 @@ class TestTable:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             transform_table(ln2_input(), "shanks", 3)
+
+    @pytest.mark.parametrize("method", ["levin", "weniger"])
+    def test_negative_k_max_is_domain_error(self, method):
+        # as levin and weniger_s refuse k < 0, not an empty column
+        with pytest.raises(DomainError, match="k_max"):
+            transform_table(ln2_input(), method, -1)

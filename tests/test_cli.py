@@ -22,6 +22,7 @@ from facseries.cli import _fmt, _load_terms, build_parser, main
 from facseries.evaluate import QuadratureConvergenceWarning
 from facseries.pade import pade_construct, pade_eval
 from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
+from facseries.transforms import inverse_power_to_factorial
 
 
 def run(capsys, *argv):
@@ -149,6 +150,17 @@ class TestTransform:
         assert code == 2
         assert doc["error"] == "integrity"
 
+    def test_out_holds_the_dump_of_the_result(self, capsys, tmp_path):
+        # --out and stdout carry the bytes FormalSeries.dump writes
+        src, dst, dumped = (tmp_path / f"{name}.json" for name in ("c", "d", "e"))
+        series = FormalSeries(SeriesKind.INVERSE_POWER, [Fraction(7, 3), Fraction(-1, 2), 5])
+        series.dump(src)
+        inverse_power_to_factorial(series, 2).dump(dumped)
+        argv = ["transform", "--from", "invpow", "--to", "fact", "--in", str(src)]
+        assert main(argv + ["--out", str(dst)]) == 0
+        assert dst.read_bytes() == dumped.read_bytes()
+        assert run(capsys, *argv) == (0, dumped.read_text())
+
     def test_kind_mismatch_is_numerical_failure(self, capsys, tmp_path):
         src = tmp_path / "c.json"
         FormalSeries(SeriesKind.POWER, [1]).dump(src)
@@ -215,6 +227,13 @@ class TestAccelerate:
         # the refused text is quoted by its first 40 characters and its length
         assert "not a rational number" in err and f"({len(term)} characters)" in err
         assert len(err) < 200
+
+    def test_negative_k_is_domain_error(self, capsys, tmp_path):
+        terms = tmp_path / "terms.json"
+        terms.write_text(json.dumps([1, "-1/2", "1/3"]))
+        code, doc = run_json(capsys, "accelerate", "--method", "weniger", "--in", str(terms),
+                             "--k", "-1")
+        assert code == 2 and doc["error"] == "domain" and "values" not in doc
 
     def test_scaled_term_beta_zero_exit_2(self, capsys, tmp_path):
         terms = tmp_path / "terms.json"
@@ -294,6 +313,20 @@ class TestSum:
         assert code == 2
         assert doc == {"schema": "facseries/1", "error": "domain",
                        "message": f"terms must be in 1..15, got {terms}"}
+
+    @pytest.mark.parametrize("backend, given, expected", [
+        ("direct", SeriesKind.POWER, "factorial"),
+        ("product", SeriesKind.FACTORIAL, "power"),
+        ("integral", SeriesKind.INVERSE_POWER, "factorial"),
+    ])
+    def test_input_kind_checked_alike(self, capsys, tmp_path, backend, given, expected):
+        # every backend refuses an input of the wrong kind with the same error
+        path = tmp_path / "s.json"
+        FormalSeries(given, [1, Fraction(-1, 2), Fraction(1, 3)]).dump(path)
+        code, doc = run_json(capsys, "sum", "--backend", backend, "--z", "3", "--in", str(path))
+        assert code == 2
+        assert doc == {"schema": "facseries/1", "error": "integrity",
+                       "message": f"{backend} backend expects a {expected} series input"}
 
     def test_integral_reports_degrees_used(self, capsys, e1_factorial_file):
         argv = ["sum", "--backend", "integral", "--z", "5", "--terms", "12",
@@ -500,6 +533,20 @@ class TestPlumbing:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "m,partial_sum"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["e1", "--z", "5", "--terms", "3"],
+        ["oscillator", "--beta", "1/5", "--order", "4", "--method", "pade"],
+        ["sum", "--backend", "direct", "--z", "5", "--terms", "3", "--in", "{series}"],
+        ["accelerate", "--method", "levin", "--k", "2", "--in", "{series}"],
+    ])
+    def test_unwritable_csv_leaves_stdout_empty(self, capsys, tmp_path, e1_factorial_file, argv):
+        # exit 1 prints nothing on stdout: the table is written before the document
+        argv = [a.format(series=e1_factorial_file) for a in argv]
+        code = main(argv + ["--csv", str(tmp_path / "missing" / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("facseries: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["stirling", "--kind", "1", "--n", "2"],

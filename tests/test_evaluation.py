@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
 from facseries import applications, evaluate
 from facseries.applications import (
@@ -184,6 +184,16 @@ class TestEulerIntegral:
         a = [Fraction(2**n) for n in range(3)]
         with pytest.raises(PoleInDomainError):
             euler_integral_eval(a, 3, 1, 1, QuadratureSpec(), PREC)
+
+    @pytest.mark.parametrize("den", [(1, -2), (1, Fraction(-3, 2))])
+    def test_interior_pole_raised_by_the_integral_itself(self, den):
+        # phi = 1/den has a pole at u = 1/2 or 2/3: _euler_integral's own set-up
+        # refuses it, whoever calls it, and keeps nothing
+        p = PadeApprox(num=(Fraction(1),), den=tuple(map(Fraction, den)))
+        for _ in range(2):
+            with pytest.raises(PoleInDomainError):
+                _euler_integral(p, 2, QuadratureSpec(), PREC)
+        assert p._node_tables == {}
 
     def test_e1_series_matches_reference(self):
         d = e1_factorial_coeffs(21)
@@ -595,3 +605,48 @@ class TestGaussLegendreNodes:
                 # change, plus n units for the rounding of the recurrence
                 ulps = 8 * rx * rx / (1 - rx * rx) + n
                 assert abs(w - rw) <= ulps * mp.ldexp(1, mp.mag(rw) - mp.prec)
+
+
+def two_stage_gauss_legendre_reference(n):
+    """The nodes and weights as they were formed before the fixed-point Newton started
+    from the cosine guess itself: 8 float64 Newton steps first, then the same
+    fixed-point Newton from that float root."""
+    def legendre(x):
+        p0, p1 = 1, x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    bits = mp.prec + 20
+    one = 1 << bits
+    half = []
+    for i in range((n + 1) // 2):
+        x = float(mp.cos(mp.pi * (i + 0.75) / (n + 0.5)))
+        for _ in range(8):
+            p, dp = legendre(x)
+            x -= p / dp
+        fx = 0 if 2 * i + 1 == n else int(x * 2.0**bits)
+        for _ in range(100):
+            p0, p1 = one, fx
+            for j in range(2, n + 1):
+                p0, p1 = p1, (((2 * j - 1) * fx * p1 >> bits) - (j - 1) * p0) // j
+            dx = p1 * ((fx * fx >> bits) - one) // (n * ((fx * p1 >> bits) - p0) or 1)
+            fx -= dx
+            if abs(dx) < 1 << 10:
+                break
+        x = mp.make_mpf(libmp.from_man_exp(fx, -bits, mp.prec, libmp.round_nearest))
+        _, dp = legendre(x)
+        half.append((x, 2 / ((1 - x * x) * dp * dp)))
+    half += [(-x, w) for x, w in reversed(half[: n // 2])]
+    return tuple(map(list, zip(*half)))
+
+
+class TestGaussLegendreNewton:
+    @pytest.mark.parametrize("digits", [30, 64])
+    @pytest.mark.parametrize("n", [8, 16, 32, 33])
+    def test_bit_identical_to_the_two_stage_newton(self, n, digits):
+        with mp.workdps(digits):
+            nodes, weights = _gauss_legendre_nodes(n)
+            ref_nodes, ref_weights = two_stage_gauss_legendre_reference(n)
+            assert [x._mpf_ for x in nodes] == [x._mpf_ for x in ref_nodes]
+            assert [w._mpf_ for w in weights] == [w._mpf_ for w in ref_weights]
