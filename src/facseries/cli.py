@@ -110,24 +110,31 @@ def _load_terms(path) -> list:
     return list(FormalSeries.from_json_obj(obj).coeffs)
 
 
-def _write(text: str, args) -> None:
-    """text and a newline on stdout, or in the file --out names: every document's one writer."""
+def _write(text: str, args, fh=None) -> None:
+    """text and a newline on stdout, or in the --out file (fh if open): the one document writer."""
     if args.out:
-        with open(args.out, "w") as fh:
+        with fh or open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
 def _emit(doc: dict, args, prec: PrecisionContext, header=(), rows=()) -> None:
-    """The facseries/1 document, after the --csv table of rows under header if one is
-    asked for: a table that cannot be written leaves stdout empty (exit 1)."""
+    """The facseries/1 document and any --csv table of rows under header, both opened before
+    either is written: if one cannot be, exit 1, no table, --out untouched, stdout empty."""
+    out = None
     if getattr(args, "csv", None):  # only the commands that write a table have --csv
+        made = not os.path.exists(args.csv)  # a path that was there, such as /dev/null, stays
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    _write(json.dumps({"schema": SCHEMA, **doc, "precision_digits": prec.digits}, indent=1), args)
+            try:
+                out = args.out and open(args.out, "w")
+            except OSError:
+                if made:  # the table file this call made, still empty
+                    os.remove(args.csv)
+                raise
+            csv.writer(fh).writerows([header, *rows])
+    _write(json.dumps({"schema": SCHEMA, **doc, "precision_digits": prec.digits}, indent=1),
+           args, out)
 
 
 # --- subcommand handlers ----------------------------------------------------

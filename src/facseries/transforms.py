@@ -6,11 +6,11 @@ The two workhorse formulas are
     c_m = (-1)^m sum_{mu<=m} (-1)^mu s2(m, mu) d_mu    (factorial -> inverse power)
 
 which are mutually inverse thanks to the Stirling orthogonality relations.
-Both, and the power-series variant giving the lambda_m of the product-form evaluator,
-run the triangles' recurrences on the cleared vector itself (_stirling_transform).
+Both, the power-series variant giving the lambda_m of the product-form evaluator, and a
+Stirling pair's applies run the triangles' recurrences on the cleared vector (_stirling_apply).
 The generic framework for lower-triangular pairs (A, B) with sum_r B_nr A_rk = delta_nk
-keeps each matrix as integer rows (D, ints); its products, solves and orthogonality
-check are one kernel, _lower_apply, and its inverse is built on such rows.
+keeps each matrix as integer rows (D, ints); every other product, solve and orthogonality
+check is one kernel, _lower_apply, and the inverse is built on such rows.
 
 All transforms here are purely formal truncations: the leading N+1 output
 coefficients depend only on the leading N+1 inputs (triangularity), the tail
@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, IntegrityError
 from .series import FormalSeries, SeriesKind, _common_denominator
-from .stirling import _FIRST, _SECOND
+from .stirling import _FIRST, _SECOND, _check_index
 
 __all__ = [
     "TransformMatrix",
@@ -53,23 +53,29 @@ def _lower_apply(rows: Iterable[tuple[int, Sequence[int]]], x: Sequence) -> tupl
     return tuple(Fraction(sum(map(mul, rs, xs)), dr * dx) for dr, rs in rows)
 
 
+def _stirling_apply(x: Sequence[Fraction], kind: int, sign: int) -> tuple[Fraction, ...]:
+    """V^m_0 / D for m < len(x), from V^0 = D x cleared by V^(m+1)_k = V^m_(k+1) + c V^m_k with
+    c = sign m (kind 1) or -sign k (kind 2): sign -1 gives sum_k s(m, k) x_k, s the signed first-
+    or the second-kind Stirling triangle, and sign 1 gives (-1)^m sum_k s(m, k) (-1)^k x_k."""
+    dx, v = _common_denominator(x)
+    out = []
+    for m in range(len(x)):  # a step is one big-by-small product an entry
+        out.append(Fraction(v[0], dx))
+        v = [a + c * b for c, a, b in zip(repeat(sign * m) if kind == 1 else count(0, -sign),
+                                          v[1:], v)]
+    return tuple(out)
+
+
 def _stirling_transform(
     series: FormalSeries, kind: SeriesKind, stirling: int, order: int
 ) -> tuple[Fraction, ...]:
     """(-1)^m sum_mu s(m, mu) (-1)^mu x_mu for m = 0..order, x the coefficients of a
-    ``kind`` series and s the Stirling triangle of kind ``stirling``, as V^m_0 / D by its
-    recurrence on V^0 = D x cleared: V^(m+1)_k = V^m_(k+1) + m V^m_k, V^m_k = L[t^k (t)_m],
-    L[t^mu] = x_mu (first kind), or V^m_(k+1) - k V^m_k, L[t^m (t)_k], L[(t)_mu] = x_mu."""
+    ``kind`` series and s the Stirling triangle of kind ``stirling``."""
     if series.kind is not kind:
         raise DomainError(f"expected {kind.value} series, got {series.kind.value}")
     if not 0 <= order < len(series):
         raise DomainError(f"order must be in 0..{len(series) - 1}, got {order}")
-    dx, v = _common_denominator(series.coeffs[: order + 1])
-    out = []
-    for m in range(order + 1):  # a step is one big-by-small product an entry
-        out.append(Fraction(v[0], dx))
-        v = [a + c * b for c, a, b in zip(repeat(m) if stirling == 1 else count(0, -1), v[1:], v)]
-    return tuple(out)
+    return _stirling_apply(series.coeffs[: order + 1], stirling, 1)
 
 
 def inverse_power_to_factorial(c: FormalSeries, order: int) -> FormalSeries:
@@ -105,11 +111,6 @@ def moments_to_factorial(moments, order: int) -> FormalSeries:
 # --- generic triangular / orthogonal inversion framework -------------------
 
 
-def _check_size(n_max: int) -> None:
-    if n_max < 0:
-        raise DomainError(f"matrix size must be >= 0, got {n_max}")
-
-
 @dataclass(frozen=True)
 class TransformMatrix:
     """Lower-triangular exact matrix A (row n has n+1 entries), optional companion B.
@@ -121,6 +122,7 @@ class TransformMatrix:
 
     _cleared: tuple[tuple[int, tuple[int, ...]], ...]
     companion: Optional["TransformMatrix"] = None
+    _kind = 0  # 1 and 2 on a Stirling pair's A and B, applied by their recurrences; not a field
 
     def __init__(self, rows: Iterable[Iterable], companion=None):
         cleared = []
@@ -142,20 +144,24 @@ class TransformMatrix:
         return len(self._cleared) - 1
 
     def entry(self, n: int, k: int) -> Fraction:
+        if not (0 <= n <= self.n_max and k >= 0):
+            raise DomainError(f"entry ({n}, {k}) needs 0 <= n <= {self.n_max} and k >= 0")
         return Fraction(self._cleared[n][1][k], self._cleared[n][0]) if k <= n else Fraction(0)
 
     @classmethod
     def identity(cls, n_max: int) -> "TransformMatrix":
-        _check_size(n_max)
+        _check_index(n_max)  # the index of the last row
         rows = [[int(k == n) for k in range(n + 1)] for n in range(n_max + 1)]
         return cls(rows, companion=cls(rows))
 
     @classmethod
     def stirling_pair(cls, n_max: int) -> "TransformMatrix":
         """A = signed first-kind triangle, companion B = second-kind triangle."""
-        _check_size(n_max)
+        _check_index(n_max)  # the index of the last row
         a, b = (map(s._extend(n_max).__getitem__, range(n_max + 1)) for s in (_FIRST, _SECOND))
-        return cls(a, companion=cls(b))
+        pair = cls(a, companion=cls(b))  # each marked past __init__, as _verified is
+        vars(pair)["_kind"], vars(pair.companion)["_kind"] = 1, 2
+        return pair
 
     def with_computed_companion(self) -> "TransformMatrix":
         """Attach the exact inverse B, built row by row by forward substitution.
@@ -204,14 +210,13 @@ def triangular_forward(a: TransformMatrix, x: Sequence) -> tuple[Fraction, ...]:
     """y_r = sum_{k<=r} A_rk x_k for r = 0..len(x)-1."""
     if len(x) > a.n_max + 1:
         raise DomainError(f"vector length {len(x)} exceeds matrix size {a.n_max + 1}")
-    return _lower_apply(a._cleared[: len(x)], [Fraction(v) for v in x])
+    x = [Fraction(v) for v in x]
+    return _stirling_apply(x, a._kind, -1) if a._kind else _lower_apply(a._cleared[: len(x)], x)
 
 
 def triangular_inverse_apply(a: TransformMatrix, y: Sequence) -> tuple[Fraction, ...]:
     """x_n = sum_{k<=n} B_nk y_k using the verified companion of ``a``."""
-    if a.companion is None:
-        raise IntegrityError("inverse application requires a companion matrix")
-    if not a._verified:
+    if not a._verified:  # and a check raises IntegrityError without a companion
         a.verify_orthogonality()
     return triangular_forward(a.companion, y)
 

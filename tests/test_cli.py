@@ -548,6 +548,43 @@ class TestPlumbing:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("facseries: ") and captured.err.count("\n") == 1
 
+    def test_unwritable_out_leaves_no_table(self, capsys, tmp_path):
+        # both destinations are opened before either is written
+        csv_path = tmp_path / "x.csv"
+        code = main(["e1", "--z", "5", "--terms", "3", "--csv", str(csv_path),
+                     "--out", str(tmp_path / "missing" / "y.json")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("facseries: ") and captured.err.count("\n") == 1
+        assert not csv_path.exists()
+
+    def test_unwritable_out_removes_only_a_table_file_it_made(self, capsys, tmp_path):
+        # a --csv path that was already there (a device, a link, a user's file) is not removed
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("old\n")
+        code = main(["e1", "--z", "5", "--terms", "3", "--csv", str(csv_path),
+                     "--out", str(tmp_path / "missing" / "y.json")])
+        assert code == 1 and capsys.readouterr().out == ""
+        assert csv_path.exists()
+
+    def test_unwritable_csv_leaves_out_untouched(self, capsys, tmp_path):
+        out_path = tmp_path / "y.json"
+        out_path.write_text("kept\n")
+        code = main(["e1", "--z", "5", "--terms", "3", "--out", str(out_path),
+                     "--csv", str(tmp_path / "missing" / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert out_path.read_text() == "kept\n"
+
+    def test_csv_and_out_both_written(self, capsys, tmp_path):
+        csv_path, out_path = tmp_path / "x.csv", tmp_path / "y.json"
+        code, out = run(capsys, "e1", "--z", "5", "--terms", "3", "--csv", str(csv_path),
+                        "--out", str(out_path))
+        assert code == 0 and out == ""
+        doc = json.loads(out_path.read_text())
+        assert csv_path.read_text().splitlines() == ["n,partial_sum"] + [
+            f"{n},{s}" for n, s in enumerate(doc["partial_sums"])]
+
     @pytest.mark.parametrize("argv", [
         ["stirling", "--kind", "1", "--n", "2"],
         ["transform", "--from", "invpow", "--to", "fact", "--in", "s.json"],

@@ -287,6 +287,17 @@ class TestTransformMatrix:
         assert m.entry(3, 1) == 0
         assert m.entry(2, 4) == 0  # above the diagonal
 
+    @pytest.mark.parametrize("n, k", [(4, -1), (-1, 0), (5, 0), (9, 0), (-1, -1)])
+    def test_entry_outside_the_matrix(self, n, k):
+        # no negative index reads from the other end, and no bare IndexError
+        with pytest.raises(DomainError):
+            TransformMatrix.stirling_pair(4).entry(n, k)
+
+    def test_entry_on_the_last_row_and_past_it(self):
+        pair = TransformMatrix.stirling_pair(4)
+        assert [pair.entry(4, k) for k in range(5)] == [stirling1(4, k) for k in range(5)]
+        assert pair.entry(0, 7) == 0  # k > n is the zero above the diagonal
+
     @pytest.mark.parametrize("build", [TransformMatrix.identity, TransformMatrix.stirling_pair])
     def test_negative_size_rejected(self, build):
         with pytest.raises(DomainError):
@@ -496,6 +507,81 @@ class TestSharedFirstUse:
         assert vars(used).keys() == vars(fresh).keys()  # no state beyond _verified
         assert used == fresh
         assert hash(used) == hash(fresh)
+
+
+def row_dot(matrix, x):
+    """The generic product over the kept rows: the Stirling pair's applies before the
+    recurrence, and every other matrix's now."""
+    return _lower_apply(matrix._cleared[: len(x)], [Fraction(v) for v in x])
+
+
+class TestStirlingPairApplies:
+    """A Stirling pair's A (signed first kind) and B (second kind) apply by their
+    triangles' recurrences; the result is the row-dot's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.fractions(max_denominator=10**4), max_size=n + 1))))
+    def test_equal_to_the_row_dot(self, case):
+        n, x = case
+        pair = TransformMatrix.stirling_pair(n)
+        assert (pair._kind, pair.companion._kind) == (1, 2)
+        forward, inverse = triangular_forward(pair, x), triangular_inverse_apply(pair, x)
+        assert forward == row_dot(pair, x)
+        assert inverse == row_dot(pair.companion, x)
+        assert all(type(v) is Fraction for v in forward + inverse)
+        assert triangular_inverse_apply(pair, forward) == tuple(x)
+
+    def test_every_length_of_one_pair(self):
+        rng = random.Random(41)
+        pair = TransformMatrix.stirling_pair(30)
+        for length in range(32):
+            x = random_rationals(rng, length)
+            assert triangular_forward(pair, x) == row_dot(pair, x)
+            assert triangular_inverse_apply(pair, x) == row_dot(pair.companion, x)
+
+    def test_rebuilt_from_rows_takes_the_row_dot(self, monkeypatch):
+        pair = TransformMatrix.stirling_pair(25)
+        rebuilt = TransformMatrix(pair.rows, companion=TransformMatrix(pair.companion.rows))
+        assert rebuilt == pair and hash(rebuilt) == hash(pair)  # the mark is not a field
+        assert (rebuilt._kind, rebuilt.companion._kind) == (0, 0)
+        x = random_rationals(random.Random(43), 26)
+        want = (triangular_forward(pair, x), triangular_inverse_apply(pair, x))
+        recurrences = counting(monkeypatch, "_stirling_apply")
+        dots = counting(monkeypatch, "_lower_apply")
+        assert (triangular_forward(rebuilt, x), triangular_inverse_apply(rebuilt, x)) == want
+        assert recurrences == [] and len(dots) > 2  # the applies and the check's products
+
+    def test_computed_companion_takes_the_row_dot(self, monkeypatch):
+        pair = TransformMatrix.stirling_pair(20)
+        computed = pair.with_computed_companion()
+        x = random_rationals(random.Random(47), 21)
+        recurrences = counting(monkeypatch, "_stirling_apply")
+        assert triangular_inverse_apply(computed, x) == triangular_inverse_apply(pair, x)
+        assert len(recurrences) == 1  # the pair's B; the computed B has its rows only
+        assert triangular_forward(computed, x) == row_dot(pair, x)  # A keeps its mark
+
+    def test_wrong_companion_rows_raise_before_any_answer(self, monkeypatch):
+        pair = TransformMatrix.stirling_pair(12)
+        wrong = [(d, ints[:-1] + (ints[-1] + 1,)) if n == 9 else (d, ints)
+                 for n, (d, ints) in enumerate(pair.companion._cleared)]
+        vars(pair.companion)["_cleared"] = tuple(wrong)
+        recurrences = counting(monkeypatch, "_stirling_apply")
+        for _ in range(2):  # a failed check is not recorded as a pass
+            with pytest.raises(IntegrityError, match="n=9"):
+                triangular_inverse_apply(pair, [1] * 13)
+        assert recurrences == [] and not pair._verified
+
+    @pytest.mark.parametrize("apply", [triangular_forward, triangular_inverse_apply])
+    def test_vector_too_long(self, apply):
+        with pytest.raises(DomainError):
+            apply(TransformMatrix.stirling_pair(5), [1] * 7)
+
+    def test_mark_leaves_vars_of_other_matrices(self):
+        pair = TransformMatrix.stirling_pair(3)
+        plain = TransformMatrix(pair.rows)
+        assert "_kind" not in vars(plain) and plain._kind == 0
+        assert vars(pair).keys() - vars(plain).keys() <= {"_kind", "rows"}
 
 
 class TestKeptRows:
