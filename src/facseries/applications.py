@@ -61,11 +61,11 @@ from .evaluate import (
     SummationReport,
     _euler_integral,
     _octave_setup,
-    eval_power_as_factorial,
+    _product_form_sums,
     sum_factorial_series,
 )
-from .pade import PadeApprox, _with_numerator, pade_construct, pade_eval
-from .series import FormalSeries, PrecisionContext, Real, SeriesKind, to_mpf
+from .pade import PadeApprox, _pade_value, _with_numerator, pade_construct
+from .series import FormalSeries, PrecisionContext, Real, SeriesKind, _rational, to_mpf
 from .transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
 __all__ = [
@@ -312,36 +312,29 @@ def oscillator_energy(
     factorial: 1 + beta * (product-form factorial series, terms 0..order);
     pade:      1 + beta * [order//2 / order - order//2] Pade approximant to
                the shift series;
-    integral:  1 + beta * Euler-integral evaluation of the shift factorial
-               series with the conjugate function rebuilt as the same-size
-               Pade approximant.
+    integral:  1 + Omega(1/beta), Omega the Euler integral of the shift factorial
+               series, its conjugate function the same-size Pade approximant.
 
     All three consume the shift coefficients b_1..b_{order+1}, so results at
-    a given order are comparable coefficient-for-coefficient.  The pade and
-    integral approximants depend on the order alone and are built once per
-    process.
+    a given order are comparable coefficient-for-coefficient.  beta is read
+    exactly (a str as a decimal); the factorial and pade energies are exact and
+    each energy is rounded once, to 10 guard digits.  The pade and integral
+    approximants depend on the order alone and are built once per process.
     """
     if method not in OSCILLATOR_METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {OSCILLATOR_METHODS}")
     if not 1 <= order <= 199:  # every route reads b_(order+1), and b_200 is the last
         raise DomainError(f"order must be in 1..199, got {order}")
-    with prec.workdps():
-        bv = to_mpf(beta)
-        if not (bv > 0):
-            raise DomainError(f"coupling beta must be > 0, got {beta}")
+    if not (b := _rational(beta)) > 0:
+        raise DomainError(f"coupling beta must be > 0, got {beta}")
 
     if method == "factorial":
         shift = oscillator_coeffs(order + 1).shift_coeffs(order)
         lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
-        inner = eval_power_as_factorial(lam, beta, order + 1, prec).final
+        inner = _product_form_sums(lam, b, order + 1)[-1]
     elif method == "pade":
-        inner = pade_eval(_oscillator_approx(order, method), beta, prec)
+        inner = _pade_value(_oscillator_approx(order, method), b)
     else:  # integral
-        with prec.workdps(10):  # _euler_integral's precision
-            w = 1 / to_mpf(beta)
-        omega = _euler_integral(_oscillator_approx(order, method), w, spec, prec)
-        with prec.workdps():
-            inner = omega / to_mpf(beta)
-
-    with prec.workdps():
-        return 1 + to_mpf(beta) * inner
+        omega = _euler_integral(_oscillator_approx(order, method), 1 / b, spec, prec)
+    with prec.workdps(10):
+        return 1 + omega if method == "integral" else to_mpf(1 + b * inner)

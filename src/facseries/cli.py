@@ -36,7 +36,7 @@ from .evaluate import (
     eval_power_as_factorial,
     sum_factorial_series,
 )
-from .pade import pade_construct, pade_eval
+from .pade import _pade_value, pade_construct, pade_eval
 from .series import (
     FormalSeries,
     PrecisionContext,
@@ -71,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x, prec: PrecisionContext) -> str:
-    """x rounded once to P digits (an mpf keeps its guard digits until then)."""
+    """x rounded once to P digits: a Fraction, or an mpf that kept its guard digits."""
     with prec.workdps(15):
         return mp.nstr(to_mpf(x), prec.digits)
 
@@ -125,13 +125,15 @@ def _emit(doc: dict, args, prec: PrecisionContext, header=(), rows=()) -> None:
     out = None
     if getattr(args, "csv", None):  # only the commands that write a table have --csv
         made = not os.path.exists(args.csv)  # a path that was there, such as /dev/null, stays
-        with open(args.csv, "w", newline="") as fh:
+        with open(args.csv, "a", newline="") as fh:  # "a": an old table survives a failed --out
             try:
                 out = args.out and open(args.out, "w")
             except OSError:
                 if made:  # the table file this call made, still empty
                     os.remove(args.csv)
                 raise
+            if os.path.isfile(args.csv):  # a device cannot be truncated (EINVAL)
+                fh.truncate(0)
             csv.writer(fh).writerows([header, *rows])
     _write(json.dumps({"schema": SCHEMA, **doc, "precision_digits": prec.digits}, indent=1),
            args, out)
@@ -185,9 +187,8 @@ def _cmd_transform(args, prec):
 
 def _cmd_accelerate(args, prec):
     terms = _load_terms(args.infile)
-    with prec.workdps():
-        inp = TransformInput.from_terms(terms, args.omega, _rational(args.beta, "--beta"))
-        table = transform_table(inp, args.method, args.k, n=0, prec=prec)
+    inp = TransformInput.from_terms(terms, args.omega, _rational(args.beta, "--beta"))
+    table = transform_table(inp, args.method, args.k, n=0, prec=prec)
     doc = {
         "command": "accelerate", "method": args.method, "beta": args.beta,
         "omega": args.omega, "k_max": args.k,
@@ -272,11 +273,9 @@ def _cmd_e1(args, prec):
                 comparison[method] = _fmt(transform(inp, k, 0, prec), prec)
             except FacseriesError as exc:
                 comparison[method] = {"error": exc.code}
-        with prec.workdps():
-            zv = to_mpf(z)
-            # the Pade approximant is to 2F0(1,1;-1/z) = z e^z E1(z)
-            comparison["pade"] = _fmt(pade_eval(series.pade(), 1 / zv, prec) / zv, prec)
-            doc["accelerated"] = comparison
+        # the Pade approximant is to 2F0(1,1;-1/z) = z e^z E1(z), exact at w = 1/z
+        comparison["pade"] = _fmt(_pade_value(series.pade(), 1 / z) / z, prec)
+        doc["accelerated"] = comparison
     _emit(doc, args, prec, ["n", "partial_sum"], enumerate(doc["partial_sums"]))
     return 0
 

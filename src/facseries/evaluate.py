@@ -4,7 +4,8 @@ Three routes:
 
 * direct partial sums of sum_n d_n/(z)_{n+1};
 * the product form sum_m (lambda_m/m!) prod_{k=1..m} z/(z+1/k) for power
-  series transformed by transforms.power_to_factorial_coeffs;
+  series transformed by transforms.power_to_factorial_coeffs, each partial
+  sum exact at the exact value of z, then rounded once;
 * the Euler-integral representation int_0^1 t^(z-1) phi(1-t) dt with the
   conjugate function phi(u) = sum_n a_n u^n rebuilt as a Pade approximant.
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, factorial
+from math import comb
 from typing import Callable, Optional, Sequence
 
 import mpmath
@@ -53,6 +54,7 @@ from .series import (
     SeriesKind,
     _check_pole,
     _common_denominator,
+    _rational,
     to_mpf,
 )
 
@@ -229,26 +231,28 @@ def eval_power_as_factorial(
     terms: int,
     prec: PrecisionContext = PrecisionContext(),
 ) -> SummationReport:
-    """Partial sums of sum_m (lambda_m/m!) prod_{k=1..m} z/(z+1/k) for z > 0.
-
-    ``lam`` are the transformed coefficients from power_to_factorial_coeffs;
-    the running product is accumulated incrementally.
-    """
+    """Partial sums of sum_m (lambda_m/m!) prod_{k=1..m} z/(z+1/k) for z > 0, ``lam``
+    from power_to_factorial_coeffs: each exact, then rounded once to 10 guard digits."""
     if not 1 <= terms <= len(lam):
         raise DomainError(f"terms must be in 1..{len(lam)}, got {terms}")
+    if not (zq := _rational(z)) > 0:
+        raise DomainError(f"product form requires z > 0, got {z}")
     with prec.workdps(10):
-        zv = to_mpf(z)
-        if not (zv > 0):
-            raise DomainError(f"product form requires z > 0, got {z}")
-        sums = []
-        acc = mp.mpf(0)
-        product = mp.mpf(1)  # prod_{k=1..m} z/(z+1/k)
-        for m in range(terms):
-            if m > 0:
-                product *= zv / (zv + mp.mpf(1) / m)
-            acc += to_mpf(lam[m]) / factorial(m) * product
-            sums.append(acc)
-        return SummationReport(partial_sums=tuple(sums), final=sums[-1])
+        sums = tuple(map(to_mpf, _product_form_sums(lam, zq, terms)))
+    return SummationReport(partial_sums=sums, final=sums[-1])
+
+
+def _product_form_sums(lam: Sequence, z: Fraction, terms: int) -> list[Fraction]:
+    """The exact partial sums m < terms of the product form at z = a/b, whose term m
+    is lambda_m a^m / prod_{k<=m} (k a + b), over one running denominator."""
+    a, b = z.numerator, z.denominator
+    d, cleared = _common_denominator([_rational(v) for v in lam[:terms]])
+    acc, den, sums = 0, d, []
+    for m, c in enumerate(cleared):
+        step = m * a + b if m else 1
+        acc, den = acc * step + c * a**m, den * step
+        sums.append(Fraction(acc, den))
+    return sums
 
 
 def _horner_fixed(coeffs: Sequence[int], m: int, s: int) -> int:
@@ -338,12 +342,12 @@ def _euler_integral(
     """int_0^1 t^(z-1) phi(1-t) dt by the octave rule (see the module docstring),
     phi the approximant; PoleInDomainError if _octave_setup's pole scan fails."""
     with prec.workdps(10):
-        zv, setup = to_mpf(z), _octave_setup(approx)
+        zq, setup = _rational(z), _octave_setup(approx)
         m, K = setup[:2]
-        if not (zv > m):
+        if not (zq > m):
             pole = f" (phi has a pole of order {m} at t = 0)" if m else ""
             raise DomainError(f"integral representation requires z > {m}, got {z}{pole}")
-        zm = to_mpf(z - m) if isinstance(z, (int, Fraction)) else zv - m  # exact z - m
+        zm = to_mpf(zq - m)
         a, g, (f, head) = mp.mpf(2) ** -zm, mp.prec + 20, _head_series(approx, setup)
         zf, coarse = libmp.to_fixed(zm._mpf_, g), max(1, spec.panels // 4)
         while spec.points_per_panel * coarse < zm and coarse < 64:  # the layer at t = 1

@@ -10,6 +10,7 @@ cleared to integers row by row (column contents divided out) and solved by
 Bareiss's fraction-free elimination (Math. Comp. 22, 1968), so the
 match-through-order property is exact, not approximate.  Singular systems
 raise DegeneracyError carrying the largest denominator degree that is solvable.
+pade_eval rounds the exact num(z)/den(z) once; a pole is where den(z) = 0 exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from operator import mul
 from typing import Sequence
 
 import mpmath
-from mpmath import mp
 
 from .errors import DegeneracyError, DomainError, PoleError
-from .series import PrecisionContext, Real, _common_denominator, to_mpf
+from .series import PrecisionContext, Real, _common_denominator, _rational, to_mpf
 
 __all__ = ["PadeApprox", "pade_construct", "pade_eval"]
 
@@ -135,18 +135,22 @@ def _with_numerator(c: Sequence[Fraction], L: int, den: Sequence[Fraction]) -> P
 
 
 def pade_eval(p: PadeApprox, z: Real, prec: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
-    """Horner evaluation of num(z)/den(z) at working precision."""
-    with prec.workdps():
-        zv = to_mpf(z)
-        num = _horner(p.num, zv)
-        den = _horner(p.den, zv)
-        if abs(den) < prec.tol(4):
-            raise PoleError(f"denominator {den} vanishes to working precision at z={z}")
-        return num / den
+    """num(z)/den(z) at a finite real z, exact (_pade_value), then rounded once to 10
+    guard digits; PoleError only where den(z) is exactly 0."""
+    with prec.workdps(10):
+        return to_mpf(_pade_value(p, _rational(z)))
 
 
-def _horner(coeffs: Sequence[Fraction], z: mpmath.mpf) -> mpmath.mpf:
-    acc = mp.mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * z + to_mpf(c)
-    return acc
+def _pade_value(p: PadeApprox, z: Fraction) -> Fraction:
+    """num(z)/den(z) exactly.  At z = a/b a polynomial of degree n with coefficients
+    C_k/D is A/(D b^n), A = sum_k C_k a^k b^(n-k) by integer Horner."""
+    a, b, parts = z.numerator, z.denominator, []
+    for d, cs in map(_common_denominator, (p.num, p.den)):
+        acc, power = 0, 1
+        for c in reversed(cs):
+            acc, power = acc * a + c * power, power * b
+        parts.append((acc, d * power))  # A and D b^(n+1): the value over b
+    (num, num_d), (den, den_d) = parts
+    if den == 0:
+        raise PoleError(f"denominator vanishes at z={z}")
+    return Fraction(num * den_d, den * num_d)

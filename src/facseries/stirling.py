@@ -110,7 +110,5 @@ def pochhammer_coeffs(n: int) -> list[int]:
 
     Equal to (-1)^(n-v) s1(n, v), i.e. the unsigned first-kind triangle.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    row = _FIRST.row(n)
+    row = _FIRST.row(n)  # row() runs _check_index(n)
     return [(-1) ** (n - v) * row[v] for v in range(n + 1)]

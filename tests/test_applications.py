@@ -25,6 +25,7 @@ from facseries.applications import (
     oscillator_coeffs,
     oscillator_energy,
 )
+from facseries.cli import _fmt
 from facseries.errors import DomainError, IntegrityError, PoleInDomainError
 from facseries.evaluate import (
     QuadratureSpec,
@@ -33,7 +34,7 @@ from facseries.evaluate import (
     _octave_sum,
     euler_integral_eval,
 )
-from facseries.pade import PadeApprox, pade_construct, pade_eval
+from facseries.pade import PadeApprox, pade_construct
 from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
 from facseries.transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
@@ -491,6 +492,53 @@ class TestIntegralOracle:
                 assert abs(value - oracle[z]) < abs(oracle[z]) * mp.mpf(10) ** -(PREC.digits + 1), z
 
 
+def rounded_once(q: Fraction, digits: int) -> str:
+    """The exact q rounded once to `digits` significant digits, as mp.nstr prints them
+    (one binary rounding 60 digits further down first, which a tie would need to see)."""
+    with mp.workdps(digits + 60):
+        return mp.nstr(mp.mpf(q.numerator) / q.denominator, digits)
+
+
+class TestExactThenRoundedOnce:
+    # the pade and factorial energies are exact rationals; over this grid of orders,
+    # couplings and precisions the printed string must be that rational rounded once
+    BETAS = [Fraction(1, 20), Fraction(1, 10), Fraction(1, 5), Fraction(3, 7), Fraction(1, 2),
+             Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3),
+             Fraction(7, 2), Fraction(4)]
+
+    @staticmethod
+    def exact_energies(order, method):
+        """beta -> the route's exact energy at this order."""
+        shift = oscillator_coeffs(order + 1).shift_coeffs(order)
+        if method == "pade":
+            p = pade_construct(shift, order // 2, order - order // 2)
+
+            def energy(beta):
+                num, den = (sum(c * beta**k for k, c in enumerate(cs)) for cs in (p.num, p.den))
+                return 1 + beta * num / den
+            return energy
+        lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
+
+        def energy(beta):  # 1 + beta sum_m (lambda_m/m!) prod_{k<=m} beta/(beta + 1/k)
+            total, product = Fraction(0), Fraction(1)
+            for m, l in enumerate(lam):
+                product *= beta / (beta + Fraction(1, m)) if m else 1
+                total += l / factorial(m) * product
+            return 1 + beta * total
+        return energy
+
+    @pytest.mark.parametrize("method", ["pade", "factorial"])
+    @pytest.mark.parametrize("order", [20, 27, 34, 41, 53])
+    def test_printed_energy_is_the_exact_one_rounded_once(self, order, method):
+        exact, wrong = self.exact_energies(order, method), []
+        for beta, digits in itertools.product(self.BETAS, (30, 64)):
+            prec = PrecisionContext(digits)
+            printed = _fmt(oscillator_energy(beta, order, method, prec), prec)
+            if printed != rounded_once(exact(beta), digits):
+                wrong.append((beta, digits))
+        assert wrong == []
+
+
 class TestOscillatorEnergy:
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -499,6 +547,17 @@ class TestOscillatorEnergy:
             oscillator_energy(Fraction(1, 5), 0, "pade", PREC)
         with pytest.raises(DomainError):
             oscillator_energy(Fraction(-1, 5), 6, "pade", PREC)
+
+    @pytest.mark.parametrize("method", OSCILLATOR_METHODS)
+    @pytest.mark.parametrize("beta", [mp.inf, mp.nan, float("inf"), "inf"])
+    def test_non_finite_beta(self, method, beta):
+        with pytest.raises(DomainError):
+            oscillator_energy(beta, 20, method, PREC)
+
+    @pytest.mark.parametrize("method", OSCILLATOR_METHODS)
+    def test_string_beta_is_an_exact_decimal(self, method):
+        assert oscillator_energy("0.2", 20, method, PREC) == oscillator_energy(Fraction(1, 5), 20, method, PREC)
+        assert oscillator_energy("0.1", 20, method, PREC) != oscillator_energy(0.1, 20, method, PREC)
 
     def test_all_methods_small_order(self):
         # coarse run: every route lands in the right neighbourhood already
@@ -541,14 +600,14 @@ class TestOscillatorEnergy:
         reduced = [l / factorial(m) for m, l in enumerate(lam)]
         solved = pade_construct(shift, 17, 17)
         for beta in (Fraction(i * i, 64) for i in range(2, 18)):  # 1/16 .. 289/64
-            # each energy as oscillator_energy formed it with no approximant kept
+            # each energy as oscillator_energy forms it with no approximant kept:
+            # 1 + beta num(beta)/den(beta) exact, and 1 + omega at the exact 1/beta,
+            # each rounded once to 10 guard digits
+            omega = euler_integral_eval(reduced, 1 / beta, 17, 17, spec, prec)
+            num, den = (sum(c * beta**k for k, c in enumerate(cs)) for cs in (solved.num, solved.den))
             with prec.workdps(10):
-                w = 1 / to_mpf(beta)
-            omega = euler_integral_eval(reduced, w, 17, 17, spec, prec)
-            with prec.workdps():
-                bv = to_mpf(beta)
-                pade = 1 + bv * pade_eval(solved, beta, prec)
-                integral = 1 + bv * (omega / bv)
+                pade = to_mpf(1 + beta * num / den)
+                integral = 1 + omega
             assert oscillator_energy(beta, 34, "pade", prec) == pade
             assert oscillator_energy(beta, 34, "integral", prec, spec) == integral
         assert pade_builds == [(17, 17), (17, 17)]

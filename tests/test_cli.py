@@ -22,7 +22,7 @@ from facseries.cli import _fmt, _load_terms, build_parser, main
 from facseries.evaluate import QuadratureConvergenceWarning
 from facseries.pade import pade_construct, pade_eval
 from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
-from facseries.transforms import inverse_power_to_factorial
+from facseries.transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
 
 def run(capsys, *argv):
@@ -161,6 +161,17 @@ class TestTransform:
         assert dst.read_bytes() == dumped.read_bytes()
         assert run(capsys, *argv) == (0, dumped.read_text())
 
+    def test_power_to_factorial(self, capsys, tmp_path):
+        src = tmp_path / "g.json"
+        series = FormalSeries(SeriesKind.POWER, [1, Fraction(-3, 4), Fraction(21, 16), 5, Fraction(1, 7)])
+        series.dump(src)
+        for order in (None, 2):
+            argv = ["transform", "--from", "pow", "--to", "fact", "--in", str(src)]
+            code, doc = run_json(capsys, *argv, *(["--order", str(order)] if order else []))
+            assert code == 0
+            expected = power_to_factorial_coeffs(series, 4 if order is None else order)
+            assert FormalSeries.from_json_obj(doc) == FormalSeries(SeriesKind.FACTORIAL, expected)
+
     def test_kind_mismatch_is_numerical_failure(self, capsys, tmp_path):
         src = tmp_path / "c.json"
         FormalSeries(SeriesKind.POWER, [1]).dump(src)
@@ -245,6 +256,11 @@ class TestAccelerate:
         assert doc["message"] == "beta must be > 0, got 0"
 
 
+# the (z, terms) of e1 --compare's Pade checks: the solved approximant, then z far from 1
+E1_PADE_CASES = [("5", 1), ("5", 2), ("1/2", 7), ("79/4", 39), ("3", 60),
+                 ("1e-30", 20), ("13", 20), ("1e400", 20)]
+
+
 class TestPade:
     def test_exp_1_1_with_eval(self, capsys, tmp_path):
         src = tmp_path / "exp.json"
@@ -257,6 +273,15 @@ class TestPade:
         assert doc["num"] == [{"num": "1", "den": "1"}, {"num": "1", "den": "2"}]
         assert doc["den"] == [{"num": "1", "den": "1"}, {"num": "-1", "den": "2"}]
         assert doc["value"] == "3.0"
+
+    @pytest.mark.parametrize("z, n", E1_PADE_CASES)
+    def test_eval_is_the_exact_value_rounded_once(self, capsys, tmp_path, z, n):
+        src, h, w = tmp_path / "e1.json", n // 2, 1 / Fraction(z)
+        e1_inverse_power_coeffs(n - 1).dump(src)
+        code, doc = run_json(capsys, "pade", "--in", str(src), "--L", str(max(h - 1, 0)),
+                             "--M", str(h), "--eval", str(w))
+        assert code == 0
+        assert doc["value"] == rounded_once(e1_pade_exact(n, w), 64)
 
     def test_degenerate_exit_2(self, capsys, tmp_path):
         src = tmp_path / "const.json"
@@ -427,6 +452,28 @@ class TestE1:
         assert doc["error"] == "domain"
         assert doc["message"] == f"--terms must be >= 1, got {terms}"
 
+    @pytest.mark.parametrize("z, n", E1_PADE_CASES)
+    def test_pade_is_the_exact_value_rounded_once(self, capsys, z, n):
+        code, doc = run_json(capsys, "e1", "--z", z, "--terms", str(n), "--compare")
+        assert code == 0
+        w = 1 / Fraction(z)  # the approximant is to z e^z E1(z), in w = 1/z
+        assert doc["accelerated"]["pade"] == rounded_once(e1_pade_exact(n, w) * w, 64)
+
+
+def rounded_once(q, digits):
+    """The exact q rounded once to `digits` significant digits, as mp.nstr prints them
+    (one binary rounding 60 digits further down first, which a tie would need to see)."""
+    with mp.workdps(digits + 60):
+        return mp.nstr(mp.mpf(q.numerator) / q.denominator, digits)
+
+
+def e1_pade_exact(n, w):
+    """The solved [h-1/h] approximant of the n-term E1 series, h = n // 2, at w, exactly."""
+    h = n // 2
+    p = pade_construct(e1_inverse_power_coeffs(n - 1).coeffs, max(h - 1, 0), h)
+    num, den = (sum(c * w**k for k, c in enumerate(cs)) for cs in (p.num, p.den))
+    return num / den
+
 
 def _e1_transform_cell(z, n, method):
     """T_{n-2}^(0), beta = 1, of the terms (-1)^m m!/z^(m+1), m < n, with the
@@ -566,6 +613,30 @@ class TestPlumbing:
                      "--out", str(tmp_path / "missing" / "y.json")])
         assert code == 1 and capsys.readouterr().out == ""
         assert csv_path.exists()
+
+    def test_unwritable_out_keeps_an_existing_table(self, capsys, tmp_path):
+        # the old table is truncated only once --out is open
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_bytes(b"old,table\n1,2\n")
+        code = main(["e1", "--z", "5", "--terms", "3", "--csv", str(csv_path),
+                     "--out", str(tmp_path / "missing" / "y.json")])
+        assert code == 1 and capsys.readouterr().out == ""
+        assert csv_path.read_bytes() == b"old,table\n1,2\n"
+
+    def test_existing_table_replaced(self, capsys, tmp_path):
+        # a longer table that was there is replaced whole, not appended to or overlaid
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("old,table\n" + "9,9\n" * 100)
+        code, out = run(capsys, "e1", "--z", "5", "--terms", "3", "--csv", str(csv_path))
+        assert code == 0
+        assert csv_path.read_text().splitlines() == ["n,partial_sum"] + [
+            f"{n},{s}" for n, s in enumerate(json.loads(out)["partial_sums"])]
+
+    def test_table_to_a_device(self, capsys, tmp_path):
+        # a device such as /dev/null takes the table untruncated
+        code, out = run(capsys, "e1", "--z", "5", "--terms", "3", "--csv", os.devnull,
+                        "--out", str(tmp_path / "y.json"))
+        assert code == 0 and out == "" and os.path.exists(os.devnull)
 
     def test_unwritable_csv_leaves_out_untouched(self, capsys, tmp_path):
         out_path = tmp_path / "y.json"

@@ -61,6 +61,10 @@ class TestQuadratureSpec:
         with pytest.raises(DomainError):
             QuadratureSpec(panels=0)
 
+    def test_too_few_nodes(self):
+        with pytest.raises(DomainError, match="at least 16 quadrature nodes"):
+            QuadratureSpec(points_per_panel=8, panels=1)
+
 
 class TestQuadrature01:
     def test_polynomial(self):
@@ -81,6 +85,11 @@ class TestQuadrature01:
                 QuadratureSpec(points_per_panel=8, panels=2),
                 PREC,
             )
+
+    @pytest.mark.parametrize("bad", [mp.inf, mp.nan])
+    def test_non_finite_integrand(self, bad):
+        with pytest.raises(IntegrationError, match="non-finite integrand"):
+            quadrature_01(lambda t: bad if t > 0.5 else t, QuadratureSpec(), PREC)
 
 
 class TestDirectFactorialSum:
@@ -155,6 +164,25 @@ class TestProductForm:
             eval_power_as_factorial([1, 0], -1, 2, PREC)
         with pytest.raises(DomainError):
             eval_power_as_factorial([1], 1, 2, PREC)
+
+    @pytest.mark.parametrize("z", [float("inf"), mp.inf, mp.nan, "inf"])
+    def test_non_finite_z(self, z):
+        with pytest.raises(DomainError):
+            eval_power_as_factorial([1, 1], z, 2, PREC)
+
+    @pytest.mark.parametrize("z", [Fraction(1, 8), Fraction(7, 3), 0.1, mp.mpf(5) / 2**70, "1e400"])
+    def test_each_sum_exact_then_rounded(self, z):
+        # sum_m (lambda_m/m!) prod_{k<=m} z/(z + 1/k) in Fractions at z's exact value, rounded
+        # once with 10 guard digits
+        lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, [1, -3, 7, Fraction(1, 5)]), 3)
+        zq = Fraction(z) if not isinstance(z, mp.mpf) else Fraction(*libmp.to_rational(z._mpf_))
+        report = eval_power_as_factorial(lam, z, 4, PREC)
+        total, product = Fraction(0), Fraction(1)
+        for m, (l, got) in enumerate(zip(lam, report.partial_sums)):
+            product *= zq / (zq + Fraction(1, m)) if m else 1
+            total += l / factorial(m) * product
+            with PREC.workdps(10):
+                assert got == to_mpf(total)
 
 
 class TestEulerIntegral:
@@ -342,12 +370,10 @@ class TestNodeTables:
         monkeypatch.setattr(applications, "_approx", {})
         approx, spec = oscillator_conjugate(12), QuadratureSpec()
         for _ in ("cold", "warm"):
-            for beta in self.BETAS:
+            for beta in self.BETAS:  # 1 + omega at the exact 1/beta, to 10 guard digits
+                omega = reference_euler_integral(approx, 1 / beta, spec, PREC)
                 with PREC.workdps(10):
-                    w = 1 / to_mpf(beta)
-                omega = reference_euler_integral(approx, w, spec, PREC)
-                with PREC.workdps():
-                    expected = 1 + to_mpf(beta) * (omega / to_mpf(beta))
+                    expected = 1 + omega
                 assert oscillator_energy(beta, 12, "integral", PREC)._mpf_ == expected._mpf_
 
     def test_one_shot_approximant_keeps_no_table(self, monkeypatch):

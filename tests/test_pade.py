@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from facseries.errors import DegeneracyError, DomainError, PoleError
-from facseries.pade import PadeApprox, _solve_exact, pade_construct, pade_eval
-from facseries.series import PrecisionContext
+from facseries.pade import PadeApprox, _pade_value, _solve_exact, pade_construct, pade_eval
+from facseries.series import PrecisionContext, to_mpf
 
 PREC = PrecisionContext(64)
 
@@ -114,6 +114,30 @@ class TestEval:
         p = pade_construct([1, 1, 1], 0, 1)  # 1/(1-z)
         with pytest.raises(PoleError):
             pade_eval(p, 1, PREC)
+
+    @pytest.mark.parametrize("z", [mp.inf, -mp.inf, mp.nan, float("inf"), "nan"])
+    def test_non_finite_z(self, z):
+        p = pade_construct([1, 1, 1], 0, 1)
+        with pytest.raises(DomainError):
+            pade_eval(p, z, PREC)
+
+    @pytest.mark.parametrize("L, M", [(3, 1), (2, 2), (1, 3), (0, 2)])
+    @pytest.mark.parametrize("z", [Fraction(-7, 3), Fraction(1, 10**30), Fraction(5), 0.1, "1e-7"])
+    def test_exact_then_rounded_once(self, L, M, z):
+        p = pade_construct([Fraction(1, factorial(k)) * (-1) ** (k // 2) for k in range(L + M + 1)], L, M)
+        zq = Fraction(z)
+        exact = (sum(c * zq**k for k, c in enumerate(p.num)) / sum(c * zq**k for k, c in enumerate(p.den)))
+        assert _pade_value(p, zq) == exact
+        with PREC.workdps(10):
+            assert pade_eval(p, z, PREC) == to_mpf(exact)
+
+    def test_pole_is_exact(self):
+        # den(z) = 1 - z/(1 + 10^-40) is 0 only at its root, however near z comes to it
+        root = 1 + Fraction(1, 10**40)
+        p = PadeApprox(num=(Fraction(1),), den=(Fraction(1), -1 / root))
+        assert pade_eval(p, 1, PREC) > 10**39
+        with pytest.raises(PoleError):
+            pade_eval(p, root, PREC)
 
     def test_frozen_dataclass(self):
         p = PadeApprox(num=(Fraction(1),), den=(Fraction(1), Fraction(2)))

@@ -1,11 +1,13 @@
 """Series containers, precision handling, and Pochhammer term arithmetic."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from mpmath import mp
+from hypothesis import given, strategies as st
+from mpmath import libmp, mp
 
 from facseries.errors import DomainError, IntegrityError, PoleError
 from facseries.series import (
@@ -13,6 +15,7 @@ from facseries.series import (
     MomentSequence,
     PrecisionContext,
     SeriesKind,
+    _rational,
     factorial_term,
     forward_difference_term,
     pochhammer,
@@ -44,6 +47,29 @@ class TestPrecisionContext:
         with PREC.workdps():
             x = to_mpf(Fraction(1, 3))
             assert abs(x - mp.mpf(1) / 3) < mp.mpf(10) ** -60
+
+
+class TestRational:
+    @pytest.mark.parametrize("x, exact", [
+        (7, Fraction(7)), (Fraction(-22, 7), Fraction(-22, 7)), (0.1, Fraction(3602879701896397, 2**55)),
+        (mp.mpf(0.375), Fraction(3, 8)), (mp.mpf(-5) * 2**-200, Fraction(-5, 2**200)),
+        ("0.1", Fraction(1, 10)), ("1e400", Fraction(10**400)), ("-2.5e-3", Fraction(-1, 400)),
+        ("22/7", Fraction(22, 7))])
+    def test_exact_value(self, x, exact):
+        assert _rational(x) == exact and type(_rational(x)) is Fraction
+
+    @pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan, float("inf"), float("nan"),
+                                   "inf", "nan", "1/0", "", "one", None, 1j, mp.mpc(1, 1)])
+    def test_non_finite_or_not_real(self, x):
+        with pytest.raises(DomainError):
+            _rational(x)
+
+    @given(st.integers(-(2**200), 2**200), st.integers(-10**4, 10**4))
+    def test_finite_mpf_round_trips(self, man, exp):
+        # an mpf is a dyadic rational: read exactly, it converts back to itself
+        with mp.workprec(max(man.bit_length(), 53)):
+            x = mp.make_mpf(libmp.from_man_exp(man, exp))
+            assert to_mpf(_rational(x)) == x
 
 
 class TestFormalSeries:
@@ -162,6 +188,10 @@ class TestFactorialTerm:
         # pole at -3 is outside the chain for n = 1: fine
         factorial_term(-3.5, 1, 1, PREC)
 
+    def test_negative_n(self):
+        with pytest.raises(DomainError):
+            factorial_term(2, -1, 1, PREC)
+
     def test_beta_integral_identity(self):
         # n!/(z)_{n+1} = int_0^1 t^(z-1) (1-t)^n dt for Re z > 0
         for z in (1, mp.mpf("2.5"), 5):
@@ -187,6 +217,16 @@ class TestForwardDifference:
             v = forward_difference_term(2, 2, 3, PREC)
             expect = -factorial(5) / pochhammer(2, 6, PREC)
             assert mp.almosteq(v, expect)
+
+    @pytest.mark.parametrize("z, n, k", [(Fraction(7, 3), 0, 20), (Fraction(1, 3), 2, 30),
+                                         (Fraction(7, 3), 5, 40)])
+    def test_high_order_differences(self, z, n, k):
+        # the k-th difference of n!/(z)_{n+1}, iterated exactly, against the closed form
+        vals = [factorial(n) / math.prod(z + j + i for i in range(n + 1)) for j in range(k + 1)]
+        for _ in range(k):
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        with PREC.workdps(10):
+            assert mp.almosteq(forward_difference_term(z, n, k, PREC), to_mpf(vals[0]), 10**-62, 0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -187,6 +187,10 @@ class TestPochhammerCoeffs:
         assert pochhammer_coeffs(2) == [0, 1, 1]
         assert pochhammer_coeffs(3) == [0, 2, 3, 1]
 
+    def test_negative_n(self):
+        with pytest.raises(DomainError, match="row index must be >= 0, got -1"):
+            pochhammer_coeffs(-1)
+
     def test_matches_rising_factorial_and_nonnegative(self):
         for n in range(13):
             coeffs = pochhammer_coeffs(n)
