@@ -331,7 +331,7 @@ def oscillator_energy(
     if method == "factorial":
         shift = oscillator_coeffs(order + 1).shift_coeffs(order)
         lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
-        inner = _product_form_sums(lam, b, order + 1)[-1]
+        inner = Fraction(*_product_form_sums(lam, b, order + 1)[-1])
     elif method == "pade":
         inner = _pade_value(_oscillator_approx(order, method), b)
     else:  # integral

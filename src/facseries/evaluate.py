@@ -25,11 +25,12 @@ the Taylor coefficients of psi(1-t) at t = 0 from the exact shift num(1-t),
 den(1-t) and a fixed-point division, c_0/z' in floating point.  K >= 4
 puts h at most 1/8 of Fujiwara's lower bound on the root moduli of den(1-t)/t^m,
 so the head series converges like 5^-k or faster.  A QuadratureSpec(points, panels)
-runs max(1, panels // 4) panels of `points` nodes on [1, 2], then twice as many,
-the second pass taking the head one term further; the value is the second pass,
-their difference the estimate.  The layer of t^(z'-1) at t = 1 is about 1/z' wide,
-so while z' exceeds `points` times the coarse panel count, that count doubles, up
-to 64; past z' = 64 `points` the rule warns that z' is out of its reach.
+runs one pass of N = 2 max(1, panels // 4) panels of `points` nodes on [1, 2], N
+doubling up to 128 while z' > `points` N/2, as the layer of t^(z'-1) at t = 1 is
+about 1/z' wide; past z' = 64 `points` the rule warns that z' is out of its reach.
+It also warns, before the pass, where the pass's error rho_N^(-2 points) exceeds
+10^-(P/2): rho_N = (2N+1) + sqrt((2N+1)^2 - 1) is the panels' Bernstein ellipse
+through the branch point s = 0 of s^(z'-1) (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .series import (
     SeriesKind,
     _check_pole,
     _common_denominator,
+    _quotient,
     _rational,
     to_mpf,
 )
@@ -70,16 +72,16 @@ __all__ = [
 
 
 class QuadratureConvergenceWarning(UserWarning):
-    """Doubling the panel count moved the result by more than 10^-(P/2), or z' is
-    past the Euler integral's reach."""
+    """quadrature_01's panel doubling moved the result by more than 10^-(P/2); or the
+    Euler integral's pass is sized to err by more than that, or z' is past its reach."""
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre points per panel and a panel count; each rule runs a coarse
-    and a fine pass.  quadrature_01 cuts [0, 1] into `panels`, then 2 `panels`
-    panels; the Euler integral's octave rule cuts [1, 2] into max(1, panels // 4)
-    (more for z' past `points` times that), then twice as many."""
+    """Gauss-Legendre points per panel and a panel count.  quadrature_01 cuts [0, 1]
+    into `panels`, then 2 `panels` panels, and compares the two; the Euler integral's
+    octave rule runs one pass on 2 max(1, panels // 4) panels of [1, 2] (more for z'
+    past `points` times half that), its error estimated before it runs."""
 
     points_per_panel: int = 32
     panels: int = 8
@@ -170,17 +172,6 @@ def _composite_gl(f: Callable, lo, hi, points: int, panels: int) -> mpmath.mpf:
     return total * width / 2
 
 
-def _refined(coarse: mpmath.mpf, fine: mpmath.mpf, prec: PrecisionContext) -> mpmath.mpf:
-    """fine, after a QuadratureConvergenceWarning if it differs from coarse by more
-    than 10^-(P/2) relative (absolute if fine is 0)."""
-    if abs(fine - coarse) / (abs(fine) or 1) > prec.tol(prec.digits // 2):
-        warnings.warn(
-            f"panel doubling moved the estimate by {abs(fine - coarse)}",
-            QuadratureConvergenceWarning,
-        )
-    return fine
-
-
 def quadrature_01(
     f: Callable,
     spec: QuadratureSpec = QuadratureSpec(),
@@ -195,7 +186,10 @@ def quadrature_01(
     with prec.workdps(10):
         coarse, fine = (_composite_gl(f, mp.mpf(0), mp.mpf(1), spec.points_per_panel, n)
                         for n in (spec.panels, 2 * spec.panels))
-        return _refined(coarse, fine, prec)
+        if abs(fine - coarse) / (abs(fine) or 1) > prec.tol(prec.digits // 2):
+            warnings.warn(f"panel doubling moved the estimate by {abs(fine - coarse)}",
+                          QuadratureConvergenceWarning)
+        return fine
 
 
 # --- summation back-ends ----------------------------------------------------
@@ -238,20 +232,20 @@ def eval_power_as_factorial(
     if not (zq := _rational(z)) > 0:
         raise DomainError(f"product form requires z > 0, got {z}")
     with prec.workdps(10):
-        sums = tuple(map(to_mpf, _product_form_sums(lam, zq, terms)))
+        sums = tuple(_quotient(p, q) for p, q in _product_form_sums(lam, zq, terms))
     return SummationReport(partial_sums=sums, final=sums[-1])
 
 
-def _product_form_sums(lam: Sequence, z: Fraction, terms: int) -> list[Fraction]:
+def _product_form_sums(lam: Sequence, z: Fraction, terms: int) -> list[tuple[int, int]]:
     """The exact partial sums m < terms of the product form at z = a/b, whose term m
-    is lambda_m a^m / prod_{k<=m} (k a + b), over one running denominator."""
+    is lambda_m a^m / prod_{k<=m} (k a + b), as unreduced (numerator, denominator)."""
     a, b = z.numerator, z.denominator
     d, cleared = _common_denominator([_rational(v) for v in lam[:terms]])
     acc, den, sums = 0, d, []
     for m, c in enumerate(cleared):
         step = m * a + b if m else 1
         acc, den = acc * step + c * a**m, den * step
-        sums.append(Fraction(acc, den))
+        sums.append((acc, den))
     return sums
 
 
@@ -349,21 +343,20 @@ def _euler_integral(
             raise DomainError(f"integral representation requires z > {m}, got {z}{pole}")
         zm = to_mpf(zq - m)
         a, g, (f, head) = mp.mpf(2) ** -zm, mp.prec + 20, _head_series(approx, setup)
-        zf, coarse = libmp.to_fixed(zm._mpf_, g), max(1, spec.panels // 4)
-        while spec.points_per_panel * coarse < zm and coarse < 64:  # the layer at t = 1
-            coarse *= 2
-        if spec.points_per_panel * coarse < zm:
+        zf, panels = libmp.to_fixed(zm._mpf_, g), max(1, spec.panels // 4)
+        while spec.points_per_panel * panels < zm and panels < 64:  # the layer at t = 1
+            panels *= 2
+        if spec.points_per_panel * panels < zm:
             warnings.warn(f"z' = {zm} is past the octave rule's reach", QuadratureConvergenceWarning)
-
-        def octaves(n: int, panels: int) -> mpmath.mpf:
-            """The rule with the head's first n terms; E_0/z' in floating point, as
-            z' may lie far below 2^-g."""
-            rest = sum((e << g) // (zf + (k << g)) for k, e in enumerate(head[1:n], 1))
-            head_sum = mp.ldexp((head[0] / zm if n else 0) + rest, -f)
-            return a**K * head_sum + _octave_sum(approx, setup, zm, a, spec.points_per_panel, panels)
-
-        # the fine pass doubles the panels and takes the head one term further
-        return _refined(octaves(len(head) - 1, coarse), octaves(len(head), 2 * coarse), prec)
+        panels, n = 2 * panels, spec.points_per_panel
+        rho = 2 * panels + 1 + mp.sqrt((2 * panels + 1) ** 2 - 1)  # the ellipse through s = 0
+        if (err := rho ** (-2 * n)) > prec.tol(prec.digits // 2):
+            warnings.warn(f"{panels} panels of {n} points reach only about {mp.nstr(err, 3)}",
+                          QuadratureConvergenceWarning)
+        # E_0/z' in floating point, as z' may lie far below 2^-g
+        rest = sum((e << g) // (zf + (k << g)) for k, e in enumerate(head[1:], 1))
+        head_sum = mp.ldexp(head[0] / zm + rest, -f)
+        return a**K * head_sum + _octave_sum(approx, setup, zm, a, n, panels)
 
 
 def _octave_setup(approx: PadeApprox) -> tuple:

@@ -70,10 +70,15 @@ class PrecisionContext:
 
 
 def to_mpf(x: Real) -> mpmath.mpf:
-    """Convert to mpf at the current mpmath precision (Fractions stay exact)."""
+    """Convert to mpf at the current mpmath precision; a Fraction is rounded once."""
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
+        return _quotient(x.numerator, x.denominator)
     return mp.mpf(x)
+
+
+def _quotient(p: int, q: int) -> mpmath.mpf:
+    """p/q rounded once to the nearest mpf at the current mpmath precision."""
+    return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
 
 
 def _rational(x: Real) -> Fraction:

@@ -28,6 +28,7 @@ from facseries.applications import (
 from facseries.cli import _fmt
 from facseries.errors import DomainError, IntegrityError, PoleInDomainError
 from facseries.evaluate import (
+    QuadratureConvergenceWarning,
     QuadratureSpec,
     _euler_integral,
     _octave_setup,
@@ -482,6 +483,24 @@ class TestIntegralOracle:
                             den=(Fraction(1), Fraction(1, 2) - 1 / r, -1 / (2 * r)))
         assert _octave_setup(approx)[:2] == (0, 14)
         self.assert_every_digit(approx, [Fraction(1, 10**6), Fraction(1, 3), Fraction(5, 2), Fraction(20)])
+
+    def test_panel_check_before_the_one_pass(self):
+        # P panels of n points on [1, 2] err by about rho_P^(-2n), rho_P the Bernstein
+        # ellipse through s = 0: (2P+1) + sqrt((2P+1)^2 - 1).  At 64 digits 8 x 2 and,
+        # for z' <= 16, 16 x 4 (P = 2: 1.4e-32) warn; past z' = 16 the layer at t = 1
+        # doubles 16 x 4 to P = 4, and 16 x 8 (P = 4: 1e-40) meets the oracle to 10^-32
+        approx = applications._oscillator_approx(34, "integral")
+        for z in (Fraction(1, 4), Fraction(7, 3), Fraction(16)):
+            for spec in (QuadratureSpec(8, 2), QuadratureSpec(16, 4)):
+                with pytest.warns(QuadratureConvergenceWarning, match="panels of"):
+                    _euler_integral(approx, z, spec, PREC)
+        _euler_integral(approx, Fraction(17), QuadratureSpec(16, 4), PREC)
+        zs = [Fraction(1, 4), Fraction(7, 3), Fraction(20)]
+        oracle = closed_form_integral(approx, zs)
+        for z in zs:
+            value = _euler_integral(approx, z, QuadratureSpec(16, 8), PREC)
+            with mp.workdps(110):
+                assert abs(value - oracle[z]) < abs(oracle[z]) * mp.mpf(10) ** -32, z
 
     @staticmethod
     def assert_every_digit(approx, zs):

@@ -261,7 +261,7 @@ class TestEulerIntegral:
             assert mp.nstr(v, PREC.digits) == mp.nstr(mp.mpf(10) ** 40, PREC.digits)
 
     def test_large_z_up_to_the_reach(self):
-        # phi = 1: integral 1/z; the panels on [1, 2] double up to 64 coarse ones,
+        # phi = 1: integral 1/z; the panels on [1, 2] double up to 128, which is
         # enough for the layer at t = 1 up to z = 64 points per panel, and no further
         v = euler_integral_eval([Fraction(1)], 2048, 0, 0, QuadratureSpec(), PREC)
         with PREC.workdps():
@@ -329,10 +329,10 @@ class TestNodeTables:
             for beta, prec, spec in cases:
                 got = _euler_integral(approx, 1 / beta, spec, prec)
                 assert got._mpf_ == expected[beta, prec, spec], (beta, prec, spec)
-        # the set-up, a head per precision, and per precision the octave tables of
-        # the default spec (2 and 4 panels) and of 24 x 5 (1 and 2 panels)
+        # the set-up, a head per precision, and per precision one octave table for
+        # each spec: the one pass of the default spec (4 panels) and of 24 x 5 (2 panels)
         kinds = [k if isinstance(k, str) else k[0] for k in approx._node_tables]
-        assert sorted(kinds) == ["head"] * 2 + ["setup"] + ["table"] * 8
+        assert sorted(kinds) == ["head"] * 2 + ["setup"] + ["table"] * 4
 
     def test_each_node_value_is_the_untabled_one(self):
         # the sums above can absorb a one-unit change of a single entry; this cannot
@@ -392,23 +392,19 @@ class TestNodeTables:
         [(approx, tables)] = seen
         assert tables > 0 and approx() is None
 
-    @pytest.mark.parametrize("z, bad_u, t_range, kept", [
-        # the coarse table (2 panels) is built first, on both sides of z = 1
-        (Fraction(5, 2), lambda build, u: u < 0.5, (0.5, 1), ["head", "setup"]),
-        (Fraction(1, 3), lambda build, u: u < 0.5, (0.5, 1), ["head", "setup"]),
-        # the fine table (4 panels) in its last octave, after the coarse one is kept
-        (Fraction(1, 3), lambda build, u: build > 0 and u > 0.9375, (0, 0.0625),
-         ["head", "setup", "table"]),
+    @pytest.mark.parametrize("z, bad_u, t_range", [
+        # the one table (4 panels) in its first octave, on both sides of z = 1
+        (Fraction(5, 2), lambda u: u < 0.5, (0.5, 1)),
+        (Fraction(1, 3), lambda u: u < 0.5, (0.5, 1)),
+        # and in its last octave
+        (Fraction(1, 3), lambda u: u > 0.9375, (0, 0.0625)),
     ])
-    def test_non_finite_phi_raises_and_is_not_kept(self, monkeypatch, z, bad_u, t_range, kept):
-        builds = []
-
+    def test_non_finite_phi_raises_and_is_not_kept(self, monkeypatch, z, bad_u, t_range):
         def den_zero_at_one_node(p):
-            (f, phi), hit, build = _fixed_point_phi(p), [], len(builds)
-            builds.append(p)
+            (f, phi), hit = _fixed_point_phi(p), []
 
             def bad(m, s):
-                if bad_u(build, m / 2**s) and not hit:
+                if bad_u(m / 2**s) and not hit:
                     hit.append(m)
                     raise ZeroDivisionError
                 return phi(m, s)
@@ -421,7 +417,8 @@ class TestNodeTables:
             with pytest.raises(IntegrationError, match="non-finite integrand value") as info:
                 _euler_integral(approx, z, QuadratureSpec(), PREC)
             assert t_range[0] < float(str(info.value).split("t=")[1]) < t_range[1]
-            assert sorted(k if isinstance(k, str) else k[0] for k in approx._node_tables) == kept
+            assert sorted(k if isinstance(k, str) else k[0] for k in approx._node_tables) \
+                == ["head", "setup"]
         monkeypatch.undo()
         assert _euler_integral(approx, z, QuadratureSpec(), PREC) == \
             reference_euler_integral(approx, z, QuadratureSpec(), PREC)

@@ -1,6 +1,7 @@
 """Series containers, precision handling, and Pochhammer term arithmetic."""
 
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
@@ -47,6 +48,18 @@ class TestPrecisionContext:
         with PREC.workdps():
             x = to_mpf(Fraction(1, 3))
             assert abs(x - mp.mpf(1) / 3) < mp.mpf(10) ** -60
+
+    def test_to_mpf_rounds_a_fraction_once(self):
+        # numerators far longer than the working precision: rounding one first and
+        # the quotient again would miss the nearest mpf about once in four
+        rng = random.Random(600500)
+        with PREC.workdps(10):
+            for _ in range(200):
+                x = Fraction(rng.choice((1, -1)) * rng.getrandbits(600), rng.getrandbits(500) | 1)
+                got = to_mpf(x)._mpf_
+                assert got == libmp.from_rational(x.numerator, x.denominator, mp.prec, libmp.round_nearest)
+                _, _, exp, bc = got  # within half a unit of the last of mp.prec bits
+                assert abs(Fraction(*libmp.to_rational(got)) - x) <= Fraction(2) ** (exp + bc - mp.prec) / 2
 
 
 class TestRational:
