@@ -28,9 +28,8 @@ so the head series converges like 5^-k or faster.  A QuadratureSpec(points, pane
 runs one pass of N = 2 max(1, panels // 4) panels of `points` nodes on [1, 2], N
 doubling up to 128 while z' > `points` N/2, as the layer of t^(z'-1) at t = 1 is
 about 1/z' wide; past z' = 64 `points` the rule warns that z' is out of its reach.
-It also warns, before the pass, where the pass's error rho_N^(-2 points) exceeds
-10^-(P/2): rho_N = (2N+1) + sqrt((2N+1)^2 - 1) is the panels' Bernstein ellipse
-through the branch point s = 0 of s^(z'-1) (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).
+It also warns where the pass's estimated error exceeds 10^-(P/2): the larger of the
+estimate from s^(z'-1) alone (_power_error) and the one from psi (_octave_table).
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ __all__ = [
 
 class QuadratureConvergenceWarning(UserWarning):
     """quadrature_01's panel doubling moved the result by more than 10^-(P/2); or the
-    Euler integral's pass is sized to err by more than that, or z' is past its reach."""
+    Euler integral's pass is estimated to err by more than that, or z' is past its reach."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class QuadratureSpec:
     """Gauss-Legendre points per panel and a panel count.  quadrature_01 cuts [0, 1]
     into `panels`, then 2 `panels` panels, and compares the two; the Euler integral's
     octave rule runs one pass on 2 max(1, panels // 4) panels of [1, 2] (more for z'
-    past `points` times half that), its error estimated before it runs."""
+    past `points` times half that), its error estimated from s^(z'-1) and psi."""
 
     points_per_panel: int = 32
     panels: int = 8
@@ -349,14 +348,30 @@ def _euler_integral(
         if spec.points_per_panel * panels < zm:
             warnings.warn(f"z' = {zm} is past the octave rule's reach", QuadratureConvergenceWarning)
         panels, n = 2 * panels, spec.points_per_panel
-        rho = 2 * panels + 1 + mp.sqrt((2 * panels + 1) ** 2 - 1)  # the ellipse through s = 0
-        if (err := rho ** (-2 * n)) > prec.tol(prec.digits // 2):
+        err = max(_power_error(zm, (zq - m).denominator == 1, n, panels),
+                  _octave_table(approx, setup, n, panels)[2])
+        if err > prec.tol(prec.digits // 2):
             warnings.warn(f"{panels} panels of {n} points reach only about {mp.nstr(err, 3)}",
                           QuadratureConvergenceWarning)
         # E_0/z' in floating point, as z' may lie far below 2^-g
         rest = sum((e << g) // (zf + (k << g)) for k, e in enumerate(head[1:], 1))
         head_sum = mp.ldexp(head[0] / zm + rest, -f)
         return a**K * head_sum + _octave_sum(approx, setup, zm, a, n, panels)
+
+
+def _power_error(zm, entire: bool, n: int, panels: int) -> mpmath.mpf:
+    """The pass's relative error from (s/2)^(z'-1) alone, as M rho^(-2n) for N = `panels`
+    panels of n points on [1, 2], |f| <= M on a panel's Bernstein ellipse E_rho
+    (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  For z' not an integer, the first panel's
+    E_rho through the branch point s = 0, rho = (2N+1) + sqrt((2N+1)^2 - 1), M about 1;
+    past z' = 2n + 1, the last panel's (half-width h) M = (1 + h (A - 1)/2)^(z'-1),
+    A = (rho + 1/rho)/2, at the rho = 4n (2 - h)/(h (z' - 1 - 2n)) that about minimises it."""
+    h, d = mp.mpf(1) / (2 * panels), zm - 1 - 2 * n
+    err = 0 if entire else (1 / h + 1 + mp.sqrt((1 / h + 1) ** 2 - 1)) ** (-2 * n)
+    if d > 0:
+        r = max(4 * n * (2 - h) / (h * d), 2)
+        err = max(err, (1 + h * ((r + 1 / r) / 2 - 1) / 2) ** (zm - 1) * r ** (-2 * n))
+    return err
 
 
 def _octave_setup(approx: PadeApprox) -> tuple:
@@ -439,8 +454,13 @@ def _octave_nodes(points: int, panels: int, prec: int) -> tuple[list, list, list
 
 
 def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int) -> tuple:
-    """(F, columns), kept per (points, panels, prec): column j holds
-    floor(psi(1 - 2^-(k+1) s_j) 2^F) for k = K-1 .. 0, by _fixed_point_phi."""
+    """(F, columns, c^2), kept per (points, panels, prec): column j holds
+    floor(psi(1 - 2^-(k+1) s_j) 2^F) for k = K-1 .. 0, by _fixed_point_phi, and c is
+    psi's largest Legendre coefficient of degree n - 1 = points - 1 on a panel, relative
+    to the largest |psi|.  Analytic in a panel's ellipse E_rho, psi has |c| ~ rho^(1-n),
+    the rule errs by about rho^(-2n) ~ c^2, and a pole near [0, 1], real or complex,
+    shows in c.  n w_i P_(n-1)(x_i) = (-1)^i sqrt(2 w_i (1 - x_i^2)) at the descending
+    nodes x_i, as (1 - x^2) P_n'(x) = n P_(n-1)(x); with f(x_i) they sum to 2n c_(n-1)/(2n-1)."""
     tables, key = approx._node_tables, ("table", points, panels, mp.prec)
     if key not in tables:  # a build that raises publishes nothing
         _, K, psi = setup[:3]
@@ -454,7 +474,12 @@ def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int) ->
                     t = mp.make_mpf(libmp.from_man_exp(man, e - k - 1))
                     raise IntegrationError(f"non-finite integrand value at t={t}") from None
             columns.append(column)
-        tables.setdefault(key, (f, columns))
+        null = [(-1) ** i * libmp.to_fixed(mp.sqrt(2 * w * (1 - x * x))._mpf_, mp.prec)
+                for i, (x, w) in enumerate(zip(*_gauss_legendre_nodes(points)))]
+        top = max(abs(sum(v * col[k] for v, col in zip(null, columns[j:j + points]))) for k in range(K)
+                  for j in range(0, len(columns), points))
+        c = mp.ldexp(top, -mp.prec) / (max(abs(v) for col in columns for v in col) or 1)
+        tables.setdefault(key, (f, columns, c * c))
     return tables[key]
 
 
@@ -462,7 +487,7 @@ def _octave_sum(approx: PadeApprox, setup: tuple, zm, a, points: int, panels: in
     """a sum_j W_j s_j^(z'-1) Phi_j = sum_j W_j (s_j/2)^(z'-1) Phi_j / 2, whose powers
     stay at most 2 however large z' is; Phi_j = sum_k a^k psi_(k,j) by integer
     Horner in a = 2^-z' (a < 1, so each step's rounding stays one unit of 2^-F)."""
-    f, columns = _octave_table(approx, setup, points, panels)
+    f, columns, _ = _octave_table(approx, setup, points, panels)
     _, weights, logs = _octave_nodes(points, panels, mp.prec)
     g, rnd = mp.prec + 20, libmp.round_nearest
     A, e, total = libmp.to_fixed(a._mpf_, g), (zm - 1)._mpf_, 0

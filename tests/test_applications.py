@@ -490,11 +490,15 @@ class TestIntegralOracle:
         # for z' <= 16, 16 x 4 (P = 2: 1.4e-32) warn; past z' = 16 the layer at t = 1
         # doubles 16 x 4 to P = 4, and 16 x 8 (P = 4: 1e-40) meets the oracle to 10^-32
         approx = applications._oscillator_approx(34, "integral")
-        for z in (Fraction(1, 4), Fraction(7, 3), Fraction(16)):
+        for z in (Fraction(1, 4), Fraction(7, 3), Fraction(31, 2)):
             for spec in (QuadratureSpec(8, 2), QuadratureSpec(16, 4)):
                 with pytest.warns(QuadratureConvergenceWarning, match="panels of"):
                     _euler_integral(approx, z, spec, PREC)
         _euler_integral(approx, Fraction(17), QuadratureSpec(16, 4), PREC)
+        # an integer z' has no branch point: s^15 is a polynomial 16 points integrate
+        value, oracle = _euler_integral(approx, 16, QuadratureSpec(16, 4), PREC), closed_form_integral(approx, [16])
+        with mp.workdps(110):
+            assert abs(value - oracle[16]) < abs(oracle[16]) * mp.mpf(10) ** -32
         zs = [Fraction(1, 4), Fraction(7, 3), Fraction(20)]
         oracle = closed_form_integral(approx, zs)
         for z in zs:

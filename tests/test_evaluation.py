@@ -77,11 +77,13 @@ class TestQuadrature01:
             v = quadrature_01(lambda t: mp.sin(t), QuadratureSpec(), PREC)
             assert abs(v - (1 - mp.cos(1))) < PREC.tol(10)
 
-    def test_warning_on_rough_integrand(self):
-        # |t - 1/3| has a kink no Gauss rule resolves to 32 digits
+    @pytest.mark.parametrize("scale", [1, mp.mpf(2) ** -200])
+    def test_warning_on_rough_integrand(self, scale):
+        # |t - 1/3| has a kink no Gauss rule resolves to 32 digits; the check is
+        # relative, so it warns as well with the integrand far below one
         with pytest.warns(QuadratureConvergenceWarning):
             quadrature_01(
-                lambda t: abs(t - mp.mpf(1) / 3) ** mp.mpf("1.5"),
+                lambda t: scale * abs(t - mp.mpf(1) / 3) ** mp.mpf("1.5"),
                 QuadratureSpec(points_per_panel=8, panels=2),
                 PREC,
             )
@@ -231,14 +233,44 @@ class TestEulerIntegral:
             ref = mp.e**5 * e1_reference(5, PREC)
             assert abs(v - ref) / ref < mp.mpf(10) ** -10
 
+    # phi = 1/(1 + 10^4 (u - 3/4)^2) = 1/(5626 - 15000 u + 10^4 u^2), as its [0/2]
+    # approximant: the poles t = 1/4 +- i/100 lie next to the panels of octaves 1 and 2,
+    # where no real sign change shows them, and give rho about 1.8
+    NEAR_POLES = [Fraction(1, 5626), Fraction(15000, 5626**2), Fraction(15000**2 - 10**4 * 5626, 5626**3)]
+
+    @pytest.mark.parametrize("z", [Fraction(1, 3), Fraction(3), Fraction(20)])
+    def test_complex_pole_pair_next_to_the_panels_warns(self, z):
+        # at the default spec s = 0 alone would give 1e-80; the octave table's
+        # Legendre coefficients see the poles
+        for spec in (QuadratureSpec(), QuadratureSpec(16, 8)):
+            with pytest.warns(QuadratureConvergenceWarning, match="panels of"):
+                euler_integral_eval(self.NEAR_POLES, z, 0, 2, spec, PREC)
+
     def test_panel_check_is_relative_below_one(self):
-        # the integral is about 0.17; scaled by 2^-200 its estimate moves by the
-        # same relative amount, so both must warn at a spec this coarse
+        # the table's check is relative to the largest |psi|: the near poles scaled by
+        # 2^-200 still warn, and the E1 conjugate function scaled either way does not
+        with pytest.warns(QuadratureConvergenceWarning, match="panels of"):
+            euler_integral_eval([c / 2**200 for c in self.NEAR_POLES], 3, 0, 2, QuadratureSpec(), PREC)
         d = e1_factorial_coeffs(21)
         a = [dn / factorial(n) for n, dn in enumerate(d)]
-        for coeffs in (a, [c / 2**200 for c in a]):
-            with pytest.warns(QuadratureConvergenceWarning):
-                euler_integral_eval(coeffs, 5, 10, 11, QuadratureSpec(8, 2), PREC)
+        for scale in (Fraction(1, 2**200), 2**200):
+            euler_integral_eval([c * scale for c in a], 5, 10, 11, QuadratureSpec(), PREC)
+
+    def test_panel_check_is_silent_where_the_rule_is_exact(self):
+        # phi = 1 at z = 5: 8 Gauss points integrate s^4 exactly, and an integer z'
+        # has no branch point
+        v = euler_integral_eval([Fraction(1)], 5, 0, 0, QuadratureSpec(8, 2), PREC)
+        with PREC.workdps():
+            assert mp.nstr(v, PREC.digits) == mp.nstr(mp.mpf(1) / 5, PREC.digits)
+
+    def test_panel_check_sees_the_layer(self):
+        # phi = 1 at z = 200: s^199 grows across each of the 64 panels of 8 points
+        # faster than rho^16, and the pass errs by about 1e-20; 16 points meet 10^-32
+        with pytest.warns(QuadratureConvergenceWarning, match="panels of"):
+            euler_integral_eval([Fraction(1)], 200, 0, 0, QuadratureSpec(8, 2), PREC)
+        v = euler_integral_eval([Fraction(1)], 200, 0, 0, QuadratureSpec(16, 4), PREC)
+        with PREC.workdps():
+            assert abs(v * 200 - 1) < mp.mpf(10) ** -32
 
     def test_singularity_split_small_z(self):
         # phi = 1: integral of t^(z-1) is 1/z, singular at t=0 for z < 1
@@ -341,7 +373,7 @@ class TestNodeTables:
                 (PrecisionContext(30), PrecisionContext(64)), ((32, 2), (32, 4), (24, 1))):
             with prec.workdps(10):
                 _, K, psi = (setup := _octave_setup(approx))[:3]
-                f, columns = _octave_table(approx, setup, points, panels)
+                f, columns, _ = _octave_table(approx, setup, points, panels)
                 phi = _fixed_point_phi(psi)[1]
                 ss = _octave_nodes(points, panels, mp.prec)[0]
                 assert len(columns) == len(ss) == points * panels
