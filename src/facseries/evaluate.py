@@ -344,7 +344,7 @@ def _euler_integral(
         a, g, (f, head) = mp.mpf(2) ** -zm, mp.prec + 20, _head_series(approx, setup)
         zf, panels = libmp.to_fixed(zm._mpf_, g), max(1, spec.panels // 4)
         while spec.points_per_panel * panels < zm and panels < 64:  # the layer at t = 1
-            panels *= 2
+            panels = min(2 * panels, 64)
         if spec.points_per_panel * panels < zm:
             warnings.warn(f"z' = {zm} is past the octave rule's reach", QuadratureConvergenceWarning)
         panels, n = 2 * panels, spec.points_per_panel

@@ -8,8 +8,9 @@ order L+M.  The denominator solves the Toeplitz system
 
 cleared to integers row by row (column contents divided out) and solved by
 Bareiss's fraction-free elimination (Math. Comp. 22, 1968), so the
-match-through-order property is exact, not approximate.  Singular systems
-raise DegeneracyError carrying the largest denominator degree that is solvable.
+match-through-order property is exact, not approximate; the shortest columns go
+first, as a factorially divergent series makes the system graded (_solve_exact).
+Singular systems raise DegeneracyError carrying the largest solvable denominator degree.
 pade_eval rounds the exact num(z)/den(z) once; a pole is where den(z) = 0 exactly.
 """
 
@@ -20,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
+from sys import int_info
 from typing import Sequence
 
 import mpmath
@@ -60,18 +62,21 @@ class PadeApprox:
 def _solve_exact(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Bareiss elimination on the integer-cleared system; None if singular.
 
-    Each augmented row is cleared by its own least common denominator, and
-    each coefficient column j divided by the gcd g_j of its integers (1 for a
-    zero column), so y_j = g_j x_j; no zero entry changes, so neither do the
-    pivot rows.  After the forward pass every entry is a minor of the scaled
-    integer matrix, so each division by the previous pivot is exact, and the
-    last pivot d (its determinant up to sign) makes d * y_j integral by
-    Cramer's rule: x_j = d * y_j / (d * g_j).
+    Each augmented row is cleared by its own least common denominator, and each
+    coefficient column j divided by the gcd g_j of its integers (1 for a zero column),
+    so y_j = g_j x_j; no zero entry changes, so neither do the pivot rows.  The columns
+    then go in a stable order by the limbs of their largest entry, fewest first: a
+    step-k entry is a minor on the first k pivot columns, and a factorially divergent
+    series grades the columns (413 bits for b_1's down to 185 at order 53).  The order
+    changes neither the solution nor the singular verdict.  After the forward pass each
+    entry is a minor, so each division by the previous pivot is exact, and the last pivot
+    d (the determinant up to sign) makes d y_j integral by Cramer: x_j = d y_j / (d g_j).
     """
-    m = len(rhs)
+    m, limb = len(rhs), int_info.bits_per_digit
     aug = [_common_denominator(row + [v])[1] for row, v in zip(a, rhs)]
     g = [gcd(*(row[j] for row in aug)) or 1 for j in range(m)]
-    aug = [[v // d for v, d in zip(row, g)] + [row[m]] for row in aug]
+    order = sorted(range(m), key=lambda j: (max(abs(row[j]) for row in aug) // g[j]).bit_length() // limb)
+    aug = [[row[j] // g[j] for j in order] + [row[m]] for row in aug]
     prev = 1
     for col in range(m):
         pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
@@ -88,7 +93,7 @@ def _solve_exact(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
     for i in range(m - 1, -1, -1):
         row = aug[i]
         y[i] = (prev * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))) // row[i]
-    return [Fraction(v, prev * d) for v, d in zip(y, g)]
+    return [Fraction(y[k], prev * g[j]) for j, k in sorted(zip(order, range(m)))]
 
 
 def _try_denominator(c: Sequence[Fraction], L: int, M: int) -> list[Fraction] | None:

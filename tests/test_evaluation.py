@@ -301,6 +301,12 @@ class TestEulerIntegral:
         with pytest.warns(QuadratureConvergenceWarning, match="reach"):
             euler_integral_eval([Fraction(1)], 2049, 0, 0, QuadratureSpec(), PREC)
 
+    def test_reach_from_a_panel_count_not_a_power_of_two(self):
+        # QuadratureSpec(32, 12) starts at 3 panels: the doubling stops at 64, not 96,
+        # so the reach is 64 points = 2048 here too, and z = 3000 lies past it
+        with pytest.warns(QuadratureConvergenceWarning, match="past the octave rule's reach"):
+            euler_integral_eval([Fraction(1)], 3000, 0, 0, QuadratureSpec(32, 12), PREC)
+
     def test_z_positive_required(self):
         with pytest.raises(DomainError):
             euler_integral_eval([Fraction(1)], -1, 0, 0, QuadratureSpec(), PREC)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 import pytest
@@ -186,6 +187,18 @@ def pade_reference(c, L, M):
     return tuple(num), tuple(den)
 
 
+def assert_matches_reference(c, L, M):
+    """pade_construct agrees with pade_reference: the same [L/M], or the same largest_m."""
+    expected = pade_reference(c, L, M)
+    if expected[0] == "degenerate":
+        with pytest.raises(DegeneracyError) as err:
+            pade_construct(c, L, M)
+        assert err.value.largest_m == expected[1]
+    else:
+        p = pade_construct(c, L, M)
+        assert (p.num, p.den) == expected
+
+
 # small entries make singular systems and zero pivots common
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
 
@@ -233,6 +246,41 @@ def scaled_systems(draw):
     return a, rhs
 
 
+@st.composite
+def graded_systems(draw):
+    """Entries 2^max(0, r_i - s_j) times small nonzero rationals, r and s rising from
+    0 by two to four limbs a step, as a factorially divergent series grades its Pade
+    system: after clearing, column j's largest entry has about r_(m-1) - s_j bits, so
+    the graded order takes the columns last to first.  (A pure 2^(r_i - s_j) is a
+    diagonal scaling, which the row clearing and the column contents undo.)  Then
+    one deformation: a zero column, a zero right-hand side, or a row that is a
+    multiple of another."""
+    m = draw(st.integers(2, 6))
+    steps = st.integers(60, 120)
+    r, s = ([0] + list(accumulate(draw(st.lists(steps, min_size=m - 1, max_size=m - 1))))
+            for _ in range(2))
+    small = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 6))
+    a = [[draw(small) * 2 ** max(0, ri - sj) for sj in s] for ri in r]
+    rhs = [draw(small) * 2 ** ri for ri in r]
+    shape = draw(st.sampled_from(["none", "zero column", "zero rhs", "rank deficient"]))
+    i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+    if shape == "zero column":
+        for row in a:
+            row[j] = Fraction(0)
+    elif shape == "zero rhs":
+        rhs = [Fraction(0)] * m
+    elif shape == "rank deficient":
+        a[i] = [draw(small) * x for x in a[j]]
+    return a, rhs
+
+
+# c_k = s_k 2^(5k^2) or its reciprocal: each Toeplitz column is about 10 (M - 1) bits
+# longer than the next, and zero s_k make degenerate tables common
+graded_series = st.builds(
+    lambda ks, sign: [Fraction(k) * Fraction(2) ** (sign * 5 * n * n) for n, k in enumerate(ks)],
+    st.lists(st.integers(-3, 3), min_size=13, max_size=13), st.sampled_from([1, -1]))
+
+
 class TestFractionFreeSolver:
     @settings(max_examples=300, deadline=None)
     @given(linear_systems())
@@ -251,6 +299,43 @@ class TestFractionFreeSolver:
         assert _solve_exact(a, [Fraction(1), Fraction(3)]) is None
         assert gauss_jordan_reference(a, [Fraction(1), Fraction(3)]) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(graded_systems())
+    def test_graded_order_matches_gauss_jordan(self, system):
+        a, rhs = system
+        assert _solve_exact(a, rhs) == gauss_jordan_reference(a, rhs)
+
+    def test_graded_singular_returns_none(self):
+        # columns of 242, 143 and 2 bits after clearing: the graded order is 2, 1, 0
+        a = [[Fraction(3, 2 ** k) for k in (0, 120, 240)],
+             [Fraction(5), Fraction(7, 2 ** 60), Fraction(1, 2 ** 200)],
+             [Fraction(9), Fraction(1), Fraction(1)]]
+        rhs = [Fraction(1), Fraction(2), Fraction(3)]
+        assert _solve_exact(a, rhs) == gauss_jordan_reference(a, rhs) is not None
+        dependent = [a[0], a[1], [Fraction(-2, 7) * x for x in a[0]]]
+        assert _solve_exact(dependent, rhs) is None
+        assert gauss_jordan_reference(dependent, rhs) is None
+        # an all-zero last column has limb count 0, so the graded order takes it first
+        last_zero = [row[:2] + [Fraction(0)] for row in a]
+        assert _solve_exact(last_zero, rhs) is None
+        assert gauss_jordan_reference(last_zero, rhs) is None
+
+    @pytest.mark.parametrize("L, M", [(3, 5), (5, 5), (7, 7)])
+    def test_graded_degenerate_series_largest_m(self, L, M):
+        # an even series graded like 2^(5n^2): these [L/M] systems are singular, and
+        # the graded order moves the columns of both them and [L/M-1]'s
+        c = [Fraction(2 ** (5 * n * n)) if n % 2 == 0 else Fraction(0) for n in range(L + M + 1)]
+        expected = pade_reference(c, L, M)
+        assert expected[0] == "degenerate"
+        with pytest.raises(DegeneracyError) as err:
+            pade_construct(c, L, M)
+        assert err.value.largest_m == expected[1] > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), graded_series)
+    def test_graded_series_matches_reference(self, L, M, c):
+        assert_matches_reference(c[: L + M + 1], L, M)
+
     def test_zero_leading_pivot(self):
         a = [[Fraction(0), Fraction(1)], [Fraction(2, 3), Fraction(5)]]
         assert _solve_exact(a, [Fraction(1), Fraction(1)]) == [Fraction(-6), Fraction(1)]
@@ -259,11 +344,4 @@ class TestFractionFreeSolver:
     @given(st.integers(0, 5), st.integers(0, 5), st.data())
     def test_pade_construct_matches_reference(self, L, M, data):
         c = data.draw(st.lists(rationals, min_size=L + M + 1, max_size=L + M + 1))
-        expected = pade_reference(c, L, M)
-        if expected[0] == "degenerate":
-            with pytest.raises(DegeneracyError) as err:
-                pade_construct(c, L, M)
-            assert err.value.largest_m == expected[1]
-        else:
-            p = pade_construct(c, L, M)
-            assert (p.num, p.den) == expected
+        assert_matches_reference(c, L, M)
