@@ -116,7 +116,13 @@ def e1_inverse_power_coeffs(order: int) -> FormalSeries:
 
 def e1_factorial_coeffs(order: int) -> list[Fraction]:
     """d_n = (-1)^n sum_v s1(n, v) v!, the factorial-series coefficients of e^z E1(z)."""
-    return list(inverse_power_to_factorial(e1_inverse_power_coeffs(order), order).coeffs)
+    global _e1
+    if not 0 <= order < len(_e1[1]):
+        c = e1_inverse_power_coeffs(order)  # raises for order < 0
+        with _grow_lock:
+            if len(_e1[1]) <= order:  # re-checked inside: another thread may have grown it
+                _e1 = (c.coeffs, inverse_power_to_factorial(c, order).coeffs)
+    return list(_e1[1][: order + 1])
 
 
 @dataclass(frozen=True)
@@ -128,10 +134,9 @@ class E1Series:
 
     @classmethod
     def build(cls, order: int) -> "E1Series":
-        return cls(
-            inverse_power=e1_inverse_power_coeffs(order),
-            factorial=FormalSeries(SeriesKind.FACTORIAL, e1_factorial_coeffs(order)),
-        )
+        d = e1_factorial_coeffs(order)  # the table now reaches order, and never shrinks
+        return cls(inverse_power=FormalSeries(SeriesKind.INVERSE_POWER, _e1[0][: order + 1]),
+                   factorial=FormalSeries(SeriesKind.FACTORIAL, d))
 
     def summation_report(
         self, z: Real, terms: int, prec: PrecisionContext = PrecisionContext()
@@ -186,10 +191,12 @@ class OscillatorSeries:
         return self.coeffs[1 : order + 2]
 
 
-# growing state, extended under _grow_lock and read without it, for rows n = 0..N:
+# growing state, extended under _grow_lock and read without it; _e1 = (c_0..c_N, d_0..d_N)
+# of E1 for the largest N asked so far, replaced whole.  For oscillator rows n = 0..N:
 # _rows[n] = [C[n][s] for s = 0..2n]; _weighted[n] = [G[n][s] for s = 0..2n];
 # _T[t] = T_t over the pairs k, l <= N; _w[m] = w_m and _b[m] = b_m, m = 0..2N+1;
 # _approx[(order, route)] = the checked approximant oscillator_energy uses
+_e1: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = ((), ())
 _rows: list[list[int]] = [[1]]
 _weighted: list[list[int]] = [[1]]
 _T: list[int] = [0, 0]
@@ -331,7 +338,7 @@ def oscillator_energy(
     if method == "factorial":
         shift = oscillator_coeffs(order + 1).shift_coeffs(order)
         lam = power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), order)
-        inner = Fraction(*_product_form_sums(lam, b, order + 1)[-1])
+        inner = Fraction(*_product_form_sums(lam, b)[-1])
     elif method == "pade":
         inner = _pade_value(_oscillator_approx(order, method), b)
     else:  # integral

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from . import __version__
 from .acceleration import TransformInput, levin, transform_table, weniger_s
@@ -44,7 +44,7 @@ from .series import (
     _decimal_to_int,
     _fraction_obj,
     _int_to_decimal,
-    to_mpf,
+    _rational as _exact,
 )
 from .transforms import (
     factorial_to_inverse_power,
@@ -71,9 +71,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x, prec: PrecisionContext) -> str:
-    """x rounded once to P digits: a Fraction, or an mpf that kept its guard digits."""
-    with prec.workdps(15):
-        return mp.nstr(to_mpf(x), prec.digits)
+    """x to P digits, from an mpf's guard digits or a Fraction's one rounding to P + 15."""
+    v = x._mpf_ if isinstance(x, mp.mpf) else libmp.from_rational(
+        x.numerator, x.denominator, libmp.dps_to_prec(prec.digits + 15), libmp.round_nearest)
+    return libmp.to_str(v, prec.digits)
 
 
 def _rational(text: str, option: str) -> Fraction:
@@ -256,10 +257,8 @@ def _cmd_e1(args, prec):
         "final": _fmt(report.final, prec),
     }
     if args.compare:
-        with prec.workdps(15):
-            ratio = report.final / report.reference
         doc["reference"] = _fmt(report.reference, prec)
-        doc["ratio"] = _fmt(ratio, prec)
+        doc["ratio"] = _fmt(_exact(report.final) / _exact(report.reference), prec)
         # three significant digits: |s - ref| cancels, so no more are known
         doc["relative_errors"] = [f"{float(e):.2e}" for e in report.relative_errors]
         # divergent-series comparison: accelerate e^z E1(z) = (1/z) 2F0(1,1;-1/z),

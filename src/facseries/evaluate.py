@@ -2,10 +2,9 @@
 
 Three routes:
 
-* direct partial sums of sum_n d_n/(z)_{n+1};
-* the product form sum_m (lambda_m/m!) prod_{k=1..m} z/(z+1/k) for power
-  series transformed by transforms.power_to_factorial_coeffs, each partial
-  sum exact at the exact value of z, then rounded once;
+* partial sums of sum_n d_n/(z)_{n+1} and of the product form sum_m (lambda_m/m!)
+  prod_{k=1..m} z/(z+1/k) of power series transformed by transforms.power_to_factorial_coeffs,
+  by one integer loop (_product_form_sums): each exact at z's exact value, then rounded once;
 * the Euler-integral representation int_0^1 t^(z-1) phi(1-t) dt with the
   conjugate function phi(u) = sum_n a_n u^n rebuilt as a Pade approximant.
 
@@ -40,7 +39,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import mpmath
 from mpmath import libmp, mp
@@ -200,22 +199,18 @@ def sum_factorial_series(
     terms: int,
     prec: PrecisionContext = PrecisionContext(),
 ) -> SummationReport:
-    """Partial sums sum_{n<=m} d_n/(z)_{n+1} for m = 0..terms-1."""
+    """Partial sums sum_{n<=m} d_n/(z)_{n+1}, m < terms, each exact, then rounded once to 10 guard
+    digits: w times the product form's at w = 1/z, as (z)_{n+1} = z^(n+1) prod_{k<=n} (1 + k w)."""
     if d.kind is not SeriesKind.FACTORIAL:
         raise DomainError(f"expected factorial series, got {d.kind.value}")
     if not 1 <= terms <= len(d):
         raise DomainError(f"terms must be in 1..{len(d)}, got {terms}")
     with prec.workdps(10):
-        zv = to_mpf(z)
-        _check_pole(zv, terms - 1, prec)
-        sums = []
-        acc = mp.mpf(0)
-        poch = zv  # (z)_1
-        for n in range(terms):
-            acc += to_mpf(d.coeffs[n]) / poch
-            sums.append(acc)
-            poch *= zv + n + 1
-        return SummationReport(partial_sums=tuple(sums), final=sums[-1])
+        _check_pole(to_mpf(zq := _rational(z)), terms - 1, prec)  # before 1/z: 0 is a pole
+        w = 1 / zq
+        sums = tuple(_quotient(w.numerator * p, w.denominator * q)
+                     for p, q in _product_form_sums(d.coeffs[:terms], w))
+    return SummationReport(partial_sums=sums, final=sums[-1])
 
 
 def eval_power_as_factorial(
@@ -231,19 +226,19 @@ def eval_power_as_factorial(
     if not (zq := _rational(z)) > 0:
         raise DomainError(f"product form requires z > 0, got {z}")
     with prec.workdps(10):
-        sums = tuple(_quotient(p, q) for p, q in _product_form_sums(lam, zq, terms))
+        sums = tuple(_quotient(*s) for s in _product_form_sums(map(_rational, lam[:terms]), zq))
     return SummationReport(partial_sums=sums, final=sums[-1])
 
 
-def _product_form_sums(lam: Sequence, z: Fraction, terms: int) -> list[tuple[int, int]]:
-    """The exact partial sums m < terms of the product form at z = a/b, whose term m
-    is lambda_m a^m / prod_{k<=m} (k a + b), as unreduced (numerator, denominator)."""
+def _product_form_sums(lam: Iterable[Fraction], z: Fraction) -> list[tuple[int, int]]:
+    """The exact partial sums of the product form at z = a/b, whose term m is
+    lambda_m a^m / prod_{k<=m} (k a + b), as unreduced (numerator, denominator)."""
     a, b = z.numerator, z.denominator
-    d, cleared = _common_denominator([_rational(v) for v in lam[:terms]])
-    acc, den, sums = 0, d, []
+    d, cleared = _common_denominator(list(lam))
+    acc, den, power, sums = 0, d, 1, []
     for m, c in enumerate(cleared):
         step = m * a + b if m else 1
-        acc, den = acc * step + c * a**m, den * step
+        acc, den, power = acc * step + c * power, den * step, power * a
         sums.append((acc, den))
     return sums
 

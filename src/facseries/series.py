@@ -47,10 +47,10 @@ class PrecisionContext:
     """Decimal working precision for every approximate real computation.
 
     The precision in force is mpmath's process-global ``mp.dps``: ``workdps``
-    and ``tol`` set it for the whole process and restore it on exit.  Library
-    calls made from two threads at once therefore run at one another's
-    precision and are unsupported.  The Stirling and oscillator caches stay
-    thread-shareable.
+    sets it for the whole process and restores it on exit (``tol`` reads only
+    ``digits``).  Library calls made from two threads at once therefore run at
+    one another's precision and are unsupported.  The Stirling, oscillator and
+    E1 caches stay thread-shareable.
     """
 
     digits: int = 64
@@ -64,9 +64,9 @@ class PrecisionContext:
         return mp.workdps(self.digits + extra)
 
     def tol(self, offset: int) -> mpmath.mpf:
-        """10^(offset - digits), the usual relative tolerance scale."""
-        with self.workdps():
-            return mp.mpf(10) ** (offset - self.digits)
+        """10^(offset - digits), the usual relative tolerance scale, rounded at P digits."""
+        return mp.make_mpf(libmp.mpf_pow_int(libmp.from_int(10), offset - self.digits,
+                                             libmp.dps_to_prec(self.digits), libmp.round_nearest))
 
 
 def to_mpf(x: Real) -> mpmath.mpf:
@@ -228,11 +228,12 @@ class MomentSequence:
 
 
 def _check_pole(z, n: int, prec: PrecisionContext) -> None:
-    """Raise if z is within 10^(4-P) of a pole of 1/(z)_{n+1}."""
+    """Raise if z is within 10^(4-P) of a pole 0, -1, ..., -n of 1/(z)_{n+1}.  They are 1
+    apart, so only the nearest can be; max(0, nan) is 0, so a nan z tests the pole at 0."""
     tol = prec.tol(4)
-    for i in range(n + 1):
-        if abs(z + i) < tol:
-            raise PoleError(f"z={z} is within {mp.nstr(tol, 3)} of the pole at {-i}")
+    i = int(mp.nint(min(n, max(0, -z))))
+    if abs(z + i) < tol:
+        raise PoleError(f"z={z} is within {mp.nstr(tol, 3)} of the pole at {-i}")
 
 
 def pochhammer(z: Real, n: int, prec: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
@@ -254,8 +255,7 @@ def factorial_term(
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     with prec.workdps():
-        zv = to_mpf(z)
-        _check_pole(zv, n, prec)
+        _check_pole(zv := to_mpf(z), n, prec)
         return to_mpf(d_n) / pochhammer(zv, n + 1, prec)
 
 
@@ -267,8 +267,7 @@ def forward_difference_term(
     if n < 0 or k < 0:
         raise DomainError(f"need n, k >= 0, got n={n}, k={k}")
     with prec.workdps(10):
-        zv = to_mpf(z)
-        _check_pole(zv, n + k, prec)
+        _check_pole(zv := to_mpf(z), n + k, prec)
         return (-1) ** k * factorial(n + k) / pochhammer(zv, n + k + 1, prec)
 
 

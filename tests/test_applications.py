@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -100,6 +101,85 @@ class TestE1Coefficients:
     def test_negative_order(self):
         with pytest.raises(DomainError):
             e1_factorial_coeffs(-1)
+        e1_factorial_coeffs(20)  # and with the table grown past order 0
+        with pytest.raises(DomainError):
+            e1_factorial_coeffs(-1)
+        with pytest.raises(DomainError):
+            E1Series.build(-1)
+
+
+def direct_e1_factorial_coeffs(order):
+    return inverse_power_to_factorial(e1_inverse_power_coeffs(order), order).coeffs
+
+
+class TestE1Table:
+    """e1_factorial_coeffs and E1Series.build read one table, rebuilt only past its order."""
+
+    @pytest.mark.parametrize("orders", [[30, 5, 60, 12], [0, 1, 2, 60], [60, 59, 0, 7]])
+    def test_build_is_a_prefix_whatever_the_order_of_calls(self, monkeypatch, orders):
+        monkeypatch.setattr(applications, "_e1", ((), ()))
+        built = {n: E1Series.build(n) for n in orders}
+        longest = max(orders)
+        for n, series in built.items():
+            assert series.factorial.coeffs == direct_e1_factorial_coeffs(longest)[: n + 1]
+            assert series.inverse_power == e1_inverse_power_coeffs(n)
+            assert tuple(e1_factorial_coeffs(n)) == series.factorial.coeffs
+
+    def test_built_once_up_to_the_cached_order(self, monkeypatch):
+        monkeypatch.setattr(applications, "_e1", ((), ()))
+        calls = []
+
+        def counted(c, order):
+            calls.append(order)
+            return inverse_power_to_factorial(c, order)
+
+        monkeypatch.setattr(applications, "inverse_power_to_factorial", counted)
+        E1Series.build(60)
+        for _ in range(3):
+            for n in range(61):
+                E1Series.build(n)
+                e1_factorial_coeffs(n)
+        assert calls == [60]
+        E1Series.build(61)
+        assert calls == [60, 61]
+
+    def test_concurrent_growth_from_a_fresh_table(self, monkeypatch):
+        # 8 threads, each asking its own order, give what a serial run gives; the smaller
+        # the order, the later its build ends, so a rebuild that did not re-check the
+        # table under the lock would replace a larger table by a smaller one
+        monkeypatch.setattr(applications, "_e1", ((), ()))
+        monkeypatch.setattr(applications, "inverse_power_to_factorial",
+                            lambda c, order: time.sleep((61 - order) * 1e-4)
+                            or inverse_power_to_factorial(c, order))
+        orders = [12, 45, 5, 60, 21, 33, 1, 26]
+        results, errors = {}, []
+        barrier = threading.Barrier(len(orders))
+
+        def grow(slot, order):
+            try:
+                barrier.wait(timeout=10)
+                results[slot] = (e1_factorial_coeffs(order), E1Series.build(order))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(i, n)) for i, n in enumerate(orders)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        serial = direct_e1_factorial_coeffs(60)
+        for slot, order in enumerate(orders):
+            coeffs, series = results[slot]
+            assert tuple(coeffs) == series.factorial.coeffs == serial[: order + 1]
+            assert series.inverse_power == e1_inverse_power_coeffs(order)
+        assert applications._e1 == (e1_inverse_power_coeffs(60).coeffs, serial)
 
 
 class TestE1Summation:

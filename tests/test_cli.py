@@ -1,5 +1,6 @@
 """End-to-end CLI runs through facseries.cli.main."""
 
+import hashlib
 import json
 import os
 import re
@@ -364,6 +365,18 @@ class TestSum:
         assert code == 0 and explicit == default
 
 
+# sha256 of `facseries e1 --z Z --terms N --compare` at 64 digits, as printed before the
+# partial sums were exact and rounded once
+E1_COMPARE_SHA256 = {
+    ("1/2", 10): "846cb5cc64459e9ace98b9550329bbd77aa065f4903d7e5109cd74cfdf6770e7",
+    ("1/2", 60): "7af75241cb1de14f1de4b3529ef90e5cc43e96653f560fa2d6a64dbcaa1c8d15",
+    ("5", 10): "e7f711fc63061f5b1e6f1074313ef4cfb03dcaf668fd58b73ce5f56aca36acf2",
+    ("5", 60): "0cd406325e1b901fb5e69e43a0c8f2793dc6cb9423ab2af5d2396c9f02c4fd4e",
+    ("20", 10): "afdb79b908a79971e3d2c9cb68b514340438c848b1ec40d28e1ecaaf63104daa",
+    ("20", 60): "4696c4514946310b14eb897e19c621b28e186e71612af6e64f328302ffc366a9",
+}
+
+
 class TestE1:
     def test_pole_message_rounds_the_tolerance(self, capsys, monkeypatch):
         monkeypatch.delenv("FACSERIES_PRECISION", raising=False)
@@ -451,6 +464,25 @@ class TestE1:
         assert code == 2
         assert doc["error"] == "domain"
         assert doc["message"] == f"--terms must be >= 1, got {terms}"
+
+    @pytest.mark.parametrize("z, n", sorted(E1_COMPARE_SHA256))
+    def test_compare_documents_pinned(self, capsys, monkeypatch, z, n):
+        # byte for byte the documents of the step-by-step mpf loop this route replaced
+        monkeypatch.delenv("FACSERIES_PRECISION", raising=False)
+        code, out = run(capsys, "e1", "--z", z, "--terms", str(n), "--compare")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == E1_COMPARE_SHA256[z, n]
+
+    def test_precision_switches_do_not_grow_with_terms(self, capsys, monkeypatch):
+        # a bounded number of workdps blocks a request, none per printed number
+        switches, workdps = [], mp.workdps
+        monkeypatch.setattr(mp, "workdps", lambda n: switches.append(n) or workdps(n))
+        counts = []
+        for n in (10, 30, 60):
+            switches.clear()
+            assert run(capsys, "e1", "--z", "163/8", "--terms", str(n), "--compare")[0] == 0
+            counts.append(len(switches))
+        assert counts[0] == counts[1] == counts[2] <= 8
 
     @pytest.mark.parametrize("z, n", E1_PADE_CASES)
     def test_pade_is_the_exact_value_rounded_once(self, capsys, z, n):

@@ -142,6 +142,78 @@ class TestDirectFactorialSum:
             assert report.relative_errors[-1] < PREC.tol(10)
 
 
+def exact_factorial_sums(d, z):
+    """sum_{n<=m} d_n/(z)_{n+1} for every m, in Fractions, term by term."""
+    sums, total, poch = [], Fraction(0), Fraction(1)
+    for n, c in enumerate(d):
+        poch *= z + n
+        total += c / poch
+        sums.append(total)
+    return sums
+
+
+def rounded(q, bits):
+    return mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, bits, libmp.round_nearest))
+
+
+def waring(n, w=Fraction(1, 2)):
+    """d_k = (w)_k, k < n: sum_k d_k/(z)_{k+1} = 1/(z - w)."""
+    return [math.prod(w + i for i in range(k)) * Fraction(1) for k in range(n)]
+
+
+class TestDirectSumsExactThenRounded:
+    """Each partial sum is the exact rational one rounded once to P + 10 digits."""
+
+    @pytest.mark.parametrize("digits", [16, 64])
+    @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(5), Fraction(163, 8), Fraction(20)])
+    @pytest.mark.parametrize("terms", [1, 10, 60])
+    def test_e1(self, z, terms, digits):
+        prec = PrecisionContext(digits)
+        d = e1_factorial_coeffs(terms - 1)
+        report = sum_factorial_series(FormalSeries(SeriesKind.FACTORIAL, d), z, terms, prec)
+        bits = libmp.dps_to_prec(digits + 10)
+        want = [rounded(q, bits) for q in exact_factorial_sums(d, z)]
+        assert [s._mpf_ for s in report.partial_sums] == [s._mpf_ for s in want]
+        assert report.final is report.partial_sums[-1]
+
+    @pytest.mark.parametrize("z", [Fraction(3), Fraction(-7, 3), Fraction(-51, 2), Fraction(10**30, 7)])
+    def test_waring(self, z):
+        d = waring(40)
+        report = sum_factorial_series(FormalSeries(SeriesKind.FACTORIAL, d), z, 40, PREC)
+        want = [rounded(q, libmp.dps_to_prec(74)) for q in exact_factorial_sums(d, z)]
+        assert [s._mpf_ for s in report.partial_sums] == [s._mpf_ for s in want]
+
+    @pytest.mark.parametrize("z", [0.1, 2.0**-30 + 3, mp.mpf(5) / 3, mp.mpf("1e-40") + 1])
+    def test_float_and_mpf_z_read_exactly(self, z):
+        # 0.1 is the dyadic 3602879701896397/2^55, not 1/10; an mpf holds its own bits
+        zq = Fraction(z) if isinstance(z, float) else Fraction(*libmp.to_rational(z._mpf_))
+        d = waring(12)
+        report = sum_factorial_series(FormalSeries(SeriesKind.FACTORIAL, d), z, 12, PREC)
+        want = [rounded(q, libmp.dps_to_prec(74)) for q in exact_factorial_sums(d, zq)]
+        assert [s._mpf_ for s in report.partial_sums] == [s._mpf_ for s in want]
+
+    @pytest.mark.parametrize("digits", [16, 30, 64])
+    @pytest.mark.parametrize("z, terms", [(Fraction(3, 2), 12), (Fraction(100), 60)])
+    def test_relative_errors_of_the_rounded_sums(self, z, terms, digits):
+        # |round-once(S_m) - ref| / |ref|, all at P + 15 digits
+        prec = PrecisionContext(digits)
+        d = e1_factorial_coeffs(terms - 1)
+        series = FormalSeries(SeriesKind.FACTORIAL, d)
+        report = applications.E1Series.build(terms - 1).summation_report(z, terms, prec)
+        sums = [rounded(q, libmp.dps_to_prec(digits + 10)) for q in exact_factorial_sums(d, z)]
+        assert report.partial_sums == sum_factorial_series(series, z, terms, prec).partial_sums
+        with mp.workdps(digits + 15):
+            ref = mp.exp(to_mpf(z)) * mp.e1(to_mpf(z))
+            assert report.reference == ref
+            want = [abs(s - ref) / abs(ref) for s in sums]
+        assert [e._mpf_ for e in report.relative_errors] == [e._mpf_ for e in want]
+
+    @pytest.mark.parametrize("z", [float("inf"), mp.inf, mp.nan, "inf"])
+    def test_non_finite_z(self, z):
+        with pytest.raises(DomainError):
+            sum_factorial_series(FormalSeries(SeriesKind.FACTORIAL, [1, 1]), z, 2, PREC)
+
+
 class TestProductForm:
     def test_geometric(self):
         # f(x) = 1/(1 - x/3) at x = 1/8 through the factorial product form;

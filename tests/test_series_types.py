@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from mpmath import libmp, mp
 
 from facseries.errors import DomainError, IntegrityError, PoleError
+from facseries.evaluate import sum_factorial_series
 from facseries.series import (
     FormalSeries,
     MomentSequence,
@@ -43,6 +44,18 @@ class TestPrecisionContext:
     def test_tol(self):
         t = PrecisionContext(20).tol(4)
         assert mp.almosteq(t, mp.mpf(10) ** -16)
+
+    def test_tol_is_the_power_at_p_digits_bit_for_bit(self):
+        # tol switches no precision, yet gives what 10^(offset - P) at P digits gave;
+        # the offsets are the library's: 4 (poles), 6 (transform cells), P/2 (quadrature)
+        before = mp.prec
+        for digits in range(16, 201):
+            prec = PrecisionContext(digits)
+            for offset in (4, 6, 10, digits // 2):
+                with mp.workdps(digits):
+                    want = mp.mpf(10) ** (offset - digits)
+                assert prec.tol(offset)._mpf_ == want._mpf_, (digits, offset)
+                assert mp.prec == before
 
     def test_to_mpf_fraction_is_exact(self):
         with PREC.workdps():
@@ -246,6 +259,38 @@ class TestForwardDifference:
             forward_difference_term(2, -1, 0, PREC)
         with pytest.raises(PoleError):
             forward_difference_term(-1, 1, 1, PREC)
+
+
+class TestNearestPole:
+    """_check_pole tests the pole nearest to z alone; the verdict and the message are
+    those of a test of all n+1 poles 0, -1, ..., -n.  Each call below reaches n = 4."""
+
+    CALLS = {
+        "sum": lambda z: sum_factorial_series(FormalSeries(SeriesKind.FACTORIAL, [1] * 5), z, 5, PREC).final,
+        "term": lambda z: factorial_term(z, 4, 1, PREC),
+        "difference": lambda z: forward_difference_term(z, 2, 2, PREC),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("z, pole", [(0, 0), (-2, -2), (-4, -4),
+                                         (Fraction(-2) + Fraction(1, 10**61), -2),
+                                         (Fraction(-2) - Fraction(1, 10**61), -2)])
+    def test_within_the_tolerance_raises(self, call, z, pole):
+        with pytest.raises(PoleError, match=rf"is within 1\.0e-60 of the pole at {pole}$"):
+            self.CALLS[call](z)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("z", [Fraction(-2) + Fraction(1, 10**59), Fraction(-2) - Fraction(1, 10**59),
+                                   -5, Fraction(-9, 2), 10**80, Fraction(1, 10**59)])
+    def test_outside_the_tolerance_or_the_chain_passes(self, call, z):
+        assert mp.isfinite(self.CALLS[call](z))
+
+    def test_message_is_the_old_one(self):
+        with pytest.raises(PoleError) as info:
+            factorial_term(Fraction(-3) + Fraction(1, 10**62), 4, 1, PREC)
+        with PREC.workdps():  # z as factorial_term prints it, at P digits
+            want = f"z={to_mpf(Fraction(-3) + Fraction(1, 10**62))} is within 1.0e-60 of the pole at -3"
+        assert str(info.value) == want
 
 
 class TestTermDecay:
