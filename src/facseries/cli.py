@@ -21,6 +21,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 from mpmath import libmp, mp
@@ -262,8 +263,10 @@ def _cmd_e1(args, prec):
         # three significant digits: |s - ref| cancels, so no more are known
         doc["relative_errors"] = [f"{float(e):.2e}" for e in report.relative_errors]
         # divergent-series comparison: accelerate e^z E1(z) = (1/z) 2F0(1,1;-1/z),
-        # exactly from the rational terms, one cell T_k per method
-        terms = [c / z ** (m + 1) for m, c in enumerate(series.inverse_power.coeffs)]
+        # exactly from the rational terms (-1)^m m!/z^(m+1), each -m/z times the
+        # one before, one cell T_k per method
+        w = -1 / z
+        terms = list(accumulate((w * m for m in range(1, args.terms)), Fraction.__mul__, initial=-w))
         inp = TransformInput.from_terms(terms, "first_neglected", 1)
         k = len(inp.s) - 1
         comparison = {}

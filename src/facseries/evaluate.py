@@ -19,9 +19,11 @@ so one Gauss-Legendre rule on [1, 2] serves every octave.  Its nodes carry
 Phi_j = sum_k a^k psi_(k,j), an integer Horner in a over a fixed-point table
 psi_(k,j) that depends on the approximant alone (kept in PadeApprox._node_tables),
 and a request forms only the powers a s_j^(z'-1) = (s_j/2)^(z'-1)/2, at most 1
-for every z'.  The head is exact for every z' > 0: h^z' sum_k c_k h^k/(z'+k), c_k
-the Taylor coefficients of psi(1-t) at t = 0 from the exact shift num(1-t),
-den(1-t) and a fixed-point division, c_0/z' in floating point.  K >= 4
+for every z', in integers: an ln 2 reduction and a fixed-point exp at prec + 34 bits,
+each off by about one unit of 2^-(prec+34), below the sum's unit 2^-(prec+20).
+The head is exact for every z' > 0: h^z' sum_k c_k h^k/(z'+k), c_k the Taylor
+coefficients of psi(1-t) at t = 0 from the exact shift num(1-t), den(1-t) and a
+fixed-point division, c_0/z' in floating point.  K >= 4
 puts h at most 1/8 of Fujiwara's lower bound on the root moduli of den(1-t)/t^m,
 so the head series converges like 5^-k or faster.  A QuadratureSpec(points, panels)
 runs one pass of N = 2 max(1, panels // 4) panels of `points` nodes on [1, 2], N
@@ -36,13 +38,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
 import mpmath
 from mpmath import libmp, mp
+from mpmath.libmp.libelefun import exp_basecase
 
 from .errors import DomainError, IntegrationError, PoleInDomainError
 from .pade import PadeApprox, pade_construct
@@ -256,10 +259,10 @@ def _fixed(n: int, d: int, bits: int) -> int:
     return (n << max(bits, 0)) // (d << max(-bits, 0))
 
 
-def _fixed_point(p: PadeApprox) -> list[tuple[int, list[int]]]:
+def _fixed_point(p: PadeApprox, extra: int = 0) -> list[tuple[int, list[int]]]:
     """[(w, [ceil(c 2^w) for c in cs]) for cs in (p.num, p.den)], each w as
-    _fixed_point_phi states."""
-    guard = (p.L + p.M + 2).bit_length() + 4
+    _fixed_point_phi states, plus `extra` bits."""
+    guard = (p.L + p.M + 2).bit_length() + 4 + extra
     scaled = []
     for cs in (p.num, p.den):
         big = max(abs(c) for c in cs)  # 2^e < big < 2^(e+2), e from the bit lengths
@@ -281,10 +284,25 @@ def _fixed_point_phi(p: PadeApprox) -> tuple[int, Callable]:
     quotient is one integer division, floor(N 2^(prec+40) / D), so F = prec + 40 +
     w_num - w_den; as D < 2^(prec+g+2) (M+1) < 2^(prec+40), its unit 2^-F is below
     one unit of N over D.
+
+    Where num or den cancels, its value V loses bitlen(sum |C|) - bitlen(V) of those
+    bits.  The working precision's 10 guard digits hold 33, so where either loses
+    more than 32, both are formed again with that many more bits, rounded up to a
+    multiple of 32 (F unchanged).  E1's conjugate [29/30] loses up to 72 bits on
+    [0, 1]; the oscillator's approximants of orders 20-54 at most 29, so they never do.
     """
     (wn, num), (wd, den) = _fixed_point(p)
-    shift = mp.prec + 40
-    return shift + wn - wd, lambda m, s: (_horner_fixed(num, m, s) << shift) // _horner_fixed(den, m, s)
+    (low_n, low_d), shift = (sum(map(abs, cs)).bit_length() - 32 for cs in (num, den)), mp.prec + 40
+    wider = cache(partial(_fixed_point, p))
+
+    def phi(m: int, s: int) -> int:
+        n, d = _horner_fixed(num, m, s), _horner_fixed(den, m, s)
+        if n.bit_length() < low_n or d.bit_length() < low_d:  # more than 32 bits lost
+            lost = 32 + max(low_n - n.bit_length(), low_d - d.bit_length())
+            n, d = (_horner_fixed(cs, m, s) for _, cs in wider(-(-lost // 32) * 32))
+        return (n << shift) // d
+
+    return shift + wn - wd, phi
 
 
 def _check_poles_in_unit_interval(p: PadeApprox) -> None:
@@ -294,8 +312,7 @@ def _check_poles_in_unit_interval(p: PadeApprox) -> None:
     D > 0 the common denominator, so the scan forms no Fraction.  den(0) = 1, and
     a pole at u = 1 lowers the Euler integral's exponent (see _octave_setup).
     """
-    _, cleared = _common_denominator(p.den)
-    scaled = [c * 130 ** (p.M - k) for k, c in enumerate(cleared)]
+    scaled = [c * 130 ** (p.M - k) for k, c in enumerate(p._cleared[1][1])]
     signs = []
     for i in range(65):
         q = 2 * i + 1
@@ -361,12 +378,19 @@ def _power_error(zm, entire: bool, n: int, panels: int) -> mpmath.mpf:
     E_rho through the branch point s = 0, rho = (2N+1) + sqrt((2N+1)^2 - 1), M about 1;
     past z' = 2n + 1, the last panel's (half-width h) M = (1 + h (A - 1)/2)^(z'-1),
     A = (rho + 1/rho)/2, at the rho = 4n (2 - h)/(h (z' - 1 - 2n)) that about minimises it."""
-    h, d = mp.mpf(1) / (2 * panels), zm - 1 - 2 * n
-    err = 0 if entire else (1 / h + 1 + mp.sqrt((1 / h + 1) ** 2 - 1)) ** (-2 * n)
+    err, d = 0 if entire else _branch_error(n, panels, mp.prec), zm - 1 - 2 * n
     if d > 0:
+        h = mp.mpf(1) / (2 * panels)
         r = max(4 * n * (2 - h) / (h * d), 2)
         err = max(err, (1 + h * ((r + 1 / r) / 2 - 1) / 2) ** (zm - 1) * r ** (-2 * n))
     return err
+
+
+@cache
+def _branch_error(n: int, panels: int, prec: int) -> mpmath.mpf:
+    """_power_error's rho^(-2n) through s = 0, kept per pass shape; at mpmath precision prec."""
+    c = mp.mpf(2 * panels + 1)
+    return (c + mp.sqrt(c * c - 1)) ** (-2 * n)
 
 
 def _octave_setup(approx: PadeApprox) -> tuple:
@@ -382,7 +406,7 @@ def _octave_setup(approx: PadeApprox) -> tuple:
     tables = approx._node_tables
     if "setup" not in tables:
         _check_poles_in_unit_interval(approx)
-        (dn, p), (dd, q) = map(_common_denominator, (approx.num, approx.den))
+        (dn, p), (dd, q) = approx._cleared
         m, psi = 0, PadeApprox(approx.num, approx.den)  # not approx itself: no reference cycle
         while sum(q) == 0:  # den(1) = 0: den/(1-u) has den's prefix sums as coefficients
             q, m = list(accumulate(q[:-1])), m + 1
@@ -425,8 +449,9 @@ def _head_series(approx: PadeApprox, setup: tuple) -> tuple[int, list[int]]:
 
 @cache
 def _octave_nodes(points: int, panels: int, prec: int) -> tuple[list, list, list]:
-    """Nodes s_j of the composite rule on [1, 2], their weights with the panel's
-    half-width folded in, and log(s_j/2), as _mpf_; called at mpmath precision prec.
+    """Nodes s_j of the composite rule on [1, 2] as _mpf_, then in fixed point at
+    2^-(prec+20) their weights with the panel's half-width folded in and log(s_j/2);
+    called at mpmath precision prec.
 
     log(s/2) = log(c/2) + 2 atanh(y), y = (s - c)/(s + c), c the panel's midpoint:
     |y| < 1/9, so the series runs in fixed point and mpf_log meets only the midpoints.
@@ -444,7 +469,7 @@ def _octave_nodes(points: int, panels: int, prec: int) -> tuple[list, list, list
             while term:  # atanh is odd: the series runs on |y|
                 atanh, term, i = atanh + term // i, term * y2 >> bits, i + 2
             log_s = log_c + (2 * atanh if sf > cf else -2 * atanh)
-            rows.append((s._mpf_, (w * half)._mpf_, libmp.from_man_exp(log_s, -bits)))
+            rows.append((s._mpf_, libmp.to_fixed((w * half)._mpf_, bits), log_s))
     return tuple(map(list, zip(*rows)))
 
 
@@ -481,15 +506,21 @@ def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int) ->
 def _octave_sum(approx: PadeApprox, setup: tuple, zm, a, points: int, panels: int) -> mpmath.mpf:
     """a sum_j W_j s_j^(z'-1) Phi_j = sum_j W_j (s_j/2)^(z'-1) Phi_j / 2, whose powers
     stay at most 2 however large z' is; Phi_j = sum_k a^k psi_(k,j) by integer
-    Horner in a = 2^-z' (a < 1, so each step's rounding stays one unit of 2^-F)."""
+    Horner in a = 2^-z' (a < 1, so each step's rounding stays one unit of 2^-F).
+
+    The powers are integer too: (s_j/2)^(z'-1) = 2^n exp(r), n <= 0, by one divmod of the
+    exact x_j = (z'-1) log(s_j/2) by ln 2 and libmp's fixed-point exp at wp = prec + 34
+    (mpf_exp's own for g), each off by about one unit of 2^-wp, below the sum's 2^-g."""
     f, columns, _ = _octave_table(approx, setup, points, panels)
     _, weights, logs = _octave_nodes(points, panels, mp.prec)
-    g, rnd = mp.prec + 20, libmp.round_nearest
-    A, e, total = libmp.to_fixed(a._mpf_, g), (zm - 1)._mpf_, 0
+    g, wp, rnd = mp.prec + 20, mp.prec + 34, libmp.round_nearest
+    sign, man, exp, _ = (zm - 1)._mpf_  # x_j 2^wp = +-man log_j 2^(exp + 14), log_j at 2^-g
+    e, shift = (-man if sign else man) << max(exp + 14, 0), max(-exp - 14, 0)
+    A, ln2, total = libmp.to_fixed(a._mpf_, g), libmp.ln2_fixed(wp), 0
     for column, w, log in zip(columns, weights, logs):
         acc = 0
         for v in column:
             acc = v + (acc * A >> g)
-        power = libmp.mpf_exp(libmp.mpf_mul(e, log), g, rnd)
-        total += libmp.to_fixed(libmp.mpf_mul(w, power, g, rnd), g) * acc
+        n, r = divmod(e * log >> shift, ln2)
+        total += (w * exp_basecase(r, wp) >> wp - n) * acc
     return mp.make_mpf(libmp.from_man_exp(total, -g - f - 1, mp.prec, rnd))

@@ -39,6 +39,8 @@ class PadeApprox:
     num: tuple[Fraction, ...]  # length L+1
     den: tuple[Fraction, ...]  # length M+1, den[0] == 1
     _node_tables = cached_property(lambda self: {})  # evaluate._euler_integral: set-up, head, octave tables
+    # (D, integer numerators) of num and den: _pade_value, evaluate's pole scan and set-up
+    _cleared = cached_property(lambda self: tuple(map(_common_denominator, (self.num, self.den))))
 
     @property
     def L(self) -> int:
@@ -150,7 +152,7 @@ def _pade_value(p: PadeApprox, z: Fraction) -> Fraction:
     """num(z)/den(z) exactly.  At z = a/b a polynomial of degree n with coefficients
     C_k/D is A/(D b^n), A = sum_k C_k a^k b^(n-k) by integer Horner."""
     a, b, parts = z.numerator, z.denominator, []
-    for d, cs in map(_common_denominator, (p.num, p.den)):
+    for d, cs in p._cleared:
         acc, power = 0, 1
         for c in reversed(cs):
             acc, power = acc * a + c * power, power * b

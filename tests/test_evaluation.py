@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import sys
 import weakref
 from fractions import Fraction
 from math import factorial
@@ -406,13 +407,30 @@ def reference_euler_integral(approx, z, spec, prec):
             for k in reversed(range(K)):  # Horner in a = 2^-z', from the last octave
                 _, man, exp, _ = mp.fsub(1, mp.ldexp(mp.make_mpf(s), -k - 1), exact=True)._mpf_
                 acc = phi(man, -exp) + (acc * floor_fixed(a, g) >> g)
+            w, log = (mp.make_mpf(libmp.from_man_exp(v, -g)) for v in (w, log))  # fixed at 2^-g
             with mp.workprec(g):
-                c = mp.make_mpf(w) * mp.exp(mp.fmul(e, mp.make_mpf(log), exact=True))
+                c = w * mp.exp(mp.fmul(e, log, exact=True))
             total += floor_fixed(c, g) * acc
         zf = floor_fixed(zm, g)
         rest = sum((c << g) // (zf + (k << g)) for k, c in enumerate(head[1:], 1))
         # a s^(z'-1) = (s/2)^(z'-1)/2: the logs are of s/2
         return a**K * mp.ldexp(head[0] / zm + rest, -f_head) + mp.ldexp(mp.mpf(total), -g - f - 1)
+
+
+def counting_mpf_calls(patch, names):
+    """{name: calls} of libmp's routines, counted in every mpmath module that bound them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(libmp, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("mpmath") and getattr(module, name, None) is original:
+                patch.setattr(module, name, counted)
+    return counts
 
 
 def oscillator_conjugate(order):
@@ -424,14 +442,18 @@ def oscillator_conjugate(order):
 
 
 class TestNodeTables:
-    # z = 1/beta on both sides of 1, integer (20, 5, 1/2 ... ) and not (5/2, 7/3, 1/4)
-    BETAS = [Fraction(1, 20), Fraction(1, 5), Fraction(2), Fraction(2, 5),
+    # z = 1/beta on both sides of 1, integer (20, 5) and not (1/2, 5/2, 3/2, 7/3, 1/4):
+    # the ln 2 reduction of the integer sum's powers has n = 0 for z < 1 and n < 0 for z > 1
+    BETAS = [Fraction(1, 20), Fraction(1, 5), Fraction(2), Fraction(2, 5), Fraction(2, 3),
              Fraction(3, 7), Fraction(4)]
+    PRECS = [PrecisionContext(30), PrecisionContext(64), PrecisionContext(100)]
 
     def test_tabled_integral_is_the_untabled_rule(self):
         approx = oscillator_conjugate(12)
-        cases = [(beta, prec, spec) for spec in (QuadratureSpec(), QuadratureSpec(24, 5))
-                 for prec in (PrecisionContext(30), PrecisionContext(64)) for beta in self.BETAS]
+        # 24 x 5 only below 100 digits, where its 2-panel pass meets half the digits
+        cases = [(beta, prec, spec) for spec, precs in ((QuadratureSpec(), self.PRECS),
+                                                        (QuadratureSpec(24, 5), self.PRECS[:2]))
+                 for prec in precs for beta in self.BETAS]
         expected = {case: reference_euler_integral(approx, 1 / case[0], case[2], case[1])._mpf_
                     for case in cases}
         assert approx._node_tables == {}
@@ -442,7 +464,7 @@ class TestNodeTables:
         # the set-up, a head per precision, and per precision one octave table for
         # each spec: the one pass of the default spec (4 panels) and of 24 x 5 (2 panels)
         kinds = [k if isinstance(k, str) else k[0] for k in approx._node_tables]
-        assert sorted(kinds) == ["head"] * 2 + ["setup"] + ["table"] * 4
+        assert sorted(kinds) == ["head"] * 3 + ["setup"] + ["table"] * 5
 
     def test_each_node_value_is_the_untabled_one(self):
         # the sums above can absorb a one-unit change of a single entry; this cannot
@@ -461,30 +483,43 @@ class TestNodeTables:
                     assert column == [phi(man, -exp) for _, man, exp, _ in us]
 
     def test_universal_nodes(self):
-        # the rule on [1, 2]: nodes and weights of the composite rule, and the logs of s/2
+        # the rule on [1, 2]: nodes and weights of the composite rule, and the logs of
+        # s/2; weights and logs in fixed point at 2^-(prec+20), the weights exactly
         for prec, (points, panels) in itertools.product(
                 (PrecisionContext(30), PrecisionContext(64)), ((32, 2), (32, 4), (24, 1))):
             with prec.workdps(10):
                 nodes, weights = _gauss_legendre_nodes(points)
-                half = mp.mpf(1) / (2 * panels)
+                half, bits = mp.mpf(1) / (2 * panels), mp.prec + 20
                 ss, ws, logs = _octave_nodes(points, panels, mp.prec)
                 assert ss == [(1 + (2 * p + 1) * half + half * x)._mpf_
                               for p in range(panels) for x in nodes]
-                assert ws == [(w * half)._mpf_ for _ in range(panels) for w in weights]
+                assert [libmp.from_man_exp(w, -bits) for w in ws] == \
+                    [(w * half)._mpf_ for _ in range(panels) for w in weights]
                 bound = mp.ldexp(1, -mp.prec - 8)
                 for s, log in zip(ss, logs):
                     with mp.workprec(mp.prec + 40):
-                        assert abs(mp.make_mpf(log) - mp.log(mp.make_mpf(s) / 2)) <= bound
+                        log = mp.make_mpf(libmp.from_man_exp(log, -bits))
+                        assert abs(log - mp.log(mp.make_mpf(s) / 2)) <= bound
 
     def test_integral_energy_is_the_untabled_rule(self, monkeypatch):
         monkeypatch.setattr(applications, "_approx", {})
         approx, spec = oscillator_conjugate(12), QuadratureSpec()
-        for _ in ("cold", "warm"):
-            for beta in self.BETAS:  # 1 + omega at the exact 1/beta, to 10 guard digits
-                omega = reference_euler_integral(approx, 1 / beta, spec, PREC)
-                with PREC.workdps(10):
-                    expected = 1 + omega
-                assert oscillator_energy(beta, 12, "integral", PREC)._mpf_ == expected._mpf_
+        for _, prec, beta in itertools.product(("cold", "warm"), self.PRECS[1:], self.BETAS):
+            omega = reference_euler_integral(approx, 1 / beta, spec, prec)
+            with prec.workdps(10):  # 1 + omega at the exact 1/beta, to 10 guard digits
+                expected = 1 + omega
+            assert oscillator_energy(beta, 12, "integral", prec)._mpf_ == expected._mpf_
+
+    def test_warm_request_makes_no_mpf_call_per_node(self, monkeypatch):
+        # a warm request forms its powers in integers: as many mpf_exp and mpf_mul
+        # calls at 64 nodes as at 128, wherever mpmath bound those names
+        approx, prec, counts = oscillator_conjugate(12), PrecisionContext(30), []
+        for spec in (QuadratureSpec(16, 8), QuadratureSpec(32, 8)):
+            _euler_integral(approx, Fraction(7, 3), spec, prec)
+            with monkeypatch.context() as patch:
+                counts.append(counting_mpf_calls(patch, ("mpf_exp", "mpf_mul")))
+                _euler_integral(approx, Fraction(7, 3), spec, prec)
+        assert counts[0] == counts[1]
 
     def test_one_shot_approximant_keeps_no_table(self, monkeypatch):
         seen = []
@@ -629,29 +664,52 @@ class TestFixedPointPhi:
     def test_within_documented_bound(self, num, den_tail, scale, dps, data):
         num = [c * Fraction(2) ** scale for c in num]
         p = PadeApprox(num=tuple(num), den=(Fraction(1),) + tuple(den_tail))
-        guard = (p.L + p.M + 2).bit_length() + 4
         with mp.workdps(dps):
             s = data.draw(st.integers(0, mp.prec), label="s")
             m = data.draw(st.integers(0, 2**s), label="m")
-            u = Fraction(m, 2**s)
-            scales, accs = [], []
-            for coeffs, (w, fixed_coeffs) in zip((p.num, p.den), _fixed_point(p)):
-                big = max(abs(c) for c in coeffs)
-                if big:  # 2^-w is max|c| 2^-(prec+guard) to within a factor of 4
-                    assert 1 < big * Fraction(2) ** (w - mp.prec - guard) < 4
-                exact = sum(c * u**k for k, c in enumerate(coeffs)) * Fraction(2) ** w
-                acc = _horner_fixed(fixed_coeffs, m, s)
-                assert abs(acc - exact) <= len(coeffs)  # (deg+1) units of 2^-w
-                scales.append(w)
-                accs.append(acc)
-            (wn, wd), (n_acc, d_acc) = scales, accs
+            (wn, wd), (n_acc, d_acc), lost = self.fixed_values(p, 0, m, s)
+            if lost > 32:  # formed again, the loss rounded up to a multiple of 32 further down
+                _, (n_acc, d_acc), _ = self.fixed_values(p, -(-lost // 32) * 32, m, s)
             if d_acc == 0:
                 return
-            # the quotient is one floor division, its unit below one unit of N over D
+            # the quotient is one floor division, at the base scale its unit below one unit of N over D
             f, phi = _fixed_point_phi(p)
             assert f == mp.prec + 40 + wn - wd
             assert phi(m, s) == (n_acc << (mp.prec + 40)) // d_acc
-            assert abs(d_acc) < 2 ** (mp.prec + 40)
+            assert lost > 32 or abs(d_acc) < 2 ** (mp.prec + 40)
+
+    @staticmethod
+    def fixed_values(p, extra, m, s):
+        """([w_num, w_den], [N, D], bits lost) at u = m 2^-s, `extra` bits below the base scale."""
+        guard, u = (p.L + p.M + 2).bit_length() + 4 + extra, Fraction(m, 2**s)
+        scales, accs, lost = [], [], 0
+        for coeffs, (w, fixed_coeffs) in zip((p.num, p.den), _fixed_point(p, extra)):
+            big = max(abs(c) for c in coeffs)
+            if big:  # 2^-w is max|c| 2^-(prec+guard) to within a factor of 4
+                assert 1 < big * Fraction(2) ** (w - mp.prec - guard) < 4
+            exact = sum(c * u**k for k, c in enumerate(coeffs)) * Fraction(2) ** w
+            acc = _horner_fixed(fixed_coeffs, m, s)
+            assert abs(acc - exact) <= len(coeffs)  # (deg+1) units of 2^-w
+            scales.append(w)
+            accs.append(acc)
+            lost = max(lost, sum(map(abs, fixed_coeffs)).bit_length() - acc.bit_length())
+        return scales, accs, lost
+
+    @pytest.mark.parametrize("num, den", [
+        # (1 - u)^30 and (1 - u)^20 at u just below 15/16: about 2^-120 and 2^-80 from
+        # coefficients up to 2^27 (at u = 15/16 itself every shift is exact)
+        ([(-1) ** k * math.comb(30, k) for k in range(31)], [1]),
+        ([1], [(-1) ** k * math.comb(20, k) for k in range(21)]),
+        ([(-1) ** k * math.comb(30, k) for k in range(31)], [(-1) ** k * math.comb(20, k) for k in range(21)]),
+    ])
+    def test_cancelling_values_keep_relative_accuracy(self, num, den):
+        p = PadeApprox(num=tuple(map(Fraction, num)), den=tuple(map(Fraction, den)))
+        with PREC.workdps(10):
+            (f, phi), m = _fixed_point_phi(p), 2**80 - 2**76 - 12345
+            u = Fraction(m, 2**80)
+            exact = sum(c * u**k for k, c in enumerate(p.num)) / sum(c * u**k for k, c in enumerate(p.den))
+            # each polynomial relatively within 2^-(prec+4), then the floor
+            assert abs(Fraction(phi(m, 80), 2**f) - exact) <= abs(exact) / 2 ** (mp.prec + 2) + Fraction(1, 2**f)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from facseries import pade
 from facseries.errors import DegeneracyError, DomainError, PoleError
 from facseries.pade import PadeApprox, _pade_value, _solve_exact, pade_construct, pade_eval
 from facseries.series import PrecisionContext, to_mpf
@@ -131,6 +132,16 @@ class TestEval:
         assert _pade_value(p, zq) == exact
         with PREC.workdps(10):
             assert pade_eval(p, z, PREC) == to_mpf(exact)
+
+    def test_warm_value_clears_no_coefficients(self, monkeypatch):
+        # a kept approximant clears num and den once, not once per point
+        calls, original = [], pade._common_denominator
+        monkeypatch.setattr(pade, "_common_denominator", lambda values: calls.append(values) or original(values))
+        p = pade_construct([Fraction(1, factorial(k)) for k in range(9)], 4, 4)
+        calls.clear()
+        first = [_pade_value(p, Fraction(k, 7)) for k in range(5)]
+        assert calls == [p.num, p.den]
+        assert [_pade_value(p, Fraction(k, 7)) for k in range(5)] == first and len(calls) == 2
 
     def test_pole_is_exact(self):
         # den(z) = 1 - z/(1 + 10^-40) is 0 only at its root, however near z comes to it
