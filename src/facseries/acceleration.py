@@ -12,14 +12,14 @@ correction term z_n with a weighted k-th forward difference:
 The textbook weights carry a common factor 1/(beta+n+k)^(k-1), resp.
 1/(beta+n+k)_(k-1), which cancels from the ratio and is left out.  Each
 table cell (k, n) is evaluated directly from the binomial sums over
-s_n..s_{n+k} and omega_n..omega_{n+k}: exactly when that window and beta are
-rational (int or Fraction), otherwise in mpf at working precision plus 10
-guard digits.  The exact cell is formed over cleared integers: with
-p/q = beta + n, the weights are integers over q^(k-1) (Weniger's ratio
-divides exactly), the c_j integers over q^(k-1) times the lcm of the omega
-numerators, and the s_j integers over their least common denominator, so the
-numerator and denominator are one integer dot product and one integer sum,
-each reduced once and rounded once.
+s_n..s_{n+k} and omega_n..omega_{n+k}, read exactly: an int or Fraction as
+itself, an mpf or float as the dyadic rational it is.  The cell is formed over
+cleared integers: with p/q = beta + n, the weights are integers over q^(k-1)
+(Weniger's ratio divides exactly), the c_j integers over q^(k-1) times the
+lcm of the omega numerators, and the s_j integers over their least common
+denominator, so the numerator and denominator are one integer dot product
+and one integer sum, each reduced once and rounded once at the context's
+precision plus 10 guard digits; no global precision is read or set.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm, prod
-from operator import floordiv, mul, truediv
+from operator import mul
 from typing import Callable, Sequence
 
 import mpmath
+from mpmath import libmp, mp
 
 from .errors import DomainError, EstimateError, InstabilityError
-from .series import PrecisionContext, Real, _common_denominator, to_mpf
+from .series import PrecisionContext, Real, _common_denominator, _rational
 
 __all__ = [
     "TransformInput",
@@ -43,11 +44,6 @@ __all__ = [
     "remainder_estimates",
     "transform_table",
 ]
-
-
-def _exact_or_mpf(x: Real):
-    """x itself when it is rational (int or Fraction), else x as an mpf."""
-    return x if isinstance(x, (int, Fraction)) else to_mpf(x)
 
 
 @dataclass(frozen=True)
@@ -61,32 +57,32 @@ class TransformInput:
     def __post_init__(self):
         if len(self.omega) < len(self.s):
             raise DomainError("need a remainder estimate for every partial sum")
-        if _exact_or_mpf(self.beta) <= 0:  # not float(): it overflows at 1e400, reads 1e-400 as 0
+        if _rational(self.beta) <= 0:  # not float(): it overflows at 1e400, reads 1e-400 as 0
             raise DomainError(f"beta must be > 0, got {self.beta}")
 
     @classmethod
     def from_terms(
         cls, terms: Sequence, strategy: str = "first_neglected", beta: Real = 1
     ) -> "TransformInput":
-        """Partial sums and remainder estimates of a term list; rational terms stay exact."""
-        if _exact_or_mpf(beta) <= 0:  # before the estimates: beta = -n makes omega_n zero
+        """Partial sums and remainder estimates of a term list, each term read exactly."""
+        if _rational(beta) <= 0:  # before the estimates: beta = -n makes omega_n zero
             raise DomainError(f"beta must be > 0, got {beta}")
         omega = remainder_estimates(terms, strategy, beta)
-        return cls(tuple(accumulate(map(_exact_or_mpf, terms)))[: len(omega)], omega, beta)
+        return cls(tuple(accumulate(map(_rational, terms)))[: len(omega)], omega, beta)
 
 
 def remainder_estimates(terms: Sequence, strategy: str, beta: Real = 1) -> tuple:
-    """Build omega_n from the term sequence a_n (rational terms stay exact).
+    """Build omega_n from the term sequence a_n, each term read exactly.
 
     first_neglected: omega_n = a_{n+1} (natural for alternating series; the
     returned sequence is one shorter than the input).
     scaled_term:     omega_n = (beta+n) a_n.
     """
-    ts = [_exact_or_mpf(t) for t in terms]
+    ts = [_rational(t) for t in terms]
     if strategy == "first_neglected":
         out = ts[1:]
     elif strategy == "scaled_term":
-        b = _exact_or_mpf(beta)
+        b = _rational(beta)
         out = [(b + n) * t for n, t in enumerate(ts)]
     else:
         raise DomainError(f"unknown remainder-estimate strategy {strategy!r}")
@@ -110,31 +106,23 @@ def _weighted_ratio(
         raise DomainError(
             f"cell (k={k}, n={n}) needs {n + k + 1} entries, have {len(inp.s)}"
         )
-    with prec.workdps(10):
-        window = (inp.beta, *inp.s[n : n + k + 1], *inp.omega[n : n + k + 1])
-        exact = all(isinstance(x, (int, Fraction)) for x in window)
-        beta, *rest = window if exact else map(to_mpf, window)
-        s, omega = rest[: k + 1], rest[k + 1 :]
-        if 0 in omega:
-            raise EstimateError(f"omega[{n + omega.index(0)}] is zero")
-        b = beta + n
-        if exact:
-            num, den, scale = _cleared_cell(b.numerator, b.denominator, s, omega, k, weights)
-        else:
-            c = [(-1) ** j * comb(k, j) * w / o
-                 for j, (w, o) in enumerate(zip(weights(b, 1, k), omega))]
-            num, den, scale = sum(map(mul, c, s)), sum(c), max(map(abs, c))
-        # one rounding each; mpf and Fraction do not compare, so test after it
-        num, den, scale = to_mpf(num), to_mpf(den), to_mpf(scale)
-        if abs(den) < prec.tol(6) * scale:
-            raise InstabilityError(
-                f"denominator vanished at (k={k}, n={n}): |den|={abs(den)}"
-            )
-        return num / den
+    beta, *rest = map(_rational, (inp.beta, *inp.s[n : n + k + 1], *inp.omega[n : n + k + 1]))
+    s, omega = rest[: k + 1], rest[k + 1 :]
+    if 0 in omega:
+        raise EstimateError(f"omega[{n + omega.index(0)}] is zero")
+    b = beta + n
+    # one rounding each, at the context's precision plus 10 guard digits
+    wp, rnd = libmp.dps_to_prec(prec.digits + 10), libmp.round_nearest
+    num, den, scale = (libmp.from_rational(x.numerator, x.denominator, wp, rnd)
+                       for x in _cleared_cell(b.numerator, b.denominator, s, omega, k, weights))
+    if libmp.mpf_lt(libmp.mpf_abs(den), libmp.mpf_mul(prec.tol(6)._mpf_, scale, wp, rnd)):
+        raise InstabilityError(f"denominator vanished at (k={k}, n={n}): "
+                               f"|den|={libmp.to_str(libmp.mpf_abs(den), prec.digits + 10)}")
+    return mp.make_mpf(libmp.mpf_div(num, den, wp, rnd))
 
 
 def _cleared_cell(p: int, q: int, s: list, omega: list, k: int, weights: Callable) -> tuple:
-    """The exact (num, den, max |c_j|) of a rational window, as three Fractions.
+    """The exact (num, den, max |c_j|) of a window, as three Fractions.
 
     With L the lcm of the omega numerators, each c_j is an integer C_j over
     q^(k-1) L, and the s_j are cleared to integers over one denominator, so
@@ -149,21 +137,20 @@ def _cleared_cell(p: int, q: int, s: list, omega: list, k: int, weights: Callabl
             Fraction(max(map(abs, c)), d))
 
 
-def _power_weights(p, q, k: int) -> list:
+def _power_weights(p: int, q: int, k: int) -> list:
     """(p + jq)^(k-1), i.e. (b+j)^(k-1) q^(k-1) with b = p/q, for j = 0..k
     (all 1 when k <= 1)."""
     return [(p + j * q) ** max(k - 1, 0) for j in range(k + 1)]
 
 
-def _pochhammer_weights(p, q, k: int) -> list:
+def _pochhammer_weights(p: int, q: int, k: int) -> list:
     """prod_i (p + (j+i)q), i.e. (b+j)_(k-1) q^(k-1) with b = p/q, for j = 0..k
-    (all 1 when k <= 1), each from the last by the ratio (b+j+k-1)/(b+j):
-    exactly, by //, for integer p and q."""
+    (all 1 when k <= 1), each from the last by the ratio (b+j+k-1)/(b+j),
+    which divides exactly."""
     m = max(k - 1, 0)
-    div = floordiv if isinstance(p, int) else truediv
     out = [prod((p + i * q for i in range(m)), start=1)]
     for j in range(k):
-        out.append(div(out[-1] * (p + j * q + m * q), p + j * q))
+        out.append(out[-1] * (p + j * q + m * q) // (p + j * q))
     return out
 
 

@@ -84,6 +84,8 @@ def _quotient(p: int, q: int) -> mpmath.mpf:
 def _rational(x: Real) -> Fraction:
     """The exact value of a finite Real: an mpf or a float as the dyadic rational it is,
     a str as an exact decimal; anything else is a DomainError."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, mpmath.mpf) and mp.isfinite(x):  # to_rational(inf) raises nothing
         return Fraction(*libmp.to_rational(x._mpf_))
     if isinstance(x, (int, Fraction, float, str)):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +16,7 @@ from facseries.acceleration import (
     weniger_s,
 )
 from facseries.errors import DomainError, EstimateError, InstabilityError
-from facseries.series import PrecisionContext, to_mpf
+from facseries.series import PrecisionContext, _rational, to_mpf
 
 PREC = PrecisionContext(64)
 
@@ -45,6 +45,10 @@ class TestRemainderEstimates:
         with pytest.raises(DomainError):
             remainder_estimates([1, 2], "midpoint")
 
+    def test_non_finite_term(self):
+        with pytest.raises(DomainError, match="not a finite real number"):
+            remainder_estimates([1, mp.nan], "scaled_term")
+
 
 class TestTransformInput:
     def test_lengths_aligned(self):
@@ -56,6 +60,10 @@ class TestTransformInput:
             TransformInput(s=(1, 2), omega=(1,))
         with pytest.raises(DomainError):
             TransformInput(s=(1,), omega=(1,), beta=0)
+        with pytest.raises(DomainError, match="not a finite real number"):
+            TransformInput((1,), (1,), float("nan"))
+        with pytest.raises(DomainError, match="not a finite real number"):
+            TransformInput.from_terms([1, mp.inf, 2])
 
     @pytest.mark.parametrize("strategy", ["scaled_term", "first_neglected"])
     @pytest.mark.parametrize("beta", [0, -1])
@@ -263,6 +271,57 @@ class TestExactCells:
             bound = max(1, max(map(abs, inp.s))) * mp.mpf(10) ** (10 - PREC.digits)
             assert abs(got - want) <= bound
 
+    @settings(max_examples=100, deadline=None)
+    @given(windows(alternating=False), st.sampled_from(sorted(TRANSFORMS)),
+           small_fractions.filter(bool), small_fractions)
+    def test_affine_covariance(self, window, method, a, b):
+        # s -> a s + b, omega -> a omega maps T to a T + b: every c_j is divided
+        # by a, so |den| / max|c_j|, and with it the instability test, stays
+        s, omega, beta, k, n = window
+        inp = TransformInput(tuple(s), tuple(omega), beta)
+        moved = TransformInput(tuple(a * x + b for x in s), tuple(a * w for w in omega), beta)
+        num, den, scale = fraction_cell(inp, k, n, method)
+        moved_num, moved_den, moved_scale = fraction_cell(moved, k, n, method)
+        assert abs(moved_den) / moved_scale == abs(den) / scale
+        transform = TRANSFORMS[method]
+        try:
+            got = transform(moved, k, n, PREC)
+        except InstabilityError:
+            with pytest.raises(InstabilityError):
+                transform(inp, k, n, PREC)
+            return
+        transform(inp, k, n, PREC)  # stable on the moved window, so on this one
+        want = a * num / den + b
+        assert moved_num / moved_den == want
+        with mp.workdps(PREC.digits + 40):
+            want = mp.mpf(want.numerator) / want.denominator
+            assert abs(got - want) <= PREC.tol(0) * abs(want)
+
+    @pytest.mark.parametrize("z, size", [(Fraction(5), 60), (Fraction(1, 2), 60),
+                                         (Fraction(163, 8), 30)])
+    def test_mpf_terms_read_exactly(self, z, size):
+        # E1's divergent terms (-1)^m m!/z^(m+1), rounded to mpf at P + 10
+        # digits and summed outside that block, lose no digits to the
+        # precision in force: the cells match those on the exact terms
+        terms = [(-1) ** m * Fraction(factorial(m)) / z ** (m + 1) for m in range(size)]
+        with PREC.workdps(10):
+            mpf_terms = [to_mpf(t) for t in terms]
+        exact = TransformInput.from_terms(terms)
+        k = len(exact.s) - 1
+        inp = TransformInput.from_terms(mpf_terms)
+        got = [transform(inp, k, 0, PREC) for transform in TRANSFORMS.values()]
+        for value, transform in zip(got, TRANSFORMS.values()):
+            want = transform(exact, k, 0, PREC)
+            assert abs(value - want) <= mp.mpf(10) ** -50 * abs(want)
+        dps = mp.dps
+        mp.dps = 200
+        try:
+            inp = TransformInput.from_terms(mpf_terms)
+            again = [transform(inp, k, 0, PREC) for transform in TRANSFORMS.values()]
+        finally:
+            mp.dps = dps
+        assert [v._mpf_ for v in again] == [v._mpf_ for v in got]
+
     @pytest.mark.parametrize("method", sorted(TRANSFORMS))
     def test_table_column_ends_in_the_single_cell(self, method):
         with PREC.workdps():
@@ -274,9 +333,9 @@ class TestExactCells:
 
 
 def fraction_loop_cell(inp, k, n, method, prec=PREC):
-    """T_k^(n) by the term-by-term loop the transforms used before they cleared
-    the exact cell to integers: Fraction sums (mpf ones for an mpf window), the
-    weights as functions of b = beta + n."""
+    """T_k^(n) of a rational window by the term-by-term loop the transforms used
+    before they cleared the exact cell to integers: Fraction sums, the weights
+    as functions of b = beta + n."""
     def power(b, k):
         return [(b + j) ** max(k - 1, 0) for j in range(k + 1)]
 
@@ -288,9 +347,7 @@ def fraction_loop_cell(inp, k, n, method, prec=PREC):
         return out
 
     with prec.workdps(10):
-        window = (inp.beta, *inp.s[n : n + k + 1], *inp.omega[n : n + k + 1])
-        exact = all(isinstance(x, (int, Fraction)) for x in window)
-        beta, *rest = map(Fraction if exact else to_mpf, window)
+        beta, *rest = map(Fraction, (inp.beta, *inp.s[n : n + k + 1], *inp.omega[n : n + k + 1]))
         s, omega = rest[: k + 1], rest[k + 1 :]
         num = den = scale = 0
         for j, w in enumerate((power if method == "levin" else pochhammer)(beta + n, k)):
@@ -352,12 +409,15 @@ class TestClearedCells:
     @settings(max_examples=100, deadline=None)
     @given(hard_windows(), st.sampled_from(sorted(TRANSFORMS)))
     def test_mpf_window_unchanged(self, case, method):
+        # an mpf window is read as the dyadic rationals it holds, exactly
         inp, k, n = case
         with PREC.workdps(10):
             inp = TransformInput(tuple(map(to_mpf, inp.s)), tuple(map(to_mpf, inp.omega)),
                                  to_mpf(inp.beta))
+        read = TransformInput(tuple(map(_rational, inp.s)), tuple(map(_rational, inp.omega)),
+                              _rational(inp.beta))
         assert outcome(TRANSFORMS[method], inp, k, n, PREC) == \
-            outcome(fraction_loop_cell, inp, k, n, method)
+            outcome(fraction_loop_cell, read, k, n, method)
 
     @pytest.mark.parametrize("delta, unstable", [(Fraction(9, 10**59), True),
                                                  (Fraction(11, 10**59), False)])
