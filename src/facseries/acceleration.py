@@ -18,14 +18,16 @@ cleared integers: with p/q = beta + n, the weights are integers over q^(k-1)
 (Weniger's ratio divides exactly), the c_j integers over q^(k-1) times the
 lcm of the omega numerators, and the s_j integers over their least common
 denominator, so the numerator and denominator are one integer dot product
-and one integer sum, each reduced once and rounded once at the context's
-precision plus 10 guard digits; no global precision is read or set.
+and one integer sum, each rounded once at the context's precision plus 10
+guard digits; no global precision is read or set.  The part of a window that
+does not depend on the weights is cleared once per input and (k, n), so
+Levin and Weniger share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import comb, lcm, prod
 from operator import mul
@@ -53,6 +55,7 @@ class TransformInput:
     s: tuple
     omega: tuple
     beta: Real = 1
+    _windows = cached_property(lambda self: {})  # _window's cleared windows, by (k, n)
 
     def __post_init__(self):
         if len(self.omega) < len(self.s):
@@ -106,35 +109,38 @@ def _weighted_ratio(
         raise DomainError(
             f"cell (k={k}, n={n}) needs {n + k + 1} entries, have {len(inp.s)}"
         )
-    beta, *rest = map(_rational, (inp.beta, *inp.s[n : n + k + 1], *inp.omega[n : n + k + 1]))
-    s, omega = rest[: k + 1], rest[k + 1 :]
-    if 0 in omega:
-        raise EstimateError(f"omega[{n + omega.index(0)}] is zero")
-    b = beta + n
+    window = inp._windows.get((k, n)) or inp._windows.setdefault((k, n), _window(inp, k, n))
     # one rounding each, at the context's precision plus 10 guard digits
     wp, rnd = libmp.dps_to_prec(prec.digits + 10), libmp.round_nearest
-    num, den, scale = (libmp.from_rational(x.numerator, x.denominator, wp, rnd)
-                       for x in _cleared_cell(b.numerator, b.denominator, s, omega, k, weights))
+    num, den, scale = (libmp.from_rational(x, d, wp, rnd) for x, d in _cleared_cell(window, k, weights))
     if libmp.mpf_lt(libmp.mpf_abs(den), libmp.mpf_mul(prec.tol(6)._mpf_, scale, wp, rnd)):
         raise InstabilityError(f"denominator vanished at (k={k}, n={n}): "
                                f"|den|={libmp.to_str(libmp.mpf_abs(den), prec.digits + 10)}")
     return mp.make_mpf(libmp.mpf_div(num, den, wp, rnd))
 
 
-def _cleared_cell(p: int, q: int, s: list, omega: list, k: int, weights: Callable) -> tuple:
-    """The exact (num, den, max |c_j|) of a window, as three Fractions.
-
-    With L the lcm of the omega numerators, each c_j is an integer C_j over
-    q^(k-1) L, and the s_j are cleared to integers over one denominator, so
-    each sum is one integer dot product or sum, reduced once.
-    """
-    d_omega = lcm(*(w.numerator for w in omega))
+def _window(inp: TransformInput, k: int, n: int) -> tuple:
+    """The part of cell (k, n) Levin and Weniger share, from the exact reads of beta, s and
+    omega: (p, q, [f_j], [S_j], D_s, D), p/q = beta + n, f_j = (-1)^j C(k, j) L / omega_{n+j}
+    integers for L the lcm of the omega numerators, s_{n+j} = S_j / D_s over their least
+    common denominator, D = q^(k-1) L.  EstimateError if an omega_{n+j} is zero."""
+    beta, *rest = map(_rational, (inp.beta, *inp.s[n : n + k + 1], *inp.omega[n : n + k + 1]))
+    s, omega = rest[: k + 1], rest[k + 1 :]
+    if 0 in omega:
+        raise EstimateError(f"omega[{n + omega.index(0)}] is zero")
+    b, d_omega = beta + n, lcm(*(w.numerator for w in omega))
+    factors = [(-1) ** j * comb(k, j) * o.denominator * (d_omega // o.numerator)
+               for j, o in enumerate(omega)]
     d_s, s_ints = _common_denominator(s)
-    c = [(-1) ** j * comb(k, j) * w * o.denominator * (d_omega // o.numerator)
-         for j, (w, o) in enumerate(zip(weights(p, q, k), omega))]
-    d = q ** max(k - 1, 0) * d_omega
-    return (Fraction(sum(map(mul, c, s_ints)), d * d_s), Fraction(sum(c), d),
-            Fraction(max(map(abs, c)), d))
+    return b.numerator, b.denominator, factors, s_ints, d_s, b.denominator ** max(k - 1, 0) * d_omega
+
+
+def _cleared_cell(window: tuple, k: int, weights: Callable) -> tuple:
+    """The exact (num, den, max |c_j|) of a cell, each an unreduced integer pair: each
+    c_j = f_j weights_j is an integer over D, so each sum is one integer dot product or sum."""
+    p, q, factors, s_ints, d_s, d = window
+    c = list(map(mul, factors, weights(p, q, k)))
+    return (sum(map(mul, c, s_ints)), d * d_s), (sum(c), d), (max(map(abs, c)), d)
 
 
 def _power_weights(p: int, q: int, k: int) -> list:

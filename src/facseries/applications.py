@@ -53,7 +53,7 @@ from math import comb, factorial
 from operator import itemgetter, mul
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import DomainError, IntegrityError
 from .evaluate import (
@@ -65,7 +65,7 @@ from .evaluate import (
     sum_factorial_series,
 )
 from .pade import PadeApprox, _pade_value, _with_numerator, pade_construct
-from .series import FormalSeries, PrecisionContext, Real, SeriesKind, _rational, to_mpf
+from .series import FormalSeries, PrecisionContext, Real, SeriesKind, _rational, _round, to_mpf
 from .transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
 __all__ = [
@@ -87,11 +87,10 @@ __all__ = [
 
 def e1_reference(z: Real, prec: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
     """E1(z) for z > 0 by mpmath's ``e1``, with 15 guard digits."""
-    with prec.workdps(15):
-        zv = to_mpf(z)
-        if not (zv > 0):
-            raise DomainError(f"e1_reference requires z > 0, got {z}")
-        return mp.e1(zv)
+    wp = libmp.dps_to_prec(prec.digits + 15)
+    if not libmp.mpf_gt(zv := _round(z, wp), libmp.fzero):
+        raise DomainError(f"e1_reference requires z > 0, got {z}")
+    return mp.make_mpf(libmp.mpf_e1(zv, wp, libmp.round_nearest))
 
 
 def e1_reference_quadrature(
@@ -143,9 +142,9 @@ class E1Series:
     ) -> SummationReport:
         """Factorial partial sums with e^z E1(z), to 15 guard digits, as the reference."""
         report = sum_factorial_series(self.factorial, z, terms, prec)
-        with prec.workdps(15):
-            ref = mp.exp(to_mpf(z)) * e1_reference(z, prec)
-        return report.with_reference(ref, prec)
+        wp, rnd = libmp.dps_to_prec(prec.digits + 15), libmp.round_nearest
+        ref = libmp.mpf_mul(libmp.mpf_exp(_round(z, wp), wp, rnd), e1_reference(z, prec)._mpf_, wp, rnd)
+        return report.with_reference(mp.make_mpf(ref), prec)
 
     def pade(self) -> PadeApprox:
         """[h-1/h] Pade approximant of ``inverse_power`` in w = 1/z, with
@@ -157,11 +156,17 @@ class E1Series:
         Pade Approximants; Bender & Orszag, ch. 8).  pade_construct's own
         numerator step completes it, so the result equals
         pade_construct(coeffs, max(h-1, 0), h) without a linear solve.  The
-        coefficients must be E1's, as build() makes them.
+        coefficients must be E1's, as build() makes them: the approximant then
+        depends on h alone, and is built once per process.
         """
         h = len(self.inverse_power.coeffs) // 2
-        den = [Fraction(comb(h, k) ** 2 * factorial(k)) for k in range(h + 1)]
-        return _with_numerator(self.inverse_power.coeffs, max(h - 1, 0), den)
+        approx = _e1_pade.get(h)
+        if approx is None:
+            den = [Fraction(comb(h, k) ** 2 * factorial(k)) for k in range(h + 1)]
+            approx = _with_numerator(self.inverse_power.coeffs, max(h - 1, 0), den)
+            with _grow_lock:
+                approx = _e1_pade.setdefault(h, approx)
+        return approx
 
 
 # --- quartic anharmonic oscillator ------------------------------------------
@@ -195,7 +200,8 @@ class OscillatorSeries:
 # of E1 for the largest N asked so far, replaced whole.  For oscillator rows n = 0..N:
 # _rows[n] = [C[n][s] for s = 0..2n]; _weighted[n] = [G[n][s] for s = 0..2n];
 # _T[t] = T_t over the pairs k, l <= N; _w[m] = w_m and _b[m] = b_m, m = 0..2N+1;
-# _approx[(order, route)] = the checked approximant oscillator_energy uses
+# _approx[(order, route)] = the checked approximant oscillator_energy uses;
+# _e1_pade[h] = E1's [h-1/h] approximant, E1Series.pade's
 _e1: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = ((), ())
 _rows: list[list[int]] = [[1]]
 _weighted: list[list[int]] = [[1]]
@@ -203,6 +209,7 @@ _T: list[int] = [0, 0]
 _w: list[int] = [1, 6]
 _b: list[Fraction] = [Fraction(1), Fraction(3, 4)]
 _approx: dict[tuple[int, str], PadeApprox] = {}
+_e1_pade: dict[int, PadeApprox] = {}
 _grow_lock = threading.Lock()
 
 
@@ -229,11 +236,12 @@ def _extend_oscillator(order: int) -> None:
     if len(_b) > order:
         return
     with _grow_lock:
+        vp = _band(_rows[-1])
         while len(_b) <= order:
             # row n, then w_2n and w_2n+1; nothing is stored until every division
             # is exact, and b is appended last, so readers of b see the rest
             n = len(_rows)
-            ws, rows, vp = _w[1:n], _rows[:0:-1], _band(_rows[-1])
+            ws, rows = _w[1:n], _rows[:0:-1]
             c = [0] * (2 * n + 1)
             for s in range(1, 2 * n + 1):
                 k = n - (s + 1) // 2  # rows n-i with i <= k reach |2s)
@@ -252,7 +260,8 @@ def _extend_oscillator(order: int) -> None:
                 t[n + l] += o[l]
             t[2 * n] = o[n]
             w4.append(even << 4 * n)
-            odd = 8 * sum(map(mul, g, _band(c))) - sum(map(mul, w4[1:], t[2 * n : 1 : -1]))
+            vp = _band(c)  # row n's band: b_(2n+1)'s, then row n+1's
+            odd = 8 * sum(map(mul, g, vp)) - sum(map(mul, w4[1:], t[2 * n : 1 : -1]))
             odd = _exact(odd, 4 ** (2 * n + 1), f"w_{2 * n + 1}")
             _rows.append(c)
             _weighted.append(g)

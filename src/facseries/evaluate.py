@@ -56,8 +56,8 @@ from .series import (
     SeriesKind,
     _check_pole,
     _common_denominator,
-    _quotient,
     _rational,
+    _round,
     to_mpf,
 )
 
@@ -106,11 +106,14 @@ class SummationReport:
     relative_errors: Optional[tuple] = None
 
     def with_reference(self, reference: Real, prec: PrecisionContext) -> "SummationReport":
-        """Attach a reference (kept to 15 guard digits) and each sum's relative error."""
-        with prec.workdps(15):
-            ref = to_mpf(reference)
-            errs = tuple(abs(s - ref) / abs(ref) for s in self.partial_sums)
-        return replace(self, reference=ref, relative_errors=errs)
+        """Attach a reference (kept to 15 guard digits) and each sum's relative error,
+        |s - ref| / |ref| with each step rounded at P + 15 digits."""
+        wp, rnd = libmp.dps_to_prec(prec.digits + 15), libmp.round_nearest
+        ref = _round(reference, wp)
+        size = libmp.mpf_abs(ref)
+        errs = tuple(mp.make_mpf(libmp.mpf_div(libmp.mpf_abs(libmp.mpf_sub(s._mpf_, ref, wp, rnd)),
+                                               size, wp, rnd)) for s in self.partial_sums)
+        return replace(self, reference=mp.make_mpf(ref), relative_errors=errs)
 
 
 # --- Gauss-Legendre nodes ---------------------------------------------------
@@ -208,11 +211,11 @@ def sum_factorial_series(
         raise DomainError(f"expected factorial series, got {d.kind.value}")
     if not 1 <= terms <= len(d):
         raise DomainError(f"terms must be in 1..{len(d)}, got {terms}")
-    with prec.workdps(10):
-        _check_pole(to_mpf(zq := _rational(z)), terms - 1, prec)  # before 1/z: 0 is a pole
-        w = 1 / zq
-        sums = tuple(_quotient(w.numerator * p, w.denominator * q)
-                     for p, q in _product_form_sums(d.coeffs[:terms], w))
+    wp, rnd = libmp.dps_to_prec(prec.digits + 10), libmp.round_nearest
+    _check_pole(_round(zq := _rational(z), wp), terms - 1, prec, 10)  # before 1/z: 0 is a pole
+    w = 1 / zq
+    sums = tuple(mp.make_mpf(libmp.from_rational(w.numerator * p, w.denominator * q, wp, rnd))
+                 for p, q in _product_form_sums(d.coeffs[:terms], w))
     return SummationReport(partial_sums=sums, final=sums[-1])
 
 
@@ -228,8 +231,9 @@ def eval_power_as_factorial(
         raise DomainError(f"terms must be in 1..{len(lam)}, got {terms}")
     if not (zq := _rational(z)) > 0:
         raise DomainError(f"product form requires z > 0, got {z}")
-    with prec.workdps(10):
-        sums = tuple(_quotient(*s) for s in _product_form_sums(map(_rational, lam[:terms]), zq))
+    wp = libmp.dps_to_prec(prec.digits + 10)
+    sums = tuple(mp.make_mpf(libmp.from_rational(p, q, wp, libmp.round_nearest))
+                 for p, q in _product_form_sums(map(_rational, lam[:terms]), zq))
     return SummationReport(partial_sums=sums, final=sums[-1])
 
 

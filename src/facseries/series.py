@@ -46,12 +46,11 @@ Real = Union[int, float, str, Fraction, mpmath.mpf]
 class PrecisionContext:
     """Decimal working precision for every approximate real computation.
 
-    The precision in force is mpmath's process-global ``mp.dps``: ``workdps``
-    sets it for the whole process and restores it on exit (``tol`` reads only
-    ``digits``).  Library calls made from two threads at once therefore run at
-    one another's precision and are unsupported.  The Stirling, oscillator and
-    E1 caches stay thread-shareable.
-    """
+    The E1 summation path (sums, pole check, ``with_reference``, E1 reference) and the
+    Levin/Weniger cells round with libmp at these digits plus guard digits and are safe
+    across threads, as are the Stirling, oscillator and E1 caches.  The integral route,
+    quadrature and oscillator energies still run under ``workdps``, which sets mpmath's
+    process-global ``mp.dps``: two threads there run at each other's precision."""
 
     digits: int = 64
 
@@ -71,14 +70,15 @@ class PrecisionContext:
 
 def to_mpf(x: Real) -> mpmath.mpf:
     """Convert to mpf at the current mpmath precision; a Fraction is rounded once."""
+    return mp.make_mpf(_round(x, mp.prec))
+
+
+def _round(x: Real, wp: int) -> tuple:
+    """x rounded once to the nearest at wp bits, as a libmp value: mp.mpf(x) at that
+    precision, reading no global; a Fraction by one division of its two integers."""
     if isinstance(x, Fraction):
-        return _quotient(x.numerator, x.denominator)
-    return mp.mpf(x)
-
-
-def _quotient(p: int, q: int) -> mpmath.mpf:
-    """p/q rounded once to the nearest mpf at the current mpmath precision."""
-    return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
+        return libmp.from_rational(x.numerator, x.denominator, wp, libmp.round_nearest)
+    return libmp.mpf_pos(mp.mpf.mpf_convert_arg(x, wp, libmp.round_nearest), wp, libmp.round_nearest)
 
 
 def _rational(x: Real) -> Fraction:
@@ -229,13 +229,18 @@ class MomentSequence:
 # --- Pochhammer / beta-term arithmetic ------------------------------------
 
 
-def _check_pole(z, n: int, prec: PrecisionContext) -> None:
-    """Raise if z is within 10^(4-P) of a pole 0, -1, ..., -n of 1/(z)_{n+1}.  They are 1
-    apart, so only the nearest can be; max(0, nan) is 0, so a nan z tests the pole at 0."""
-    tol = prec.tol(4)
-    i = int(mp.nint(min(n, max(0, -z))))
-    if abs(z + i) < tol:
-        raise PoleError(f"z={z} is within {mp.nstr(tol, 3)} of the pole at {-i}")
+def _check_pole(z: tuple, n: int, prec: PrecisionContext, extra: int) -> None:
+    """Raise if z, a libmp value at P + extra digits, is within 10^(4-P) of a pole 0, -1,
+    ..., -n of 1/(z)_{n+1}.  They are 1 apart, so only the nearest can be; a nan z tests
+    the pole at 0.  z + i is rounded at P + extra digits, and printed to as many."""
+    tol, x, rnd = prec.tol(4)._mpf_, libmp.mpf_neg(z), libmp.round_nearest
+    i = 0  # the pole nearest to z: 0 for z >= 0 or nan, -n for z <= -n
+    if libmp.mpf_gt(x, libmp.fzero):
+        i = n if libmp.mpf_ge(x, libmp.from_int(n)) else libmp.to_int(x, rnd)
+    gap = libmp.mpf_add(z, libmp.from_int(i), libmp.dps_to_prec(prec.digits + extra), rnd)
+    if libmp.mpf_lt(libmp.mpf_abs(gap), tol):
+        raise PoleError(f"z={libmp.to_str(z, prec.digits + extra)} is within "
+                        f"{libmp.to_str(tol, 3)} of the pole at {-i}")
 
 
 def pochhammer(z: Real, n: int, prec: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
@@ -257,7 +262,7 @@ def factorial_term(
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     with prec.workdps():
-        _check_pole(zv := to_mpf(z), n, prec)
+        _check_pole((zv := to_mpf(z))._mpf_, n, prec, 0)
         return to_mpf(d_n) / pochhammer(zv, n + 1, prec)
 
 
@@ -269,7 +274,7 @@ def forward_difference_term(
     if n < 0 or k < 0:
         raise DomainError(f"need n, k >= 0, got n={n}, k={k}")
     with prec.workdps(10):
-        _check_pole(zv := to_mpf(z), n + k, prec)
+        _check_pole((zv := to_mpf(z))._mpf_, n + k, prec, 10)
         return (-1) ** k * factorial(n + k) / pochhammer(zv, n + k + 1, prec)
 
 

@@ -454,3 +454,51 @@ class TestTable:
         # as levin and weniger_s refuse k < 0, not an empty column
         with pytest.raises(DomainError, match="k_max"):
             transform_table(ln2_input(), method, -1)
+
+
+def e1_input(z, n_terms):
+    """E1's asymptotic terms (-1)^m m!/z^(m+1) at a rational z, as e1 --compare forms them."""
+    return TransformInput.from_terms(
+        [Fraction((-1) ** m * factorial(m)) / z ** (m + 1) for m in range(n_terms)])
+
+
+CELLS = [(0, 0), (1, 0), (4, 0), (6, 3), (9, 2), (12, 0), (5, 7)]
+
+
+class TestWindowCache:
+    """A window (k, n) is cleared once per input; Levin and Weniger share it."""
+
+    @pytest.mark.parametrize("first", ["levin", "weniger"])
+    @pytest.mark.parametrize("make", [ln2_input, lambda n: e1_input(Fraction(7, 3), n)])
+    def test_shared_window_gives_fresh_values(self, first, make):
+        shared = make(14)
+        order = [first, *(m for m in TRANSFORMS if m != first)]
+        for k, n in CELLS:
+            for method in order:
+                got = TRANSFORMS[method](shared, k, n, PREC)
+                assert got._mpf_ == TRANSFORMS[method](make(14), k, n, PREC)._mpf_
+        assert sorted(shared._windows) == sorted(CELLS)
+        for method in TRANSFORMS:  # a column reuses the windows of the cells above
+            column = transform_table(shared, method, 12, 0, PREC)
+            fresh = transform_table(make(14), method, 12, 0, PREC)
+            assert [v._mpf_ for v in column.values()] == [v._mpf_ for v in fresh.values()]
+            assert column[4]._mpf_ == TRANSFORMS[method](make(14), 4, 0, PREC)._mpf_
+
+    def test_window_is_independent_of_precision(self):
+        # the window holds exact integers: a cell at 30 digits, then at 64, is the fresh one
+        inp = e1_input(Fraction(163, 8), 30)
+        for digits in (30, 64, 100):
+            prec = PrecisionContext(digits)
+            for fn in TRANSFORMS.values():
+                assert fn(inp, 25, 0, prec)._mpf_ == fn(e1_input(Fraction(163, 8), 30), 25, 0, prec)._mpf_
+
+    def test_zero_omega_inside_the_window_raises(self):
+        inp = TransformInput(s=(1, 3, 2, 5, 4, 7, 6, 9), omega=(1, -2, 3, -5, 0, 8, -13, 21))
+        for fn in TRANSFORMS.values():
+            for k, n in [(4, 0), (2, 3), (0, 4), (7, 0)]:
+                for _ in range(2):  # a window that raises is not kept
+                    with pytest.raises(EstimateError, match=r"omega\[4\] is zero"):
+                        fn(inp, k, n, PREC)
+            for k, n in [(3, 0), (2, 5), (0, 7), (1, 2)]:
+                assert mp.isfinite(fn(inp, k, n, PREC))
+        assert sorted(inp._windows) == [(0, 7), (1, 2), (2, 5), (3, 0)]

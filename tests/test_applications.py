@@ -14,6 +14,7 @@ import sympy
 from mpmath import mp
 
 from facseries import applications
+from facseries.acceleration import TransformInput, levin, weniger_s
 from facseries.applications import (
     E1Series,
     OSCILLATOR_METHODS,
@@ -36,7 +37,7 @@ from facseries.evaluate import (
     _octave_sum,
     euler_integral_eval,
 )
-from facseries.pade import PadeApprox, pade_construct
+from facseries.pade import PadeApprox, _pade_value, pade_construct
 from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
 from facseries.transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
@@ -217,6 +218,15 @@ class TestE1Pade:
         assert p.taylor(p.L + p.M) == coeffs[: p.L + p.M + 1]
         assert all(type(v) is Fraction for v in p.num + p.den)
 
+    def test_kept_per_h(self, monkeypatch):
+        # one object per h, whichever series of that h asks, equal to the solved one
+        monkeypatch.setattr(applications, "_e1_pade", {})
+        for h in (1, 2, 9, 30):
+            first = E1Series.build(2 * h - 1).pade()
+            assert E1Series.build(2 * h).pade() is first is E1Series.build(2 * h - 1).pade()
+            assert first == pade_construct(e1_inverse_power_coeffs(2 * h - 1).coeffs, h - 1, h)
+        assert sorted(applications._e1_pade) == [1, 2, 9, 30]
+
     @pytest.mark.parametrize("h", [1, 2, 5, 17, 30])
     def test_denominator_is_scaled_laguerre(self, h):
         # h! w^h L_h(-1/w), expanded in w by sympy: an oracle apart from both routes
@@ -224,6 +234,56 @@ class TestE1Pade:
         poly = sympy.Poly(sympy.expand(sympy.factorial(h) * w**h * sympy.laguerre(h, -1 / w)), w)
         want = tuple(Fraction(int(c)) for c in reversed(poly.all_coeffs()))
         assert E1Series.build(2 * h - 1).pade().den == want
+
+
+def e1_path(z, digits, terms=30):
+    """What e1 --compare computes at z: the report, Levin and Weniger on E1's terms, and
+    the exact value of E1's Pade approximant at w = 1/z."""
+    prec = PrecisionContext(digits)
+    series = E1Series.build(terms - 1)
+    report = series.summation_report(z, terms, prec)
+    inp = TransformInput.from_terms(
+        [Fraction((-1) ** m * factorial(m)) / z ** (m + 1) for m in range(terms)])
+    k = len(inp.s) - 1
+    return (report.partial_sums, report.reference, report.relative_errors,
+            levin(inp, k, 0, prec), weniger_s(inp, k, 0, prec), _pade_value(series.pade(), 1 / z))
+
+
+class TestE1PathThreads:
+    ZS = (Fraction(1, 2), Fraction(3), Fraction(163, 8))
+
+    def test_threads_at_two_precisions_match_serial(self, monkeypatch):
+        # 8 threads, half at 30 digits and half at 64, under a 1 us switch interval:
+        # the path reads no global precision, so each result is the serial one
+        monkeypatch.setattr(applications, "_e1_pade", {})
+        serial = {(d, z): e1_path(z, d) for d in (30, 64) for z in self.ZS}
+
+        def compute(slot):
+            try:
+                barrier.wait(timeout=10)
+                for z in self.ZS[slot % 3 :] + self.ZS[: slot % 3]:
+                    results[slot, z] = e1_path(z, (30, 64)[slot % 2])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):  # each round races on a fresh Pade table
+                monkeypatch.setattr(applications, "_e1_pade", {})
+                results, errors = {}, []
+                barrier = threading.Barrier(8)
+                threads = [threading.Thread(target=compute, args=(s,)) for s in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                differ = [key for key, got in results.items() if got != serial[(30, 64)[key[0] % 2], key[1]]]
+                assert len(results) == 24 and differ == []
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestOscillatorCoefficients:

@@ -32,6 +32,7 @@ from facseries.evaluate import (
     _octave_nodes,
     _octave_setup,
     _octave_table,
+    _product_form_sums,
     QuadratureSpec,
     eval_power_as_factorial,
     euler_integral_eval,
@@ -42,7 +43,10 @@ from facseries.series import (
     FormalSeries,
     PrecisionContext,
     SeriesKind,
+    _check_pole,
+    _rational,
     factorial_term,
+    forward_difference_term,
     to_mpf,
 )
 from facseries.pade import PadeApprox, pade_construct
@@ -213,6 +217,132 @@ class TestDirectSumsExactThenRounded:
     def test_non_finite_z(self, z):
         with pytest.raises(DomainError):
             sum_factorial_series(FormalSeries(SeriesKind.FACTORIAL, [1, 1]), z, 2, PREC)
+
+
+# The formulas the explicit-precision path replaced, each under the global precision
+# that workdps set: the path must give their bits and their messages.
+
+
+def old_quotient(p, q):
+    return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
+
+
+def old_to_mpf(x):
+    return old_quotient(x.numerator, x.denominator) if isinstance(x, Fraction) else mp.mpf(x)
+
+
+def old_check_pole(z, n, prec):
+    tol = prec.tol(4)
+    i = int(mp.nint(min(n, max(0, -z))))
+    if abs(z + i) < tol:
+        raise PoleError(f"z={z} is within {mp.nstr(tol, 3)} of the pole at {-i}")
+
+
+def old_with_reference(sums, reference, prec):
+    with prec.workdps(15):
+        ref = old_to_mpf(reference)
+        return ref, tuple(abs(s - ref) / abs(ref) for s in sums)
+
+
+def old_factorial_sums(d, z, terms, prec):
+    with prec.workdps(10):
+        old_check_pole(old_to_mpf(zq := _rational(z)), terms - 1, prec)
+        w = 1 / zq
+        return [old_quotient(w.numerator * p, w.denominator * q)
+                for p, q in _product_form_sums(d.coeffs[:terms], w)]
+
+
+def old_product_sums(lam, z, terms, prec):
+    with prec.workdps(10):
+        return [old_quotient(*s) for s in _product_form_sums(map(_rational, lam[:terms]), _rational(z))]
+
+
+def pole_outcome(fn, *args):
+    try:
+        fn(*args)
+    except PoleError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def references(draw):
+    """A nonzero reference as an mpf (of up to 400 bits), a Fraction, an int or a decimal str."""
+    kind = draw(st.sampled_from(["mpf", "fraction", "int", "str"]))
+    num = draw(st.integers(-10**120, 10**120).filter(bool))
+    den = draw(st.integers(1, 10**90))
+    if kind == "mpf":
+        return mp.make_mpf(libmp.from_rational(num, den, draw(st.integers(20, 400)), libmp.round_nearest))
+    if kind == "fraction":
+        return Fraction(num, den)
+    if kind == "int":
+        return num
+    return f"{num}.{den}e{draw(st.integers(-80, 80))}"
+
+
+digits_drawn = st.sampled_from([30, 64, 100])
+points = st.fractions(min_value=Fraction(1, 64), max_value=40, max_denominator=10**6)
+
+
+class TestExplicitPrecisionIsTheOldPath:
+    """The sums, the pole check and with_reference round at the context's own bits
+    with the libmp calls that the global precision used to select: the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(digits=digits_drawn, z=points, terms=st.integers(1, 40), reference=references())
+    def test_with_reference(self, digits, z, terms, reference):
+        prec = PrecisionContext(digits)
+        report = sum_factorial_series(FormalSeries(SeriesKind.FACTORIAL, e1_factorial_coeffs(terms - 1)),
+                                      z, terms, prec)
+        got = report.with_reference(reference, prec)
+        ref, errs = old_with_reference(report.partial_sums, reference, prec)
+        assert got.reference._mpf_ == ref._mpf_
+        assert [e._mpf_ for e in got.relative_errors] == [e._mpf_ for e in errs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(digits=digits_drawn, z=st.one_of(points, points.map(float), points.map(lambda q: -q)),
+           terms=st.integers(1, 40))
+    def test_factorial_sums(self, digits, z, terms):
+        prec = PrecisionContext(digits)
+        d = FormalSeries(SeriesKind.FACTORIAL, e1_factorial_coeffs(terms - 1))
+        want = pole_outcome(old_factorial_sums, d, z, terms, prec)
+        assert pole_outcome(sum_factorial_series, d, z, terms, prec) == want
+        if want is None:
+            got = sum_factorial_series(d, z, terms, prec).partial_sums
+            assert [s._mpf_ for s in got] == [s._mpf_ for s in old_factorial_sums(d, z, terms, prec)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(digits=digits_drawn, z=st.one_of(points, points.map(float)), terms=st.integers(1, 30))
+    def test_product_sums(self, digits, z, terms):
+        prec = PrecisionContext(digits)
+        lam = power_to_factorial_coeffs(
+            FormalSeries(SeriesKind.POWER, [Fraction((-1) ** m, m + 1) for m in range(terms)]), terms - 1)
+        got = eval_power_as_factorial(lam, z, terms, prec).partial_sums
+        assert [s._mpf_ for s in got] == [s._mpf_ for s in old_product_sums(lam, z, terms, prec)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(digits=digits_drawn, pole=st.integers(0, 6), n=st.integers(0, 5),
+           offset=st.integers(-4, 4), exponent=st.integers(-6, 6))
+    def test_pole_messages(self, digits, pole, n, offset, exponent):
+        # z = -pole + offset 10^-(P - 4 + exponent): on either side of the tolerance 10^(4-P)
+        prec = PrecisionContext(digits)
+        z = Fraction(-pole) + Fraction(offset, 10 ** (digits - 4 + exponent))
+        d = FormalSeries(SeriesKind.FACTORIAL, [1] * (n + 1))
+        for extra, call in [(10, lambda: sum_factorial_series(d, z, n + 1, prec)),
+                            (0, lambda: factorial_term(z, n, 1, prec)),
+                            (10, lambda: forward_difference_term(z, n - n // 2, n // 2, prec))]:
+            with prec.workdps(extra):
+                want = pole_outcome(old_check_pole, old_to_mpf(z), n, prec)
+            assert pole_outcome(call) == want
+
+    @pytest.mark.parametrize("z", [mp.nan, mp.inf, -mp.inf, mp.mpf(0), mp.mpf(-0.5),
+                                   mp.mpf(-3.5), mp.mpf(-4.4), mp.mpf(-10) ** 40, mp.mpf(-2) ** -300])
+    @pytest.mark.parametrize("extra", [0, 10])
+    def test_pole_check_special_values(self, z, extra):
+        for n in (0, 4):
+            with PREC.workdps(extra):
+                want = pole_outcome(old_check_pole, +z, n, PREC)
+            assert pole_outcome(_check_pole, z._mpf_, n, PREC, extra) == want
 
 
 class TestProductForm:
