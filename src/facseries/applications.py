@@ -65,7 +65,7 @@ from .evaluate import (
     sum_factorial_series,
 )
 from .pade import PadeApprox, _pade_value, _with_numerator, pade_construct
-from .series import FormalSeries, PrecisionContext, Real, SeriesKind, _rational, _round, to_mpf
+from .series import FormalSeries, PrecisionContext, Real, SeriesKind, _context, _rational, _round
 from .transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
 __all__ = [
@@ -93,15 +93,13 @@ def e1_reference(z: Real, prec: PrecisionContext = PrecisionContext()) -> mpmath
     return mp.make_mpf(libmp.mpf_e1(zv, wp, libmp.round_nearest))
 
 
-def e1_reference_quadrature(
-    z: Real, prec: PrecisionContext = PrecisionContext()
-) -> mpmath.mpf:
-    """Independent route: direct high-precision quadrature of int_z^inf e^-t/t dt."""
-    with prec.workdps(15):
-        zv = to_mpf(z)
-        if not (zv > 0):
-            raise DomainError(f"e1_reference_quadrature requires z > 0, got {z}")
-        return mp.quad(lambda t: mp.exp(-t) / t, [zv, mp.inf])
+def e1_reference_quadrature(z: Real, prec: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
+    """Independent route: direct quadrature of int_z^inf e^-t/t dt, with 15 guard digits."""
+    wp = libmp.dps_to_prec(prec.digits + 15)
+    if not libmp.mpf_gt(zv := _round(z, wp), libmp.fzero):
+        raise DomainError(f"e1_reference_quadrature requires z > 0, got {z}")
+    ctx = _context.__wrapped__(wp)  # a context of its own: quad sets its precision while it runs
+    return mp.make_mpf(ctx.quad(lambda t: ctx.exp(-t) / t, [ctx.make_mpf(zv), ctx.inf])._mpf_)
 
 
 def e1_inverse_power_coeffs(order: int) -> FormalSeries:
@@ -278,20 +276,18 @@ def oscillator_coeffs(order: int) -> OscillatorSeries:
     return OscillatorSeries(tuple(_b[: order + 1]))
 
 
-def asymptotics_check(
-    series: OscillatorSeries, prec: PrecisionContext = PrecisionContext()
-) -> list:
+def asymptotics_check(series: OscillatorSeries, prec: PrecisionContext = PrecisionContext()) -> list:
     """Ratios r_n of b_n to the large-order prediction
     (-1)^(n+1) sqrt(24) pi^(-3/2) Gamma(n+1/2) (3/2)^n, for n = 1..N."""
     if series.order < 20:
         raise DomainError("asymptotic check needs at least 20 coefficients")
-    with prec.workdps():
-        pref = mp.sqrt(24) / mp.pi ** mp.mpf("1.5")
-        out = []
-        for n in range(1, series.order + 1):
-            predicted = (-1) ** (n + 1) * pref * mp.gamma(n + mp.mpf(1) / 2) * mp.mpf(3) ** n / 2**n
-            out.append(to_mpf(series.coeffs[n]) / predicted)
-        return out
+    wp, rnd, out = libmp.dps_to_prec(prec.digits), libmp.round_nearest, []
+    ctx = _context(wp)
+    pref = ctx.sqrt(24) / ctx.pi ** ctx.mpf("1.5")
+    for n in range(1, series.order + 1):
+        predicted = (-1) ** (n + 1) * pref * ctx.gamma(n + ctx.mpf(1) / 2) * ctx.mpf(3) ** n / 2**n
+        out.append(mp.make_mpf(libmp.mpf_div(_round(series.coeffs[n], wp), predicted._mpf_, wp, rnd)))
+    return out
 
 
 OSCILLATOR_METHODS = ("factorial", "pade", "integral")
@@ -350,7 +346,7 @@ def oscillator_energy(
         inner = Fraction(*_product_form_sums(lam, b)[-1])
     elif method == "pade":
         inner = _pade_value(_oscillator_approx(order, method), b)
-    else:  # integral
+    else:  # integral: 1 + omega on omega's context, at the same 10 guard digits
         omega = _euler_integral(_oscillator_approx(order, method), 1 / b, spec, prec)
-    with prec.workdps(10):
-        return 1 + omega if method == "integral" else to_mpf(1 + b * inner)
+        return mp.make_mpf((1 + omega)._mpf_)
+    return mp.make_mpf(_round(1 + b * inner, libmp.dps_to_prec(prec.digits + 10)))

@@ -42,6 +42,7 @@ from .series import (
     FormalSeries,
     PrecisionContext,
     SeriesKind,
+    _context,
     _decimal_to_int,
     _fraction_obj,
     _int_to_decimal,
@@ -283,20 +284,27 @@ def _cmd_e1(args, prec):
 
 
 def _cmd_oscillator(args, prec):
-    beta = _rational(args.beta, "--beta")
-    methods = list(OSCILLATOR_METHODS) if args.all else [args.method]
-    results = {m: _fmt(oscillator_energy(beta, args.order, m, prec), prec) for m in methods}
+    beta, results, failed = _rational(args.beta, "--beta"), {}, []
+    for m in OSCILLATOR_METHODS if args.all else [args.method]:
+        try:  # a method that fails leaves its error beside the energies of the others
+            results[m] = _fmt(oscillator_energy(beta, args.order, m, prec), prec)
+        except FacseriesError as exc:
+            results[m] = {"error": exc.code}
+            failed.append(exc)
+    if len(failed) == len(results):  # no energy at all: the first error, exit 2
+        raise failed[0]
+    energies = {m: v for m, v in results.items() if not isinstance(v, dict)}
     doc = {
         "command": "oscillator", "beta": args.beta, "order": args.order,
         "energies": results,
     }
     if beta == Fraction(1, 5):
         doc["reference"] = E_EXACT_BETA_ONE_FIFTH
-        with prec.workdps():
-            ref = mp.mpf(E_EXACT_BETA_ONE_FIFTH)
-            # three significant digits: the 19-digit reference fixes no more
-            doc["errors"] = {m: f"{float(abs(mp.mpf(v) - ref)):.2e}" for m, v in results.items()}
-    _emit(doc, args, prec, ["method", "energy"], results.items())
+        ctx = _context(libmp.dps_to_prec(prec.digits))
+        ref = ctx.mpf(E_EXACT_BETA_ONE_FIFTH)
+        # three significant digits: the 19-digit reference fixes no more
+        doc["errors"] = {m: f"{float(abs(ctx.mpf(v) - ref)):.2e}" for m, v in energies.items()}
+    _emit(doc, args, prec, ["method", "energy"], energies.items())
     return 0
 
 

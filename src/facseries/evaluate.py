@@ -56,9 +56,9 @@ from .series import (
     SeriesKind,
     _check_pole,
     _common_denominator,
+    _context,
     _rational,
     _round,
-    to_mpf,
 )
 
 __all__ = [
@@ -118,62 +118,40 @@ class SummationReport:
 
 # --- Gauss-Legendre nodes ---------------------------------------------------
 
-_GL_CACHE: dict = {}
 
-
-def _gauss_legendre_nodes(n: int) -> tuple[list, list]:
-    """Nodes (descending) and weights on [-1, 1] at the current mpmath precision.
+@cache
+def _gauss_legendre_nodes(n: int, bits: int) -> tuple[list, list]:
+    """Nodes (descending) and weights on [-1, 1] at `bits` bits.
 
     For the ceil(n/2) non-negative nodes, Newton on P_n in fixed-point integers
     with 20 guard bits from the cosine guess, rounded once to an mpf node x; the
-    weight is 2/((1 - x^2) P_n'(x)^2) in mpf.  The rest are their mirror images,
-    with the same weights.  Cached per (n, working precision).
+    weight is 2/((1 - x^2) P_n'(x)^2) in mpf on the context at `bits`.  The rest
+    are their mirror images, with the same weights.  Cached per (n, bits).
     """
-    key = (n, mp.prec)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
-    bits = mp.prec + 20
-    one = 1 << bits
+    ctx, wide = _context(bits), bits + 20
+    one = 1 << wide
     half = []
     for i in range((n + 1) // 2):
         # mpmath's cos, not math.cos: a first math.cos faults libm pages in, +64 KB of peak RSS
-        guess = libmp.to_fixed(mp.cos(mp.pi * (i + 0.75) / (n + 0.5))._mpf_, bits)
+        guess = libmp.to_fixed(ctx.cos(ctx.pi * (i + 0.75) / (n + 0.5))._mpf_, wide)
         fx = 0 if 2 * i + 1 == n else guess  # the middle root of an odd P_n is 0
         for _ in range(100):
             p0, p1 = one, fx
             for j in range(2, n + 1):
-                p0, p1 = p1, (((2 * j - 1) * fx * p1 >> bits) - (j - 1) * p0) // j
-            # dx = P_n/P_n' = P_n (x^2 - 1) / (n (x P_n - P_(n-1))), all scaled by 2^bits
-            dx = p1 * ((fx * fx >> bits) - one) // (n * ((fx * p1 >> bits) - p0) or 1)
+                p0, p1 = p1, (((2 * j - 1) * fx * p1 >> wide) - (j - 1) * p0) // j
+            # dx = P_n/P_n' = P_n (x^2 - 1) / (n (x P_n - P_(n-1))), all scaled by 2^wide
+            dx = p1 * ((fx * fx >> wide) - one) // (n * ((fx * p1 >> wide) - p0) or 1)
             fx -= dx
             if abs(dx) < 1 << 10:
                 break
-        x = mp.make_mpf(libmp.from_man_exp(fx, -bits, mp.prec, libmp.round_nearest))
+        x = ctx.make_mpf(libmp.from_man_exp(fx, -wide, bits, libmp.round_nearest))
         p0, p1 = 1, x  # P_(n-1)(x) and P_n(x) by the three-term recurrence, in mpf
         for j in range(2, n + 1):
             p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
         dp = n * (x * p1 - p0) / (x * x - 1)
         half.append((x, 2 / ((1 - x * x) * dp * dp)))
     half += [(-x, w) for x, w in reversed(half[: n // 2])]
-    _GL_CACHE[key] = tuple(map(list, zip(*half)))
-    return _GL_CACHE[key]
-
-
-def _composite_gl(f: Callable, lo, hi, points: int, panels: int) -> mpmath.mpf:
-    """Composite Gauss-Legendre sum of f over [lo, hi]; raises on a non-finite f(t)."""
-    nodes, weights = _gauss_legendre_nodes(points)
-    width = (hi - lo) / panels
-    half = width / 2
-    total = mp.mpf(0)
-    for p in range(panels):
-        mid = lo + p * width + half
-        for x, w in zip(nodes, weights):
-            t = mid + half * x
-            val = f(t)
-            if not mp.isfinite(val):
-                raise IntegrationError(f"non-finite integrand value at t={t}")
-            total += w * val
-    return total * width / 2
+    return tuple(map(list, zip(*half)))
 
 
 def quadrature_01(
@@ -186,10 +164,22 @@ def quadrature_01(
     The panel count is doubled once for an error estimate; if the two results
     differ by more than 10^-(P/2) relative (absolute if the refined value is
     0), a QuadratureConvergenceWarning is emitted.  The refined value is returned.
+    f runs at mpmath's global precision, P + 10 digits; a non-finite f(t) raises IntegrationError.
     """
     with prec.workdps(10):
-        coarse, fine = (_composite_gl(f, mp.mpf(0), mp.mpf(1), spec.points_per_panel, n)
-                        for n in (spec.panels, 2 * spec.panels))
+        nodes, weights = _gauss_legendre_nodes(spec.points_per_panel, mp.prec)
+        sums = []
+        for panels in (spec.panels, 2 * spec.panels):
+            width = mp.mpf(1) / panels
+            half, total = width / 2, mp.mpf(0)
+            for p in range(panels):
+                mid = p * width + half
+                for x, w in zip(nodes, weights):
+                    if not mp.isfinite(val := f(t := mid + half * x)):
+                        raise IntegrationError(f"non-finite integrand value at t={t}")
+                    total += w * val
+            sums.append(total * width / 2)
+        coarse, fine = sums
         if abs(fine - coarse) / (abs(fine) or 1) > prec.tol(prec.digits // 2):
             warnings.warn(f"panel doubling moved the estimate by {abs(fine - coarse)}",
                           QuadratureConvergenceWarning)
@@ -263,30 +253,30 @@ def _fixed(n: int, d: int, bits: int) -> int:
     return (n << max(bits, 0)) // (d << max(-bits, 0))
 
 
-def _fixed_point(p: PadeApprox, extra: int = 0) -> list[tuple[int, list[int]]]:
+def _fixed_point(p: PadeApprox, bits: int, extra: int = 0) -> list[tuple[int, list[int]]]:
     """[(w, [ceil(c 2^w) for c in cs]) for cs in (p.num, p.den)], each w as
     _fixed_point_phi states, plus `extra` bits."""
     guard = (p.L + p.M + 2).bit_length() + 4 + extra
     scaled = []
     for cs in (p.num, p.den):
         big = max(abs(c) for c in cs)  # 2^e < big < 2^(e+2), e from the bit lengths
-        w = mp.prec + guard - (big.numerator.bit_length() - big.denominator.bit_length() - 1)
+        w = bits + guard - (big.numerator.bit_length() - big.denominator.bit_length() - 1)
         scaled.append((w, [-_fixed(-c.numerator, c.denominator, w) for c in cs]))
     return scaled
 
 
-def _fixed_point_phi(p: PadeApprox) -> tuple[int, Callable]:
+def _fixed_point_phi(p: PadeApprox, bits: int) -> tuple[int, Callable]:
     """(F, phi) with phi(m, s) = floor(num(u)/den(u) 2^F) at u = m 2^-s in [0, 1],
     by fixed-point integer Horner; ZeroDivisionError where den(u) rounds to 0.
 
     Each polynomial has its own scale 2^-w: with 2^e < max|c| < 2^(e+2),
-    w = prec + g - e and g = bitlen(L+M+2) + 4 guard bits.  acc = ((acc m) >> s) + C
+    w = bits + g - e and g = bitlen(L+M+2) + 4 guard bits.  acc = ((acc m) >> s) + C
     runs over C = ceil(c 2^w): C rounds up and the shift down, so each step errs
     by less than 2^-w and |u| <= 1 keeps the errors from growing.  Each polynomial
-    is therefore off by at most (deg+1) 2^-w < 2^-(prec+4) max|c|, relative to its
+    is therefore off by at most (deg+1) 2^-w < 2^-(bits+4) max|c|, relative to its
     own largest coefficient, however small or large the coefficients are.  The
-    quotient is one integer division, floor(N 2^(prec+40) / D), so F = prec + 40 +
-    w_num - w_den; as D < 2^(prec+g+2) (M+1) < 2^(prec+40), its unit 2^-F is below
+    quotient is one integer division, floor(N 2^(bits+40) / D), so F = bits + 40 +
+    w_num - w_den; as D < 2^(bits+g+2) (M+1) < 2^(bits+40), its unit 2^-F is below
     one unit of N over D.
 
     Where num or den cancels, its value V loses bitlen(sum |C|) - bitlen(V) of those
@@ -295,9 +285,9 @@ def _fixed_point_phi(p: PadeApprox) -> tuple[int, Callable]:
     multiple of 32 (F unchanged).  E1's conjugate [29/30] loses up to 72 bits on
     [0, 1]; the oscillator's approximants of orders 20-54 at most 29, so they never do.
     """
-    (wn, num), (wd, den) = _fixed_point(p)
-    (low_n, low_d), shift = (sum(map(abs, cs)).bit_length() - 32 for cs in (num, den)), mp.prec + 40
-    wider = cache(partial(_fixed_point, p))
+    (wn, num), (wd, den) = _fixed_point(p, bits)
+    (low_n, low_d), shift = (sum(map(abs, cs)).bit_length() - 32 for cs in (num, den)), bits + 40
+    wider = cache(partial(_fixed_point, p, bits))
 
     def phi(m: int, s: int) -> int:
         n, d = _horner_fixed(num, m, s), _horner_fixed(den, m, s)
@@ -342,59 +332,57 @@ def euler_integral_eval(
     power series sum_n a_n u^n in u = 1-t, replaced by its [pade_l/pade_m]
     Pade approximant before integrating.
     """
-    return _euler_integral(pade_construct(a, pade_l, pade_m), z, spec, prec)
+    return mp.make_mpf(_euler_integral(pade_construct(a, pade_l, pade_m), z, spec, prec)._mpf_)
 
 
-def _euler_integral(
-    approx: PadeApprox, z: Real, spec: QuadratureSpec, prec: PrecisionContext
-) -> mpmath.mpf:
+def _euler_integral(approx: PadeApprox, z: Real, spec: QuadratureSpec, prec: PrecisionContext):
     """int_0^1 t^(z-1) phi(1-t) dt by the octave rule (see the module docstring),
-    phi the approximant; PoleInDomainError if _octave_setup's pole scan fails."""
-    with prec.workdps(10):
-        zq, setup = _rational(z), _octave_setup(approx)
-        m, K = setup[:2]
-        if not (zq > m):
-            pole = f" (phi has a pole of order {m} at t = 0)" if m else ""
-            raise DomainError(f"integral representation requires z > {m}, got {z}{pole}")
-        zm = to_mpf(zq - m)
-        a, g, (f, head) = mp.mpf(2) ** -zm, mp.prec + 20, _head_series(approx, setup)
-        zf, panels = libmp.to_fixed(zm._mpf_, g), max(1, spec.panels // 4)
-        while spec.points_per_panel * panels < zm and panels < 64:  # the layer at t = 1
-            panels = min(2 * panels, 64)
-        if spec.points_per_panel * panels < zm:
-            warnings.warn(f"z' = {zm} is past the octave rule's reach", QuadratureConvergenceWarning)
-        panels, n = 2 * panels, spec.points_per_panel
-        err = max(_power_error(zm, (zq - m).denominator == 1, n, panels),
-                  _octave_table(approx, setup, n, panels)[2])
-        if err > prec.tol(prec.digits // 2):
-            warnings.warn(f"{panels} panels of {n} points reach only about {mp.nstr(err, 3)}",
-                          QuadratureConvergenceWarning)
-        # E_0/z' in floating point, as z' may lie far below 2^-g
-        rest = sum((e << g) // (zf + (k << g)) for k, e in enumerate(head[1:], 1))
-        head_sum = mp.ldexp(head[0] / zm + rest, -f)
-        return a**K * head_sum + _octave_sum(approx, setup, zm, a, n, panels)
+    phi the approximant, as a value of the context at P + 10 digits (series._context);
+    PoleInDomainError if _octave_setup's pole scan fails."""
+    zq, setup = _rational(z), _octave_setup(approx)
+    m, K = setup[:2]
+    if not (zq > m):
+        pole = f" (phi has a pole of order {m} at t = 0)" if m else ""
+        raise DomainError(f"integral representation requires z > {m}, got {z}{pole}")
+    bits = libmp.dps_to_prec(prec.digits + 10)
+    ctx, g, (f, head) = _context(bits), bits + 20, _head_series(approx, setup, bits)
+    zm = ctx.make_mpf(_round(zq - m, bits))
+    a, zf, panels = ctx.mpf(2) ** -zm, libmp.to_fixed(zm._mpf_, g), max(1, spec.panels // 4)
+    while spec.points_per_panel * panels < zm and panels < 64:  # the layer at t = 1
+        panels = min(2 * panels, 64)
+    if spec.points_per_panel * panels < zm:
+        warnings.warn(f"z' = {zm} is past the octave rule's reach", QuadratureConvergenceWarning)
+    panels, n = 2 * panels, spec.points_per_panel
+    err = max(_power_error(zm, (zq - m).denominator == 1, n, panels, bits),
+              _octave_table(approx, setup, n, panels, bits)[2])
+    if err > prec.tol(prec.digits // 2):
+        warnings.warn(f"{panels} panels of {n} points reach only about {mp.nstr(err, 3)}",
+                      QuadratureConvergenceWarning)
+    # E_0/z' in floating point, as z' may lie far below 2^-g
+    rest = sum((e << g) // (zf + (k << g)) for k, e in enumerate(head[1:], 1))
+    return a**K * ctx.ldexp(head[0] / zm + rest, -f) + _octave_sum(approx, setup, zm, a, n, panels, bits)
 
 
-def _power_error(zm, entire: bool, n: int, panels: int) -> mpmath.mpf:
+def _power_error(zm, entire: bool, n: int, panels: int, bits: int):
     """The pass's relative error from (s/2)^(z'-1) alone, as M rho^(-2n) for N = `panels`
     panels of n points on [1, 2], |f| <= M on a panel's Bernstein ellipse E_rho
     (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  For z' not an integer, the first panel's
     E_rho through the branch point s = 0, rho = (2N+1) + sqrt((2N+1)^2 - 1), M about 1;
     past z' = 2n + 1, the last panel's (half-width h) M = (1 + h (A - 1)/2)^(z'-1),
     A = (rho + 1/rho)/2, at the rho = 4n (2 - h)/(h (z' - 1 - 2n)) that about minimises it."""
-    err, d = 0 if entire else _branch_error(n, panels, mp.prec), zm - 1 - 2 * n
+    err, d = 0 if entire else _branch_error(n, panels, bits), zm - 1 - 2 * n
     if d > 0:
-        h = mp.mpf(1) / (2 * panels)
+        h = _context(bits).mpf(1) / (2 * panels)
         r = max(4 * n * (2 - h) / (h * d), 2)
         err = max(err, (1 + h * ((r + 1 / r) / 2 - 1) / 2) ** (zm - 1) * r ** (-2 * n))
     return err
 
 
 @cache
-def _branch_error(n: int, panels: int, prec: int) -> mpmath.mpf:
-    """_power_error's rho^(-2n) through s = 0, kept per pass shape; at mpmath precision prec."""
-    c = mp.mpf(2 * panels + 1)
-    return (c + mp.sqrt(c * c - 1)) ** (-2 * n)
+def _branch_error(n: int, panels: int, bits: int):
+    """_power_error's rho^(-2n) through s = 0 on the context at `bits`, kept per pass shape."""
+    c = _context(bits).mpf(2 * panels + 1)
+    return (c + c.context.sqrt(c * c - 1)) ** (-2 * n)
 
 
 def _octave_setup(approx: PadeApprox) -> tuple:
@@ -424,20 +412,20 @@ def _octave_setup(approx: PadeApprox) -> tuple:
     return tables["setup"]
 
 
-def _head_series(approx: PadeApprox, setup: tuple) -> tuple[int, list[int]]:
-    """(F, [E_0 .. E_N]), kept per working precision: E_k = c_k h^k 2^F, c_k the
+def _head_series(approx: PadeApprox, setup: tuple, bits: int) -> tuple[int, list[int]]:
+    """(F, [E_0 .. E_N]), kept per bit count: E_k = c_k h^k 2^F, c_k the
     Taylor coefficients of psi(1-t) at t = 0, so the head is h^z' sum_k E_k 2^-F/(z'+k).
 
-    With g = prec + 20, E_k = P_k - (sum_i R_i E_(k-i) >> g) over P_k =
+    With g = bits + 20, E_k = P_k - (sum_i R_i E_(k-i) >> g) over P_k =
     floor(p_k h^k 2^F / b) and R_i = floor(q_i h^i 2^g / q_0), F putting the
     largest |P_k| near 2^g.  As |q_i/q_0| h^i <= 16^-i, 1/(sum_i q_i h^i x^i / q_0)
     has coefficients below (3/16)^k < 5^-k: errors do not grow, |E_k| <= 5^-k T with
     T = sum_k |P_k| 5^k, and past N, the least with 5^N > T, the terms sum to < 5/4 unit.
     """
-    tables, key = approx._node_tables, ("head", mp.prec)
+    tables, key = approx._node_tables, ("head", bits)
     if key not in tables:
         _, K, _, p, b, q = setup
-        g = mp.prec + 20
+        g = bits + 20
         f = g - max((c.bit_length() - b.bit_length() - K * k for k, c in enumerate(p) if c), default=0)
         P = [_fixed(c, b, f - K * k) for k, c in enumerate(p)]
         R = [_fixed(c, q[0], g - K * i) for i, c in enumerate(q[1:], 1)]
@@ -452,44 +440,43 @@ def _head_series(approx: PadeApprox, setup: tuple) -> tuple[int, list[int]]:
 
 
 @cache
-def _octave_nodes(points: int, panels: int, prec: int) -> tuple[list, list, list]:
-    """Nodes s_j of the composite rule on [1, 2] as _mpf_, then in fixed point at
-    2^-(prec+20) their weights with the panel's half-width folded in and log(s_j/2);
-    called at mpmath precision prec.
+def _octave_nodes(points: int, panels: int, bits: int) -> tuple[list, list, list]:
+    """Nodes s_j of the composite rule on [1, 2] as _mpf_ at `bits` bits, then in fixed
+    point at 2^-(bits+20) their weights with the panel's half-width folded in and log(s_j/2).
 
     log(s/2) = log(c/2) + 2 atanh(y), y = (s - c)/(s + c), c the panel's midpoint:
     |y| < 1/9, so the series runs in fixed point and mpf_log meets only the midpoints.
     """
-    nodes, weights = _gauss_legendre_nodes(points)
-    half, bits, rows = mp.mpf(1) / (2 * panels), prec + 20, []
+    nodes, weights = _gauss_legendre_nodes(points, bits)
+    half, wide, rows = _context(bits).mpf(1) / (2 * panels), bits + 20, []
     for p in range(panels):
         c = 1 + (2 * p + 1) * half
-        cf, log_c = (libmp.to_fixed(v, bits) for v in (c._mpf_, libmp.mpf_log((c / 2)._mpf_, bits)))
+        cf, log_c = (libmp.to_fixed(v, wide) for v in (c._mpf_, libmp.mpf_log((c / 2)._mpf_, wide)))
         for x, w in zip(nodes, weights):
             s = c + half * x
-            sf = libmp.to_fixed(s._mpf_, bits)
-            y = (abs(sf - cf) << bits) // (sf + cf)
-            y2, term, atanh, i = y * y >> bits, y, 0, 1
+            sf = libmp.to_fixed(s._mpf_, wide)
+            y = (abs(sf - cf) << wide) // (sf + cf)
+            y2, term, atanh, i = y * y >> wide, y, 0, 1
             while term:  # atanh is odd: the series runs on |y|
-                atanh, term, i = atanh + term // i, term * y2 >> bits, i + 2
+                atanh, term, i = atanh + term // i, term * y2 >> wide, i + 2
             log_s = log_c + (2 * atanh if sf > cf else -2 * atanh)
-            rows.append((s._mpf_, libmp.to_fixed((w * half)._mpf_, bits), log_s))
+            rows.append((s._mpf_, libmp.to_fixed((w * half)._mpf_, wide), log_s))
     return tuple(map(list, zip(*rows)))
 
 
-def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int) -> tuple:
-    """(F, columns, c^2), kept per (points, panels, prec): column j holds
+def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int, bits: int) -> tuple:
+    """(F, columns, c^2), kept per (points, panels, bits): column j holds
     floor(psi(1 - 2^-(k+1) s_j) 2^F) for k = K-1 .. 0, by _fixed_point_phi, and c is
     psi's largest Legendre coefficient of degree n - 1 = points - 1 on a panel, relative
     to the largest |psi|.  Analytic in a panel's ellipse E_rho, psi has |c| ~ rho^(1-n),
     the rule errs by about rho^(-2n) ~ c^2, and a pole near [0, 1], real or complex,
     shows in c.  n w_i P_(n-1)(x_i) = (-1)^i sqrt(2 w_i (1 - x_i^2)) at the descending
     nodes x_i, as (1 - x^2) P_n'(x) = n P_(n-1)(x); with f(x_i) they sum to 2n c_(n-1)/(2n-1)."""
-    tables, key = approx._node_tables, ("table", points, panels, mp.prec)
+    tables, key = approx._node_tables, ("table", points, panels, bits)
     if key not in tables:  # a build that raises publishes nothing
         _, K, psi = setup[:3]
-        (f, phi), columns = _fixed_point_phi(psi), []
-        for _, man, e, _ in _octave_nodes(points, panels, mp.prec)[0]:
+        ctx, (f, phi), columns = _context(bits), _fixed_point_phi(psi, bits), []
+        for _, man, e, _ in _octave_nodes(points, panels, bits)[0]:
             column = []
             for k in reversed(range(K)):  # u = 1 - man 2^(e-k-1)
                 try:
@@ -498,26 +485,26 @@ def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int) ->
                     t = mp.make_mpf(libmp.from_man_exp(man, e - k - 1))
                     raise IntegrationError(f"non-finite integrand value at t={t}") from None
             columns.append(column)
-        null = [(-1) ** i * libmp.to_fixed(mp.sqrt(2 * w * (1 - x * x))._mpf_, mp.prec)
-                for i, (x, w) in enumerate(zip(*_gauss_legendre_nodes(points)))]
+        null = [(-1) ** i * libmp.to_fixed(ctx.sqrt(2 * w * (1 - x * x))._mpf_, bits)
+                for i, (x, w) in enumerate(zip(*_gauss_legendre_nodes(points, bits)))]
         top = max(abs(sum(v * col[k] for v, col in zip(null, columns[j:j + points]))) for k in range(K)
                   for j in range(0, len(columns), points))
-        c = mp.ldexp(top, -mp.prec) / (max(abs(v) for col in columns for v in col) or 1)
+        c = ctx.ldexp(top, -bits) / (max(abs(v) for col in columns for v in col) or 1)
         tables.setdefault(key, (f, columns, c * c))
     return tables[key]
 
 
-def _octave_sum(approx: PadeApprox, setup: tuple, zm, a, points: int, panels: int) -> mpmath.mpf:
+def _octave_sum(approx: PadeApprox, setup: tuple, zm, a, points: int, panels: int, bits: int) -> mpmath.mpf:
     """a sum_j W_j s_j^(z'-1) Phi_j = sum_j W_j (s_j/2)^(z'-1) Phi_j / 2, whose powers
     stay at most 2 however large z' is; Phi_j = sum_k a^k psi_(k,j) by integer
     Horner in a = 2^-z' (a < 1, so each step's rounding stays one unit of 2^-F).
 
     The powers are integer too: (s_j/2)^(z'-1) = 2^n exp(r), n <= 0, by one divmod of the
-    exact x_j = (z'-1) log(s_j/2) by ln 2 and libmp's fixed-point exp at wp = prec + 34
+    exact x_j = (z'-1) log(s_j/2) by ln 2 and libmp's fixed-point exp at wp = bits + 34
     (mpf_exp's own for g), each off by about one unit of 2^-wp, below the sum's 2^-g."""
-    f, columns, _ = _octave_table(approx, setup, points, panels)
-    _, weights, logs = _octave_nodes(points, panels, mp.prec)
-    g, wp, rnd = mp.prec + 20, mp.prec + 34, libmp.round_nearest
+    f, columns, _ = _octave_table(approx, setup, points, panels, bits)
+    _, weights, logs = _octave_nodes(points, panels, bits)
+    g, wp, rnd = bits + 20, bits + 34, libmp.round_nearest
     sign, man, exp, _ = (zm - 1)._mpf_  # x_j 2^wp = +-man log_j 2^(exp + 14), log_j at 2^-g
     e, shift = (-man if sign else man) << max(exp + 14, 0), max(-exp - 14, 0)
     A, ln2, total = libmp.to_fixed(a._mpf_, g), libmp.ln2_fixed(wp), 0
@@ -527,4 +514,4 @@ def _octave_sum(approx: PadeApprox, setup: tuple, zm, a, points: int, panels: in
             acc = v + (acc * A >> g)
         n, r = divmod(e * log >> shift, ln2)
         total += (w * exp_basecase(r, wp) >> wp - n) * acc
-    return mp.make_mpf(libmp.from_man_exp(total, -g - f - 1, mp.prec, rnd))
+    return mp.make_mpf(libmp.from_man_exp(total, -g - f - 1, bits, rnd))

@@ -25,9 +25,10 @@ from sys import int_info
 from typing import Sequence
 
 import mpmath
+from mpmath import libmp, mp
 
 from .errors import DegeneracyError, DomainError, PoleError
-from .series import PrecisionContext, Real, _common_denominator, _rational, to_mpf
+from .series import PrecisionContext, Real, _common_denominator, _rational, _round
 
 __all__ = ["PadeApprox", "pade_construct", "pade_eval"]
 
@@ -144,8 +145,7 @@ def _with_numerator(c: Sequence[Fraction], L: int, den: Sequence[Fraction]) -> P
 def pade_eval(p: PadeApprox, z: Real, prec: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
     """num(z)/den(z) at a finite real z, exact (_pade_value), then rounded once to 10
     guard digits; PoleError only where den(z) is exactly 0."""
-    with prec.workdps(10):
-        return to_mpf(_pade_value(p, _rational(z)))
+    return mp.make_mpf(_round(_pade_value(p, _rational(z)), libmp.dps_to_prec(prec.digits + 10)))
 
 
 def _pade_value(p: PadeApprox, z: Fraction) -> Fraction:

@@ -18,6 +18,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import factorial, lcm
 from typing import Iterable, Sequence, Union
 
@@ -46,11 +47,10 @@ Real = Union[int, float, str, Fraction, mpmath.mpf]
 class PrecisionContext:
     """Decimal working precision for every approximate real computation.
 
-    The E1 summation path (sums, pole check, ``with_reference``, E1 reference) and the
-    Levin/Weniger cells round with libmp at these digits plus guard digits and are safe
-    across threads, as are the Stirling, oscillator and E1 caches.  The integral route,
-    quadrature and oscillator energies still run under ``workdps``, which sets mpmath's
-    process-global ``mp.dps``: two threads there run at each other's precision."""
+    Every library path computes at these digits plus its guard digits as an explicit bit
+    count (libmp, or a private mpmath context built at it), reading and setting no global
+    precision, so calls are safe across threads.  The one exception is the integrand given
+    to ``quadrature_01``: the caller's own mpf code, run at mpmath's global precision."""
 
     digits: int = 64
 
@@ -79,6 +79,15 @@ def _round(x: Real, wp: int) -> tuple:
     if isinstance(x, Fraction):
         return libmp.from_rational(x.numerator, x.denominator, wp, libmp.round_nearest)
     return libmp.mpf_pos(mp.mpf.mpf_convert_arg(x, wp, libmp.round_nearest), wp, libmp.round_nearest)
+
+
+@cache
+def _context(bits: int) -> mpmath.MPContext:
+    """An mpmath context at `bits`, built once and never set to another precision: mpf formulas
+    run on it as under mp.workprec(bits).  Values leave as mp.make_mpf(v._mpf_), unrounded."""
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    return ctx
 
 
 def _rational(x: Real) -> Fraction:
@@ -247,12 +256,11 @@ def pochhammer(z: Real, n: int, prec: PrecisionContext = PrecisionContext()) -> 
     """Rising factorial (z)_n = z (z+1) ... (z+n-1); empty product is 1."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    with prec.workdps():
-        zv = to_mpf(z)
-        out = mp.mpf(1)
-        for i in range(n):
-            out *= zv + i
-        return out
+    wp, rnd, out = libmp.dps_to_prec(prec.digits), libmp.round_nearest, libmp.fone
+    zv = _round(z, wp)
+    for i in range(n):
+        out = libmp.mpf_mul(out, libmp.mpf_add(zv, libmp.from_int(i), wp, rnd), wp, rnd)
+    return mp.make_mpf(out)
 
 
 def factorial_term(
@@ -261,9 +269,9 @@ def factorial_term(
     """d_n / (z)_{n+1}, the n-th term of a factorial series at z."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    with prec.workdps():
-        _check_pole((zv := to_mpf(z))._mpf_, n, prec, 0)
-        return to_mpf(d_n) / pochhammer(zv, n + 1, prec)
+    wp, rnd = libmp.dps_to_prec(prec.digits), libmp.round_nearest
+    _check_pole(_round(z, wp), n, prec, 0)
+    return mp.make_mpf(libmp.mpf_div(_round(d_n, wp), pochhammer(z, n + 1, prec)._mpf_, wp, rnd))
 
 
 def forward_difference_term(
@@ -273,16 +281,15 @@ def forward_difference_term(
     (-1)^k (n+k)!/(z)_{n+k+1}: iterated differences would lose about k bits."""
     if n < 0 or k < 0:
         raise DomainError(f"need n, k >= 0, got n={n}, k={k}")
-    with prec.workdps(10):
-        _check_pole((zv := to_mpf(z))._mpf_, n + k, prec, 10)
-        return (-1) ** k * factorial(n + k) / pochhammer(zv, n + k + 1, prec)
+    wp, rnd = libmp.dps_to_prec(prec.digits + 10), libmp.round_nearest  # the product is at P digits
+    _check_pole(zv := _round(z, wp), n + k, prec, 10)
+    poch = pochhammer(mp.make_mpf(zv), n + k + 1, prec)._mpf_
+    return mp.make_mpf(libmp.mpf_div(libmp.from_int((-1) ** k * factorial(n + k)), poch, wp, rnd))
 
 
-def term_decay_estimate(
-    z: Real, n: int, prec: PrecisionContext = PrecisionContext()
-) -> mpmath.mpf:
+def term_decay_estimate(z: Real, n: int, prec: PrecisionContext = PrecisionContext()) -> mpmath.mpf:
     """Predicted magnitude n^(-z) of n!/(z)_{n+1} for large n (diagnostics only)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    with prec.workdps():
-        return mp.mpf(n) ** (-to_mpf(z))
+    wp, rnd = libmp.dps_to_prec(prec.digits), libmp.round_nearest
+    return mp.make_mpf(libmp.mpf_pow(libmp.from_int(n, wp, rnd), libmp.mpf_neg(_round(z, wp)), wp, rnd))

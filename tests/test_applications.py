@@ -6,12 +6,13 @@ import itertools
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 from math import factorial
 
 import pytest
 import sympy
-from mpmath import mp
+from mpmath import libmp, mp
 
 from facseries import applications
 from facseries.acceleration import TransformInput, levin, weniger_s
@@ -37,8 +38,17 @@ from facseries.evaluate import (
     _octave_sum,
     euler_integral_eval,
 )
-from facseries.pade import PadeApprox, _pade_value, pade_construct
-from facseries.series import FormalSeries, PrecisionContext, SeriesKind, to_mpf
+from facseries.pade import PadeApprox, _pade_value, pade_construct, pade_eval
+from facseries.series import (
+    FormalSeries,
+    PrecisionContext,
+    SeriesKind,
+    _context,
+    _round,
+    factorial_term,
+    pochhammer,
+    to_mpf,
+)
 from facseries.transforms import inverse_power_to_factorial, power_to_factorial_coeffs
 
 PREC = PrecisionContext(64)
@@ -249,6 +259,39 @@ def e1_path(z, digits, terms=30):
             levin(inp, k, 0, prec), weniger_s(inp, k, 0, prec), _pade_value(series.pade(), 1 / z))
 
 
+def race(compute, before_round=lambda: None, rounds=3, threads=8):
+    """[{slot: compute(slot)} per round] of `threads` threads started together under a
+    1 us switch interval (restored after), before_round() ahead of each round; no thread
+    may raise, hang or warn."""
+    old, rounds_out = sys.getswitchinterval(), []
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            before_round()
+            results, errors, barrier = {}, [], threading.Barrier(threads)
+
+            def work(slot):
+                try:
+                    barrier.wait(timeout=10)
+                    results[slot] = compute(slot)
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                pool = [threading.Thread(target=work, args=(slot,)) for slot in range(threads)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=300)
+            assert not any(t.is_alive() for t in pool)
+            assert errors == [] and [str(w.message) for w in caught] == []
+            rounds_out.append(results)
+    finally:
+        sys.setswitchinterval(old)
+    return rounds_out
+
+
 class TestE1PathThreads:
     ZS = (Fraction(1, 2), Fraction(3), Fraction(163, 8))
 
@@ -259,31 +302,60 @@ class TestE1PathThreads:
         serial = {(d, z): e1_path(z, d) for d in (30, 64) for z in self.ZS}
 
         def compute(slot):
-            try:
-                barrier.wait(timeout=10)
-                for z in self.ZS[slot % 3 :] + self.ZS[: slot % 3]:
-                    results[slot, z] = e1_path(z, (30, 64)[slot % 2])
-            except Exception as exc:  # reported below
-                errors.append(exc)
+            return {(d, z): e1_path(z, d) for d in [(30, 64)[slot % 2]]
+                    for z in self.ZS[slot % 3 :] + self.ZS[: slot % 3]}
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):  # each round races on a fresh Pade table
-                monkeypatch.setattr(applications, "_e1_pade", {})
-                results, errors = {}, []
-                barrier = threading.Barrier(8)
-                threads = [threading.Thread(target=compute, args=(s,)) for s in range(8)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
-                assert not any(t.is_alive() for t in threads)
-                assert errors == []
-                differ = [key for key, got in results.items() if got != serial[(30, 64)[key[0] % 2], key[1]]]
-                assert len(results) == 24 and differ == []
-        finally:
-            sys.setswitchinterval(old)
+        # each round races on a fresh Pade table
+        for results in race(compute, lambda: monkeypatch.setattr(applications, "_e1_pade", {})):
+            assert sum(map(len, results.values())) == 24
+            assert all(got == {key: serial[key] for key in got} for got in results.values())
+
+
+def whole_path(beta, digits, orders=(16,)):
+    """(type, raw value) of every route that once ran under workdps, at beta: the three
+    energies at each order, pade_eval, euler_integral_eval, factorial_term and pochhammer."""
+    prec, shift = PrecisionContext(digits), oscillator_coeffs(17).shift_coeffs(16)
+    conjugate = [l / factorial(m) for m, l in enumerate(
+        power_to_factorial_coeffs(FormalSeries(SeriesKind.POWER, shift), 16))]
+    values = [oscillator_energy(beta, order, m, prec) for order in orders for m in OSCILLATOR_METHODS]
+    values += [pade_eval(pade_construct(shift, 8, 8), beta, prec),
+               euler_integral_eval(conjugate, 1 / beta, 8, 8, QuadratureSpec(), prec),
+               factorial_term(1 / beta, 16, shift[16], prec), pochhammer(beta, 16, prec)]
+    return [(type(v), v._mpf_) for v in values]
+
+
+class TestWholePathThreads:
+    # the serial pass runs first: mpmath's own constant_memo (ln2_fixed's) sets its value
+    # and its precision in two steps, so it must reach its largest precision before a race
+    BETAS = (Fraction(1, 5), Fraction(3, 7), Fraction(2), Fraction(4))
+
+    def rotated(self, slot):
+        return self.BETAS[slot % 4 :] + self.BETAS[: slot % 4]
+
+    def test_threads_at_two_precisions_match_serial(self):
+        serial = {(d, b): whole_path(b, d) for d in (30, 64) for b in self.BETAS}
+
+        def compute(slot):  # half the threads at 30 digits, half at 64
+            return {(d, b): whole_path(b, d) for d in [(30, 64)[slot % 2]] for b in self.rotated(slot)}
+
+        for results in race(compute):
+            assert len(results) == 8
+            assert all(got == {key: serial[key] for key in got} for got in results.values())
+
+    def test_cold_build_in_threads_leaves_later_serial_results_right(self, monkeypatch):
+        # threads build the approximants and their node tables; every energy they get,
+        # and every energy a serial call gets afterwards from those tables, is the one
+        # computed on a separate fresh table
+        orders = (16, 20)
+        monkeypatch.setattr(applications, "_approx", {})
+        expected = {(d, b): whole_path(b, d, orders) for d in (30, 64) for b in self.BETAS}
+
+        def compute(slot):
+            return {(d, b): whole_path(b, d, orders) for d in [(30, 64)[slot % 2]] for b in self.rotated(slot)}
+
+        for results in race(compute, lambda: monkeypatch.setattr(applications, "_approx", {})):
+            assert all(got == {key: expected[key] for key in got} for got in results.values())
+            assert {key: whole_path(key[1], key[0], orders) for key in expected} == expected
 
 
 class TestOscillatorCoefficients:
@@ -813,48 +885,27 @@ class TestOscillatorEnergy:
 
     def test_concurrent_node_tables_match_serial(self, monkeypatch):
         # threads racing to build one approximant's set-up and octave tables, at
-        # beta on both sides of 1, all get the sums of a serial run.  They call
-        # the tabled rule itself: mpmath's precision is one global, which every
-        # workdps (PrecisionContext.tol's too) sets on entry and restores on
-        # exit, so whole integrals run concurrently can take one another's
-        # precision whatever the tables do
+        # beta on both sides of 1, all get the sums of a serial run
         betas = [Fraction(1, 5), Fraction(3, 7), Fraction(2), Fraction(4)]
+        bits = libmp.dps_to_prec(PREC.digits + 10)  # the quadrature's bit count
+        ctx = _context(bits)
 
         def pieces(order):
             approx = applications._oscillator_approx(16, "integral")
             setup, out = _octave_setup(approx), {}
             for b, panels in itertools.product(order, (2, 4)):
-                zv = 1 / to_mpf(b)
-                out[b, panels] = _octave_sum(approx, setup, zv, mp.mpf(2) ** -zv, 16, panels)
+                zv = ctx.make_mpf(_round(1 / b, bits))
+                out[b, panels] = _octave_sum(approx, setup, zv, ctx.mpf(2) ** -zv, 16, panels, bits)
             return out
 
         def compute(slot):
-            try:
-                barrier.wait(timeout=10)
-                results[slot] = pieces(betas[slot % 4 :] + betas[: slot % 4])
-            except Exception as exc:  # reported below
-                errors.append(exc)
+            return pieces(betas[slot % 4 :] + betas[: slot % 4])
 
-        with PREC.workdps(10):  # the quadrature's precision, for every thread
-            monkeypatch.setattr(applications, "_approx", {})
-            serial = pieces(betas)
-            old = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for _ in range(3):  # each round races on a fresh approximant
-                    monkeypatch.setattr(applications, "_approx", {})
-                    results, errors = {}, []
-                    barrier = threading.Barrier(8)
-                    threads = [threading.Thread(target=compute, args=(s,)) for s in range(8)]
-                    for t in threads:
-                        t.start()
-                    for t in threads:
-                        t.join(timeout=120)
-                    assert not any(t.is_alive() for t in threads)
-                    assert errors == []
-                    assert all(results[slot] == serial for slot in range(8))
-            finally:
-                sys.setswitchinterval(old)
+        monkeypatch.setattr(applications, "_approx", {})
+        serial = pieces(betas)
+        # each round races on a fresh approximant
+        for results in race(compute, lambda: monkeypatch.setattr(applications, "_approx", {})):
+            assert all(results[slot] == serial for slot in range(8))
         # the set-up and the octave tables at 2 and 4 panels, one precision
         assert len(applications._approx[16, "integral"]._node_tables) == 3
 

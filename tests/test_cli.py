@@ -482,7 +482,7 @@ class TestE1:
             switches.clear()
             assert run(capsys, "e1", "--z", "163/8", "--terms", str(n), "--compare")[0] == 0
             counts.append(len(switches))
-        assert counts[0] == counts[1] == counts[2] <= 8
+        assert counts[0] == counts[1] == counts[2] == 0
 
     @pytest.mark.parametrize("z, n", E1_PADE_CASES)
     def test_pade_is_the_exact_value_rounded_once(self, capsys, z, n):
@@ -559,6 +559,32 @@ class TestOscillator:
         assert code == 0
         assert doc["energies"]["integral"] == "1.0"
 
+    def test_all_keeps_the_energies_that_succeeded(self, capsys, tmp_path):
+        # order 36: the integral route's [18/18] conjugate has a pole in (0, 1)
+        table = tmp_path / "energies.csv"
+        code, doc = run_json(capsys, "oscillator", "--beta", "1/5", "--order", "36", "--all",
+                             "--csv", str(table))
+        assert code == 0
+        assert doc["energies"]["integral"] == {"error": "pole_in_domain"}
+        rows = ["method,energy"]
+        for method in ("factorial", "pade"):  # as each method alone prints them
+            alone = run_json(capsys, "oscillator", "--beta", "1/5", "--order", "36", "--method", method)
+            assert alone[0] == 0
+            assert doc["energies"][method] == alone[1]["energies"][method]
+            assert doc["errors"][method] == alone[1]["errors"][method]
+            rows.append(f"{method},{doc['energies'][method]}")
+        assert list(doc["errors"]) == ["factorial", "pade"]  # the energies only
+        assert table.read_text().splitlines() == rows
+        # the integral route alone still fails the command
+        code, doc = run_json(capsys, "oscillator", "--beta", "1/5", "--order", "36", "--method", "integral")
+        assert code == 2 and doc["error"] == "pole_in_domain"
+
+    def test_all_failing_exits_2_with_the_first_error(self, capsys):
+        code, doc = run_json(capsys, "oscillator", "--beta", "-1", "--order", "6", "--all")
+        assert code == 2
+        assert doc == {"schema": "facseries/1", "error": "domain",
+                       "message": "coupling beta must be > 0, got -1"}
+
     @pytest.mark.parametrize("order", ["200", "300", "0"])
     def test_order_out_of_range_names_the_value(self, capsys, order):
         # every method reads b_(order+1), and the recursion stops at b_200
@@ -567,6 +593,32 @@ class TestOscillator:
         assert code == 2
         assert doc["error"] == "domain"
         assert doc["message"] == f"order must be in 1..199, got {order}"
+
+
+class TestNoPrecisionSwitch:
+    """The commands compute at the context's own bits: none enters mp.workdps or
+    mp.workprec, and mpmath's global precision is as the caller left it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["oscillator", "--beta", "1/5", "--order", "34", "--all"],
+        ["oscillator", "--beta", "3/7", "--order", "34", "--method", "integral"],
+        ["pade", "--in", "{inv}", "--L", "4", "--M", "5", "--eval", "1/3"],
+        ["sum", "--backend", "integral", "--in", "{fact}", "--z", "3", "--pade", "7", "7"],
+    ])
+    def test_no_precision_switch(self, capsys, monkeypatch, tmp_path, e1_factorial_file, argv):
+        e1_inverse_power_coeffs(14).dump(inv := tmp_path / "e1_inv.json")
+        argv = [a.format(inv=inv, fact=e1_factorial_file) for a in argv]
+        switches = []
+        for name in ("workdps", "workprec"):
+            monkeypatch.setattr(mp, name, lambda n, _name=name, _enter=getattr(mp, name):
+                                switches.append((_name, n)) or _enter(n))
+        old = mp.prec
+        try:
+            mp.dps = 37
+            code, _ = run(capsys, *argv)
+            assert code == 0 and switches == [] and mp.dps == 37
+        finally:
+            mp.prec = old
 
 
 class TestPlumbing:

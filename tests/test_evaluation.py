@@ -1,5 +1,6 @@
 """Quadrature and the three summation back-ends."""
 
+import contextlib
 import gc
 import itertools
 import math
@@ -10,16 +11,19 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import mpmath
 from mpmath import libmp, mp
 
 from facseries import applications, evaluate
 from facseries.applications import (
+    asymptotics_check,
     e1_factorial_coeffs,
     e1_reference,
+    e1_reference_quadrature,
     oscillator_coeffs,
     oscillator_energy,
 )
-from facseries.errors import DomainError, IntegrationError, PoleError, PoleInDomainError
+from facseries.errors import DomainError, FacseriesError, IntegrationError, PoleError, PoleInDomainError
 from facseries.evaluate import (
     QuadratureConvergenceWarning,
     _check_poles_in_unit_interval,
@@ -47,9 +51,11 @@ from facseries.series import (
     _rational,
     factorial_term,
     forward_difference_term,
+    pochhammer,
+    term_decay_estimate,
     to_mpf,
 )
-from facseries.pade import PadeApprox, pade_construct
+from facseries.pade import PadeApprox, _pade_value, pade_construct, pade_eval
 from facseries.transforms import power_to_factorial_coeffs
 
 PREC = PrecisionContext(64)
@@ -345,6 +351,131 @@ class TestExplicitPrecisionIsTheOldPath:
             assert pole_outcome(_check_pole, z._mpf_, n, PREC, extra) == want
 
 
+# The workdps formulas of the public functions that now compute at the context's own
+# bits, each under the global precision it set: the functions must give their bits.
+
+
+def old_pochhammer(z, n, prec):
+    with prec.workdps():
+        zv = to_mpf(z)
+        out = mp.mpf(1)
+        for i in range(n):
+            out *= zv + i
+        return out
+
+
+def old_factorial_term(z, n, d_n, prec):
+    with prec.workdps():
+        _check_pole((zv := to_mpf(z))._mpf_, n, prec, 0)
+        return to_mpf(d_n) / old_pochhammer(zv, n + 1, prec)
+
+
+def old_forward_difference_term(z, n, k, prec):
+    with prec.workdps(10):
+        _check_pole((zv := to_mpf(z))._mpf_, n + k, prec, 10)
+        return (-1) ** k * factorial(n + k) / old_pochhammer(zv, n + k + 1, prec)
+
+
+def old_term_decay_estimate(z, n, prec):
+    with prec.workdps():
+        return mp.mpf(n) ** (-to_mpf(z))
+
+
+def old_pade_eval(p, z, prec):
+    with prec.workdps(10):
+        return to_mpf(_pade_value(p, _rational(z)))
+
+
+def old_asymptotics_check(series, prec):
+    with prec.workdps():
+        pref = mp.sqrt(24) / mp.pi ** mp.mpf("1.5")
+        out = []
+        for n in range(1, series.order + 1):
+            predicted = (-1) ** (n + 1) * pref * mp.gamma(n + mp.mpf(1) / 2) * mp.mpf(3) ** n / 2**n
+            out.append(to_mpf(series.coeffs[n]) / predicted)
+        return out
+
+
+def old_e1_reference_quadrature(z, prec):
+    with prec.workdps(15):
+        zv = to_mpf(z)
+        if not (zv > 0):
+            raise DomainError(f"e1_reference_quadrature requires z > 0, got {z}")
+        return mp.quad(lambda t: mp.exp(-t) / t, [zv, mp.inf])
+
+
+def outcome(fn, *args):
+    """[(type, raw value)] of fn(*args), one pair per value of a list, or the error's type and text."""
+    try:
+        value = fn(*args)
+    except FacseriesError as exc:
+        return type(exc), str(exc)
+    return [(type(v), v._mpf_) for v in (value if isinstance(value, list) else [value])]
+
+
+@st.composite
+def reals(draw, low=-40, high=40):
+    """A real in [low, high] as an int, a Fraction, a decimal str or an mpf of 20 to 400 bits."""
+    q = draw(st.fractions(min_value=low, max_value=high, max_denominator=10**15))
+    kind = draw(st.sampled_from(["int", "fraction", "str", "mpf"]))
+    if kind == "int":
+        return round(q)
+    if kind == "fraction":
+        return q
+    if kind == "str":
+        return f"{q.numerator / q.denominator:.{draw(st.integers(1, 40))}e}"
+    return mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, draw(st.integers(20, 400)),
+                                           libmp.round_nearest))
+
+
+all_digits = st.sampled_from([16, 30, 64, 100])
+
+
+class TestMovedFunctionsAreTheOldFormulas:
+    """Each public function that ran under workdps now computes at the context's own bits:
+    the reference formula's raw value, typed mpmath.mpf, under any global precision."""
+
+    @staticmethod
+    def check(new, old, *args):
+        want = outcome(old, *args)
+        assert isinstance(want, tuple) or all(t is mpmath.mpf for t, _ in want)
+        # a DomainError shows an mpf argument as str() does, at the caller's own precision
+        shown = want[:1] if want[0] is DomainError and any(isinstance(a, mpmath.mpf) for a in args) else want
+        for foreign in (None, 20, 200):  # the caller's own mpmath precision
+            with mp.workdps(foreign) if foreign else contextlib.nullcontext():
+                got = outcome(new, *args)
+                assert got[: len(shown)] == shown and len(got) == len(want)
+                assert mp.dps == (foreign or 15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(digits=all_digits, z=reals(), n=st.integers(0, 30), d_n=reals(), k=st.integers(0, 6))
+    def test_pochhammer_and_terms(self, digits, z, n, d_n, k):
+        prec = PrecisionContext(digits)
+        self.check(pochhammer, old_pochhammer, z, n, prec)
+        self.check(factorial_term, old_factorial_term, z, n, d_n, prec)
+        self.check(forward_difference_term, old_forward_difference_term, z, n, k, prec)
+        self.check(term_decay_estimate, old_term_decay_estimate, z, n + 1, prec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(digits=all_digits, z=reals(-8, 8), which=st.sampled_from(["log", "shift"]))
+    def test_pade_eval(self, digits, z, which):
+        if which == "log":  # log(1 + z)/z, whose [4/4] has poles on the negative axis
+            p = pade_construct([Fraction((-1) ** k, k + 1) for k in range(9)], 4, 4)
+        else:
+            p = pade_construct(oscillator_coeffs(17).shift_coeffs(16), 8, 8)
+        self.check(pade_eval, old_pade_eval, p, z, PrecisionContext(digits))
+
+    @settings(max_examples=12, deadline=None)
+    @given(digits=all_digits, order=st.integers(20, 60))
+    def test_asymptotics_check(self, digits, order):
+        self.check(asymptotics_check, old_asymptotics_check, oscillator_coeffs(order), PrecisionContext(digits))
+
+    @settings(max_examples=6, deadline=None)
+    @given(digits=all_digits, z=reals(-1, 20))
+    def test_e1_reference_quadrature(self, digits, z):
+        self.check(e1_reference_quadrature, old_e1_reference_quadrature, z, PrecisionContext(digits))
+
+
 class TestProductForm:
     def test_geometric(self):
         # f(x) = 1/(1 - x/3) at x = 1/8 through the factorial product form;
@@ -529,7 +660,7 @@ def reference_euler_integral(approx, z, spec, prec):
         m, K, psi = (setup := _octave_setup(fresh))[:3]
         zm = to_mpf(z - m) if isinstance(z, (int, Fraction)) else to_mpf(z) - m
         a, e, g = mp.mpf(2) ** -zm, zm - 1, mp.prec + 20
-        (f, phi), (f_head, head) = _fixed_point_phi(psi), _head_series(fresh, setup)
+        (f, phi), (f_head, head) = _fixed_point_phi(psi, mp.prec), _head_series(fresh, setup, mp.prec)
         nodes = _octave_nodes(spec.points_per_panel, 2 * max(1, spec.panels // 4), mp.prec)
         total = 0
         for s, w, log in zip(*nodes):
@@ -603,8 +734,8 @@ class TestNodeTables:
                 (PrecisionContext(30), PrecisionContext(64)), ((32, 2), (32, 4), (24, 1))):
             with prec.workdps(10):
                 _, K, psi = (setup := _octave_setup(approx))[:3]
-                f, columns, _ = _octave_table(approx, setup, points, panels)
-                phi = _fixed_point_phi(psi)[1]
+                f, columns, _ = _octave_table(approx, setup, points, panels, mp.prec)
+                phi = _fixed_point_phi(psi, mp.prec)[1]
                 ss = _octave_nodes(points, panels, mp.prec)[0]
                 assert len(columns) == len(ss) == points * panels
                 for s, column in zip(ss, columns):
@@ -618,7 +749,7 @@ class TestNodeTables:
         for prec, (points, panels) in itertools.product(
                 (PrecisionContext(30), PrecisionContext(64)), ((32, 2), (32, 4), (24, 1))):
             with prec.workdps(10):
-                nodes, weights = _gauss_legendre_nodes(points)
+                nodes, weights = _gauss_legendre_nodes(points, mp.prec)
                 half, bits = mp.mpf(1) / (2 * panels), mp.prec + 20
                 ss, ws, logs = _octave_nodes(points, panels, mp.prec)
                 assert ss == [(1 + (2 * p + 1) * half + half * x)._mpf_
@@ -675,8 +806,8 @@ class TestNodeTables:
         (Fraction(1, 3), lambda u: u > 0.9375, (0, 0.0625)),
     ])
     def test_non_finite_phi_raises_and_is_not_kept(self, monkeypatch, z, bad_u, t_range):
-        def den_zero_at_one_node(p):
-            (f, phi), hit = _fixed_point_phi(p), []
+        def den_zero_at_one_node(p, bits):
+            (f, phi), hit = _fixed_point_phi(p, bits), []
 
             def bad(m, s):
                 if bad_u(m / 2**s) and not hit:
@@ -803,7 +934,7 @@ class TestFixedPointPhi:
             if d_acc == 0:
                 return
             # the quotient is one floor division, at the base scale its unit below one unit of N over D
-            f, phi = _fixed_point_phi(p)
+            f, phi = _fixed_point_phi(p, mp.prec)
             assert f == mp.prec + 40 + wn - wd
             assert phi(m, s) == (n_acc << (mp.prec + 40)) // d_acc
             assert lost > 32 or abs(d_acc) < 2 ** (mp.prec + 40)
@@ -813,7 +944,7 @@ class TestFixedPointPhi:
         """([w_num, w_den], [N, D], bits lost) at u = m 2^-s, `extra` bits below the base scale."""
         guard, u = (p.L + p.M + 2).bit_length() + 4 + extra, Fraction(m, 2**s)
         scales, accs, lost = [], [], 0
-        for coeffs, (w, fixed_coeffs) in zip((p.num, p.den), _fixed_point(p, extra)):
+        for coeffs, (w, fixed_coeffs) in zip((p.num, p.den), _fixed_point(p, mp.prec, extra)):
             big = max(abs(c) for c in coeffs)
             if big:  # 2^-w is max|c| 2^-(prec+guard) to within a factor of 4
                 assert 1 < big * Fraction(2) ** (w - mp.prec - guard) < 4
@@ -835,7 +966,7 @@ class TestFixedPointPhi:
     def test_cancelling_values_keep_relative_accuracy(self, num, den):
         p = PadeApprox(num=tuple(map(Fraction, num)), den=tuple(map(Fraction, den)))
         with PREC.workdps(10):
-            (f, phi), m = _fixed_point_phi(p), 2**80 - 2**76 - 12345
+            (f, phi), m = _fixed_point_phi(p, mp.prec), 2**80 - 2**76 - 12345
             u = Fraction(m, 2**80)
             exact = sum(c * u**k for k, c in enumerate(p.num)) / sum(c * u**k for k, c in enumerate(p.den))
             # each polynomial relatively within 2^-(prec+4), then the floor
@@ -853,7 +984,7 @@ class TestFixedPointPhi:
         p = PadeApprox(num=tuple(num), den=(Fraction(1),) + tuple(den_tail))
         tiny = PadeApprox(num=tuple(c / 2**200 for c in num), den=p.den)
         with PREC.workdps(10):
-            (f_tiny, phi_tiny), (f, phi) = _fixed_point_phi(tiny), _fixed_point_phi(p)
+            (f_tiny, phi_tiny), (f, phi) = _fixed_point_phi(tiny, mp.prec), _fixed_point_phi(p, mp.prec)
             assert phi_tiny(m, 74) == phi(m, 74) and (f_tiny == f + 200 or not any(num))
             u = Fraction(m, 2**74)
             at_u = [sum(c * u**k for k, c in enumerate(cs)) for cs in (tiny.num, tiny.den)]
@@ -908,7 +1039,7 @@ class TestGaussLegendreNodes:
     @pytest.mark.parametrize("n", [8, 16, 32, 33])
     def test_matches_newton_reference(self, n):
         with PREC.workdps(10):  # the quadrature's working precision
-            nodes, weights = _gauss_legendre_nodes(n)
+            nodes, weights = _gauss_legendre_nodes(n, mp.prec)
             ref_nodes, ref_weights = newton_gauss_legendre_reference(n)
             assert len(nodes) == len(weights) == n
             assert nodes == sorted(nodes, reverse=True)
@@ -967,7 +1098,7 @@ class TestGaussLegendreNewton:
     @pytest.mark.parametrize("n", [8, 16, 32, 33])
     def test_bit_identical_to_the_two_stage_newton(self, n, digits):
         with mp.workdps(digits):
-            nodes, weights = _gauss_legendre_nodes(n)
+            nodes, weights = _gauss_legendre_nodes(n, mp.prec)
             ref_nodes, ref_weights = two_stage_gauss_legendre_reference(n)
             assert [x._mpf_ for x in nodes] == [x._mpf_ for x in ref_nodes]
             assert [w._mpf_ for w in weights] == [w._mpf_ for w in ref_weights]
