@@ -18,7 +18,8 @@ diverges).  With h = 2^-K and a = 2^-z',
 so one Gauss-Legendre rule on [1, 2] serves every octave.  Its nodes carry
 Phi_j = sum_k a^k psi_(k,j), an integer Horner in a over a fixed-point table
 psi_(k,j) that depends on the approximant alone (kept in PadeApprox._node_tables),
-and a request forms only the powers a s_j^(z'-1) = (s_j/2)^(z'-1)/2, at most 1
+each node's octaves by one Horner in 2^-(k+1) by shifts alone (_octave_column), and
+a request forms only the powers a s_j^(z'-1) = (s_j/2)^(z'-1)/2, at most 1
 for every z', in integers: an ln 2 reduction and a fixed-point exp at prec + 34 bits,
 each off by about one unit of 2^-(prec+34), below the sum's unit 2^-(prec+20).
 The head is exact for every z' > 0: h^z' sum_k c_k h^k/(z'+k), c_k the Taylor
@@ -123,33 +124,36 @@ class SummationReport:
 def _gauss_legendre_nodes(n: int, bits: int) -> tuple[list, list]:
     """Nodes (descending) and weights on [-1, 1] at `bits` bits.
 
-    For the ceil(n/2) non-negative nodes, Newton on P_n in fixed-point integers
-    with 20 guard bits from the cosine guess, rounded once to an mpf node x; the
-    weight is 2/((1 - x^2) P_n'(x)^2) in mpf on the context at `bits`.  The rest
-    are their mirror images, with the same weights.  Cached per (n, bits).
+    For the ceil(n/2) non-negative nodes, Newton on P_n in fixed-point integers from the
+    cosine guess at 53 bits, until a step moves x by less than 2^-43; then each step
+    doubles the precision up to bits + 20, where the steps run until one moves x by less
+    than 2^-(bits+10).  x and the weight 2 (1 - x^2)/(n P_(n-1)(x))^2, from the same
+    recurrence, are each rounded once.  The rest are their mirror images.  Cached per (n, bits).
     """
-    ctx, wide = _context(bits), bits + 20
-    one = 1 << wide
-    half = []
-    for i in range((n + 1) // 2):
-        # mpmath's cos, not math.cos: a first math.cos faults libm pages in, +64 KB of peak RSS
-        guess = libmp.to_fixed(ctx.cos(ctx.pi * (i + 0.75) / (n + 0.5))._mpf_, wide)
-        fx = 0 if 2 * i + 1 == n else guess  # the middle root of an odd P_n is 0
-        for _ in range(100):
-            p0, p1 = one, fx
-            for j in range(2, n + 1):
-                p0, p1 = p1, (((2 * j - 1) * fx * p1 >> wide) - (j - 1) * p0) // j
-            # dx = P_n/P_n' = P_n (x^2 - 1) / (n (x P_n - P_(n-1))), all scaled by 2^wide
-            dx = p1 * ((fx * fx >> wide) - one) // (n * ((fx * p1 >> wide) - p0) or 1)
-            fx -= dx
-            if abs(dx) < 1 << 10:
-                break
-        x = ctx.make_mpf(libmp.from_man_exp(fx, -wide, bits, libmp.round_nearest))
-        p0, p1 = 1, x  # P_(n-1)(x) and P_n(x) by the three-term recurrence, in mpf
+    ctx, wide, rnd, half = _context(bits), bits + 20, libmp.round_nearest, []
+
+    def legendre(fx: int, prec: int) -> tuple[int, int]:  # P_(n-1)(x), P_n(x) at 2^-prec
+        p0, p1 = 1 << prec, fx
         for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        half.append((x, 2 / ((1 - x * x) * dp * dp)))
+            p0, p1 = p1, (((2 * j - 1) * fx * p1 >> prec) - (j - 1) * p0) // j
+        return p0, p1
+
+    for i in range((n + 1) // 2):
+        # libmp's cos, not math.cos: a first math.cos faults libm pages in, +64 KB of peak RSS
+        guess, prec = libmp.mpf_cos_pi(libmp.from_rational(4 * i + 3, 4 * n + 2, 53), 53), min(53, wide)
+        fx = 0 if 2 * i + 1 == n else libmp.to_fixed(guess, prec)  # the middle root of an odd P_n is 0
+        for _ in range(100):
+            p0, p1 = legendre(fx, prec)
+            # dx = P_n/P_n' = P_n (x^2 - 1) / (n (x P_n - P_(n-1))), all scaled by 2^prec
+            dx = p1 * ((fx * fx >> prec) - (1 << prec)) // (n * ((fx * p1 >> prec) - p0) or 1)
+            fx -= dx
+            if prec < wide and (prec > 53 or abs(dx) < 1 << 10):
+                fx, prec = fx << min(prec, wide - prec), min(2 * prec, wide)
+            elif abs(dx) < 1 << 10:
+                break
+        p0 = n * legendre(fx, wide)[0]
+        weight = (((1 << wide) - (fx * fx >> wide)) << 2 * wide + 1) // (p0 * p0)
+        half.append(tuple(ctx.make_mpf(libmp.from_man_exp(v, -wide, bits, rnd)) for v in (fx, weight)))
     half += [(-x, w) for x, w in reversed(half[: n // 2])]
     return tuple(map(list, zip(*half)))
 
@@ -240,63 +244,17 @@ def _product_form_sums(lam: Iterable[Fraction], z: Fraction) -> list[tuple[int, 
     return sums
 
 
-def _horner_fixed(coeffs: Sequence[int], m: int, s: int) -> int:
-    """Horner on integer coefficients at u = m 2^-s: acc = ((acc m) >> s) + c."""
+def _horner_fixed(coeffs: Sequence[int], s: int) -> int:
+    """Horner on integer coefficients at u = 2^-s by shifts alone: acc = (acc >> s) + c."""
     acc = 0
     for c in reversed(coeffs):
-        acc = ((acc * m) >> s) + c
+        acc = (acc >> s) + c
     return acc
 
 
 def _fixed(n: int, d: int, bits: int) -> int:
     """floor(n/d 2^bits)."""
     return (n << max(bits, 0)) // (d << max(-bits, 0))
-
-
-def _fixed_point(p: PadeApprox, bits: int, extra: int = 0) -> list[tuple[int, list[int]]]:
-    """[(w, [ceil(c 2^w) for c in cs]) for cs in (p.num, p.den)], each w as
-    _fixed_point_phi states, plus `extra` bits."""
-    guard = (p.L + p.M + 2).bit_length() + 4 + extra
-    scaled = []
-    for cs in (p.num, p.den):
-        big = max(abs(c) for c in cs)  # 2^e < big < 2^(e+2), e from the bit lengths
-        w = bits + guard - (big.numerator.bit_length() - big.denominator.bit_length() - 1)
-        scaled.append((w, [-_fixed(-c.numerator, c.denominator, w) for c in cs]))
-    return scaled
-
-
-def _fixed_point_phi(p: PadeApprox, bits: int) -> tuple[int, Callable]:
-    """(F, phi) with phi(m, s) = floor(num(u)/den(u) 2^F) at u = m 2^-s in [0, 1],
-    by fixed-point integer Horner; ZeroDivisionError where den(u) rounds to 0.
-
-    Each polynomial has its own scale 2^-w: with 2^e < max|c| < 2^(e+2),
-    w = bits + g - e and g = bitlen(L+M+2) + 4 guard bits.  acc = ((acc m) >> s) + C
-    runs over C = ceil(c 2^w): C rounds up and the shift down, so each step errs
-    by less than 2^-w and |u| <= 1 keeps the errors from growing.  Each polynomial
-    is therefore off by at most (deg+1) 2^-w < 2^-(bits+4) max|c|, relative to its
-    own largest coefficient, however small or large the coefficients are.  The
-    quotient is one integer division, floor(N 2^(bits+40) / D), so F = bits + 40 +
-    w_num - w_den; as D < 2^(bits+g+2) (M+1) < 2^(bits+40), its unit 2^-F is below
-    one unit of N over D.
-
-    Where num or den cancels, its value V loses bitlen(sum |C|) - bitlen(V) of those
-    bits.  The working precision's 10 guard digits hold 33, so where either loses
-    more than 32, both are formed again with that many more bits, rounded up to a
-    multiple of 32 (F unchanged).  E1's conjugate [29/30] loses up to 72 bits on
-    [0, 1]; the oscillator's approximants of orders 20-54 at most 29, so they never do.
-    """
-    (wn, num), (wd, den) = _fixed_point(p, bits)
-    (low_n, low_d), shift = (sum(map(abs, cs)).bit_length() - 32 for cs in (num, den)), bits + 40
-    wider = cache(partial(_fixed_point, p, bits))
-
-    def phi(m: int, s: int) -> int:
-        n, d = _horner_fixed(num, m, s), _horner_fixed(den, m, s)
-        if n.bit_length() < low_n or d.bit_length() < low_d:  # more than 32 bits lost
-            lost = 32 + max(low_n - n.bit_length(), low_d - d.bit_length())
-            n, d = (_horner_fixed(cs, m, s) for _, cs in wider(-(-lost // 32) * 32))
-        return (n << shift) // d
-
-    return shift + wn - wd, phi
 
 
 def _check_poles_in_unit_interval(p: PadeApprox) -> None:
@@ -309,8 +267,9 @@ def _check_poles_in_unit_interval(p: PadeApprox) -> None:
     scaled = [c * 130 ** (p.M - k) for k, c in enumerate(p._cleared[1][1])]
     signs = []
     for i in range(65):
-        q = 2 * i + 1
-        val = _horner_fixed(scaled, q, 0)
+        q, val = 2 * i + 1, 0
+        for c in reversed(scaled):
+            val = val * q + c
         if val == 0:
             raise PoleInDomainError(f"Pade denominator vanishes at u={Fraction(q, 130)}")
         signs.append(val > 0)
@@ -386,9 +345,9 @@ def _branch_error(n: int, panels: int, bits: int):
 
 
 def _octave_setup(approx: PadeApprox) -> tuple:
-    """(m, K, psi, p, b, q), kept for the approximant's lifetime: m the order of
-    den's zero at u = 1, K the octave count, psi = num/(den/(1-u)^m) as a
-    PadeApprox, and integers with psi(1-t) = (sum_k p_k t^k / b) / (sum_i q_i t^i / q_0).
+    """(m, K, p, b, q), kept for the approximant's lifetime: m the order of den's
+    zero at u = 1, K the octave count, and integers with psi(1-t) = (sum_k p_k t^k / b)
+    / (sum_i q_i t^i / q_0) for psi = num/(den/(1-u)^m).
 
     K is the least integer >= 4 with h = 2^-K at most 1/8 of Fujiwara's lower bound
     1/(2 max(|q_1/q_0|, ..., |q_n/(2 q_0)|^(1/n))) on the root moduli of den(1-t)/t^m:
@@ -399,16 +358,15 @@ def _octave_setup(approx: PadeApprox) -> tuple:
     if "setup" not in tables:
         _check_poles_in_unit_interval(approx)
         (dn, p), (dd, q) = approx._cleared
-        m, psi = 0, PadeApprox(approx.num, approx.den)  # not approx itself: no reference cycle
+        m = 0
         while sum(q) == 0:  # den(1) = 0: den/(1-u) has den's prefix sums as coefficients
             q, m = list(accumulate(q[:-1])), m + 1
-            psi = PadeApprox(approx.num, tuple(Fraction(c, dd) for c in q))
         p, q = ([(-1) ** k * sum(comb(j, k) * c for j, c in enumerate(cs) if j >= k)
                  for k in range(len(cs))] for cs in (p, q))  # c(1 - t) from c(u)
         n, k = len(q) - 1, 4
         while any(abs(c) > abs(q[0]) << ((k - 4) * i + (i == n)) for i, c in enumerate(q[1:], 1)):
             k += 1
-        tables.setdefault("setup", (m, k, psi, [c * dd for c in p], dn * q[0], q))
+        tables.setdefault("setup", (m, k, [c * dd for c in p], dn * q[0], q))
     return tables["setup"]
 
 
@@ -424,7 +382,7 @@ def _head_series(approx: PadeApprox, setup: tuple, bits: int) -> tuple[int, list
     """
     tables, key = approx._node_tables, ("head", bits)
     if key not in tables:
-        _, K, _, p, b, q = setup
+        _, K, p, b, q = setup
         g = bits + 20
         f = g - max((c.bit_length() - b.bit_length() - K * k for k, c in enumerate(p) if c), default=0)
         P = [_fixed(c, b, f - K * k) for k, c in enumerate(p)]
@@ -464,33 +422,75 @@ def _octave_nodes(points: int, panels: int, bits: int) -> tuple[list, list, list
     return tuple(map(list, zip(*rows)))
 
 
+def _t_form(setup: tuple, bits: int, extra: int) -> list[tuple[int, list[int]]]:
+    """[(w, [floor(c 2^w) for c in cs])] for psi(1 - t)'s numerator, cs = p_i/b, and its
+    denominator, cs = q_i/q_0 (see _octave_setup), each w putting max|c| 2^w in
+    [2^(bits+63+extra), 2^(bits+65+extra))."""
+    _, _, p, b, q = setup
+    scaled = []
+    for cs, d in ((p, b), (q, q[0])):
+        w = bits + 64 + extra - max(c.bit_length() for c in cs) + d.bit_length()
+        scaled.append((w, [_fixed(c, d, w) for c in cs]))
+    return scaled
+
+
+def _octave_column(forms: Callable, man: int, e: int, K: int, bits: int) -> list[tuple[int, int]]:
+    """[(N, D) for k = K-1 .. 0]: psi(1 - t)'s numerator and denominator at t = s 2^-(k+1),
+    s = man 2^e in (1, 2), each in units of its 2^-w in forms(extra) = _t_form(.., extra).
+
+    Each C_i s^i is rounded once, as (C_i S_i) >> W with S_i = floor(s^i 2^W) by repeated
+    products and 2^W >= 4 deg max|C_i|: off by less than 5/4 s^i + 1 units.  Each octave
+    is then a Horner in 2^-(k+1) <= 1/2 by shifts alone, off by less than 2 more units, so
+    with t <= 1 each value is off by less than E = 2 deg + 6 units.  Where N or D keeps
+    fewer than R = bits + 24 + bitlen(E) bits, the node is formed again, once, with the
+    bits it lacks rounded up to a multiple of 32.  The oscillator's approximants of orders
+    20-54 lose at most 28 bits to their largest coefficient in t, so none is; E1's [29/30] 53.
+    """
+    extra = 0
+    while True:
+        (_, num), (_, den) = forms(extra)
+        deg = max(len(num), len(den)) - 1
+        W = bits + 65 + extra + (4 * deg).bit_length()
+        powers = list(accumulate(range(deg), lambda power, _: power * man >> -e, initial=1 << W))
+        rows = [[_horner_fixed(terms, k + 1) for k in reversed(range(K))]
+                for terms in ([c * power >> W for c, power in zip(cs, powers)] for cs in (num, den))]
+        short = bits + 24 + (2 * deg + 6).bit_length() - min(v.bit_length() for row in rows for v in row)
+        if short <= 0 or extra:
+            return list(zip(*rows))
+        extra = -(-short // 32) * 32
+
+
 def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int, bits: int) -> tuple:
     """(F, columns, c^2), kept per (points, panels, bits): column j holds
-    floor(psi(1 - 2^-(k+1) s_j) 2^F) for k = K-1 .. 0, by _fixed_point_phi, and c is
-    psi's largest Legendre coefficient of degree n - 1 = points - 1 on a panel, relative
+    floor(N 2^(F - w_num + w_den) / D) ~ psi(1 - 2^-(k+1) s_j) 2^F for k = K-1 .. 0, N and D
+    from _octave_column, with F putting the largest |value| in [2^(bits+19), 2^(bits+21)).
+    Where N and D keep R bits, each is relatively within E 2^(1-R) < 2^-(bits+23), so a
+    value is within 2 units of floor(psi 2^F).
+
+    c is psi's largest Legendre coefficient of degree n - 1 = points - 1 on a panel, relative
     to the largest |psi|.  Analytic in a panel's ellipse E_rho, psi has |c| ~ rho^(1-n),
     the rule errs by about rho^(-2n) ~ c^2, and a pole near [0, 1], real or complex,
     shows in c.  n w_i P_(n-1)(x_i) = (-1)^i sqrt(2 w_i (1 - x_i^2)) at the descending
     nodes x_i, as (1 - x^2) P_n'(x) = n P_(n-1)(x); with f(x_i) they sum to 2n c_(n-1)/(2n-1)."""
     tables, key = approx._node_tables, ("table", points, panels, bits)
     if key not in tables:  # a build that raises publishes nothing
-        _, K, psi = setup[:3]
-        ctx, (f, phi), columns = _context(bits), _fixed_point_phi(psi, bits), []
-        for _, man, e, _ in _octave_nodes(points, panels, bits)[0]:
-            column = []
-            for k in reversed(range(K)):  # u = 1 - man 2^(e-k-1)
-                try:
-                    column.append(phi((1 << k + 1 - e) - man, k + 1 - e))
-                except ZeroDivisionError:
+        K, ctx, forms = setup[1], _context(bits), cache(partial(_t_form, setup, bits))
+        nodes, raw = _octave_nodes(points, panels, bits)[0], []
+        for _, man, e, _ in nodes:
+            raw.append(column := _octave_column(forms, man, e, K, bits))
+            for k, (_, d) in zip(reversed(range(K)), column):
+                if d == 0:  # den rounds to 0 at t = man 2^(e-k-1)
                     t = mp.make_mpf(libmp.from_man_exp(man, e - k - 1))
-                    raise IntegrationError(f"non-finite integrand value at t={t}") from None
-            columns.append(column)
+                    raise IntegrationError(f"non-finite integrand value at t={t}")
+        shift = bits + 20 - max(n.bit_length() - d.bit_length() for column in raw for n, d in column)
+        columns = [[_fixed(n, d, shift) for n, d in column] for column in raw]
         null = [(-1) ** i * libmp.to_fixed(ctx.sqrt(2 * w * (1 - x * x))._mpf_, bits)
                 for i, (x, w) in enumerate(zip(*_gauss_legendre_nodes(points, bits)))]
         top = max(abs(sum(v * col[k] for v, col in zip(null, columns[j:j + points]))) for k in range(K)
                   for j in range(0, len(columns), points))
         c = ctx.ldexp(top, -bits) / (max(abs(v) for col in columns for v in col) or 1)
-        tables.setdefault(key, (f, columns, c * c))
+        (wn, _), (wd, _) = forms(0)
+        tables.setdefault(key, (shift + wn - wd, columns, c * c))
     return tables[key]
 
 
