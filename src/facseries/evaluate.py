@@ -442,9 +442,9 @@ def _octave_column(forms: Callable, man: int, e: int, K: int, bits: int) -> list
     products and 2^W >= 4 deg max|C_i|: off by less than 5/4 s^i + 1 units.  Each octave
     is then a Horner in 2^-(k+1) <= 1/2 by shifts alone, off by less than 2 more units, so
     with t <= 1 each value is off by less than E = 2 deg + 6 units.  Where N or D keeps
-    fewer than R = bits + 24 + bitlen(E) bits, the node is formed again, once, with the
-    bits it lacks rounded up to a multiple of 32.  The oscillator's approximants of orders
-    20-54 lose at most 28 bits to their largest coefficient in t, so none is; E1's [29/30] 53.
+    fewer than R = bits + 24 + bitlen(E) bits, it is formed again with the bits it lacks in
+    32s, until both keep R or extra passes deg (K - e) + bits, which ends an exact zero.  The
+    oscillator's approximants of orders 20-54 lose at most 28 bits, so none is; E1's [29/30] 53.
     """
     extra = 0
     while True:
@@ -455,9 +455,9 @@ def _octave_column(forms: Callable, man: int, e: int, K: int, bits: int) -> list
         rows = [[_horner_fixed(terms, k + 1) for k in reversed(range(K))]
                 for terms in ([c * power >> W for c, power in zip(cs, powers)] for cs in (num, den))]
         short = bits + 24 + (2 * deg + 6).bit_length() - min(v.bit_length() for row in rows for v in row)
-        if short <= 0 or extra:
+        if short <= 0 or extra > deg * (K - e) + bits:
             return list(zip(*rows))
-        extra = -(-short // 32) * 32
+        extra += -(-short // 32) * 32
 
 
 def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int, bits: int) -> tuple:

@@ -117,7 +117,7 @@ def pade_construct(coeffs: Sequence, L: int, M: int) -> PadeApprox:
     """[L/M] approximant from at least L+M+1 leading series coefficients."""
     if L < 0 or M < 0:
         raise DomainError(f"need L, M >= 0, got L={L}, M={M}")
-    c = [Fraction(v) for v in coeffs]
+    c = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
     if len(c) < L + M + 1:
         raise DomainError(f"[{L}/{M}] needs {L + M + 1} coefficients, have {len(c)}")
     den = _try_denominator(c, L, M)

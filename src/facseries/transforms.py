@@ -10,12 +10,12 @@ Both, the power-series variant giving the lambda_m of the product-form evaluator
 Stirling pair's applies run the triangles' recurrences on the cleared vector (_stirling_apply).
 The generic framework for lower-triangular pairs (A, B) with sum_r B_nr A_rk = delta_nk
 keeps each matrix as integer rows (D, ints); every other product, solve and orthogonality
-check is one kernel, _lower_apply, and the inverse is built on such rows.
+check is one kernel, _lower_apply.  The inverse is built on such rows, narrow ones packed
+one row to an integer in s-bit slots (Kronecker substitution, read back by _slots).
 
-All transforms here are purely formal truncations: the leading N+1 output
-coefficients depend only on the leading N+1 inputs (triangularity), the tail
-is treated as zero, and convergence of the resulting series is the caller's
-problem.
+All transforms here are purely formal truncations: the leading N+1 output coefficients
+depend only on the leading N+1 inputs (triangularity), the tail is treated as zero, and
+convergence of the resulting series is the caller's problem.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from functools import cached_property
 from itertools import count, repeat
 from math import gcd, lcm
 from operator import mul
+from sys import byteorder
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, IntegrityError
@@ -51,6 +52,16 @@ def _lower_apply(rows: Iterable[tuple[int, Sequence[int]]], x: Sequence) -> tupl
     its least common denominator, so each output is one dot product and one Fraction."""
     dx, xs = _common_denominator(x)
     return tuple(Fraction(sum(map(mul, rs, xs)), dr * dx) for dr, rs in rows)
+
+
+def _slots(acc: int, s: int, n: int) -> list[int]:
+    """[v_0, .., v_(n-1)] from acc = sum_k v_k 2^(s k), each |v_k| < 2^(s-1), s a multiple
+    of 64: 2^(s-1) added to every slot makes each an s-bit digit of one to_bytes."""
+    half, w = 1 << s - 1, s // 8
+    raw = (acc + int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")).to_bytes(n * w, "little")
+    if s == 64 and byteorder == "little":  # a slot is a native 64-bit limb
+        return [v - half for v in memoryview(raw).cast("Q")]
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, len(raw), w)]
 
 
 def _stirling_apply(x: Sequence[Fraction], kind: int, sign: int) -> tuple[Fraction, ...]:
@@ -167,24 +178,36 @@ class TransformMatrix:
         """Attach the exact inverse B, built row by row by forward substitution.
 
         Requires a nonzero diagonal.  With row r of A kept as (D_r, a), B_rr = D_r / a_r and
-        B_rk = -(sum_{j=k}^{r-1} a_j B_jk) / a_r, k < r: an integer dot product with the Q B_jk,
-        Q a common denominator rescaled only when a row's does not divide it (never for an
-        integer unit-diagonal A).  Cut by its content, the row is B's kept row: no Fraction.
+        B_rk = -(sum_{j=k}^{r-1} a_j B_jk) / a_r, k < r, over Q, a common denominator rescaled
+        only when a row's does not divide it (never for an integer unit-diagonal A).  While a
+        bound on the numerators is below 2^255, row j is kept as P_j = sum_k Q B_jk 2^(s k),
+        s = 64 .. 256, and row r is read from the slots of (D_r Q << s r) - sum_j a_j P_j; past
+        it, each Q B_rk is a dot product with a column.  Cut by its content, it is B's kept row.
         """
-        kept, columns, q = [], [], 1
+        kept, packed, tops, columns, q, s = [], [], [], [], 1, 64  # tops[j] >= every |slot| of P_j
         for r, (d_r, a) in enumerate(self._cleared):
             if (p := a[r]) == 0:
                 raise IntegrityError(f"zero diagonal entry at row {r}; not invertible")
-            ints = [-sum(map(mul, a[k:r], c)) for k, c in enumerate(columns)] + [d_r * q]
+            if s <= 256 and (n := (sum(map(mul, map(abs, a), tops)) + abs(d_r * q)).bit_length()) >= s:
+                if (s := (n // 64 + 1) * 64) <= 256:  # the kept rows packed again, in wider slots
+                    packed = [sum(v * (q // e) << s * k for k, v in enumerate(ints)) for e, ints in kept]
+                else:  # as columns from here on, where the products outweigh the interpreter
+                    columns, packed = [[ints[k] * (q // e) for e, ints in kept[k:]] for k in range(r)], []
+            ints = (_slots(acc := (d_r * q << s * r) - sum(map(mul, a, packed)), s, r + 1) if s <= 256
+                    else [-sum(map(mul, a[k:r], c)) for k, c in enumerate(columns)] + [d_r * q])
             if (g := gcd(e := p * q, *ints) * (1 if p > 0 else -1)) != 1:  # over e > 0, reduced
                 e, ints = e // g, [v // g for v in ints]
             kept.append((e, tuple(ints)))
-            if q % e:
-                scale = lcm(q, e) // q
-                q, columns = q * scale, [[v * scale for v in c] for c in columns]
-            columns.append([])
-            for c, v in zip(columns, ints):
-                c.append(v * (q // e))
+            if (scale := lcm(q, e) // q if q % e else 1) > 1:
+                q, packed, tops = q * scale, [v * scale for v in packed], [t * scale for t in tops]
+                columns = [[v * scale for v in c] for c in columns]
+            if s <= 256:  # exact: each slot of acc is p Q B_rk over the old Q
+                packed.append(acc * scale // p)
+                tops.append(max(map(abs, ints)) * (q // e))
+            else:
+                columns.append([])
+                for c, v in zip(columns, ints):
+                    c.append(v * (q // e))
         companion = object.__new__(TransformMatrix)  # from the kept rows, past __init__
         vars(companion).update(_cleared=tuple(kept), companion=None, _verified=False)
         out = copy.copy(self)  # shares the kept rows; frozen, so set past __setattr__
@@ -210,7 +233,7 @@ def triangular_forward(a: TransformMatrix, x: Sequence) -> tuple[Fraction, ...]:
     """y_r = sum_{k<=r} A_rk x_k for r = 0..len(x)-1."""
     if len(x) > a.n_max + 1:
         raise DomainError(f"vector length {len(x)} exceeds matrix size {a.n_max + 1}")
-    x = [Fraction(v) for v in x]
+    x = [v if type(v) is Fraction else Fraction(v) for v in x]  # a Fraction as it is
     return _stirling_apply(x, a._kind, -1) if a._kind else _lower_apply(a._cleared[: len(x)], x)
 
 
@@ -229,4 +252,5 @@ def coefficient_transform(a: TransformMatrix, eta: Sequence, order: int) -> tupl
         raise DomainError(f"order {order} exceeds matrix size {a.n_max}")
     rows = a._cleared[: order + 1]  # A_kn = ints_k[n] / D_k: 1/D_k goes into eta_k
     columns = ((1, [0] * n + [ints[n] for _, ints in rows[n:]]) for n in range(order + 1))
-    return _lower_apply(columns, [Fraction(v) / d for v, (d, _) in zip(eta, rows)])
+    return _lower_apply(columns, [(v if type(v) is Fraction else Fraction(v)) / d
+                                  for v, (d, _) in zip(eta, rows)])

@@ -961,11 +961,13 @@ class TestOctaveColumn:
             t = Fraction(man, 2 ** (r + k + 1))
             assert abs(n - t_form_value(p, b, t) * 2**wn) < E
             assert abs(d - t_form_value(q, q0, t) * 2**wd) < E
-        # formed again at most once, with a multiple of 32 more bits, where the first
-        # pass kept fewer than bits + 24 + bitlen(E) bits in some N or D
+        # formed again, each time with a multiple of 32 more bits, while some N or D keeps
+        # fewer than bits + 24 + bitlen(E) bits and extra is at most deg (K + r) + bits
         kept = min(v.bit_length() for pair in pairs for v in pair)
-        assert extras == [0] and kept >= bits + 24 + E.bit_length() or \
-            len(extras) == 2 and extras[1] > 0 and extras[1] % 32 == 0
+        cap = (max(len(p), len(q)) - 1) * (K + r) + bits
+        assert extras[0] == 0 and all(0 < b - a and (b - a) % 32 == 0 for a, b in zip(extras, extras[1:]))
+        assert all(extra <= cap for extra in extras[:-1])
+        assert kept >= bits + 24 + E.bit_length() or extras[-1] > cap
 
     @pytest.mark.parametrize("num, den, man", [
         # (1 - u)^30 and (1 - u)^20 at t = 1 - u just above 1/16: about 2^-120 and 2^-80
@@ -976,6 +978,8 @@ class TestOctaveColumn:
          2**76 + 12345),
         # (1 - 2u)^9 = (2t - 1)^9 at t just above 1/2: about 2^-180 from coefficients up to 2^13 in t
         ([(-2) ** k * math.comb(9, k) for k in range(10)], [1], 2**76 + 2**56 + 12345),
+        # and at t = 1/2 + 12345 2^-77: about 2^-562, which needs more than one pass formed again
+        ([(-2) ** k * math.comb(9, k) for k in range(10)], [1], 2**76 + 12345),
     ])
     def test_cancelling_values_keep_relative_accuracy(self, num, den, man):
         p = PadeApprox(num=tuple(map(Fraction, num)), den=tuple(map(Fraction, den)))
@@ -987,6 +991,21 @@ class TestOctaveColumn:
             exact = t_form_value(pn, b, t) / t_form_value(q, q[0], t)
             # N and D each relatively within 2^-(bits+23), as each keeps bits + 24 + bitlen(E) bits
             assert abs(Fraction(n, d) * Fraction(2) ** (wd - wn) / exact - 1) <= Fraction(1, 2 ** (bits + 20))
+
+    def test_exact_root_ends(self):
+        # phi(u) = 1 - 4u is exactly 0 at t = 1 - u = 3/4, s = 3/2, k = 0: N stays 0 at
+        # every extra, and the passes stop once extra is past deg (K - e) + bits
+        p = PadeApprox(num=(Fraction(1), Fraction(-4)), den=(Fraction(1),))
+        m, _, pn, b, q = _octave_setup(p)
+        pairs, wn, wd, extras = column_and_scales((m, 4, pn, b, q), 3, -1, PREC_BITS)
+        assert pairs[-1][0] == 0 and extras[-2] <= 1 * (4 + 1) + PREC_BITS < extras[-1]
+        # a numerator that is 0 everywhere, with a denominator of degree 3 at e = -60, the same
+        zero, _, _, zero_extras = column_and_scales((0, 4, [0], 1, [1, 2, 3, 4]), 2**60 + 1, -60, PREC_BITS)
+        assert {n for n, _ in zero} == {0} and zero_extras[-2] <= 3 * (4 + 60) + PREC_BITS < zero_extras[-1]
+        for k, (n, d) in zip(reversed(range(4)), pairs[:-1]):
+            t = Fraction(3, 2 ** (k + 2))
+            exact = t_form_value(pn, b, t) / t_form_value(q, q[0], t)
+            assert abs(Fraction(n, d) * Fraction(2) ** (wd - wn) / exact - 1) <= Fraction(1, 2 ** (PREC_BITS + 20))
 
     @settings(max_examples=100, deadline=None)
     @given(

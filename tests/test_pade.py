@@ -53,6 +53,16 @@ class TestConstruction:
         assert (p.L, p.M) == (3, 4)
         assert p.den[0] == 1
 
+    def test_mixed_coefficients_convert_as_before(self, monkeypatch):
+        # a Fraction coefficient is taken as it is; int, str and float ones convert exactly
+        mixed = [Fraction(1, 3), 2, "5/7", 0.5, "-1.25", Fraction(-4, 9), 3]
+        seen, original = [], pade._try_denominator
+        monkeypatch.setattr(pade, "_try_denominator", lambda c, L, M: seen.append(c) or original(c, L, M))
+        p = pade_construct(mixed, 3, 3)
+        assert seen[0][0] is mixed[0] and seen[0][5] is mixed[5]
+        assert seen[0] == [Fraction(v) for v in mixed]
+        assert p == pade_construct([Fraction(v) for v in mixed], 3, 3)
+
     def test_not_enough_coefficients(self):
         with pytest.raises(DomainError):
             pade_construct([1, 1], 1, 1)

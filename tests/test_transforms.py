@@ -1,10 +1,14 @@
 """Exact Stirling-weighted coefficient transforms and the triangular framework."""
 
+import math
+import operator
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -633,6 +637,97 @@ class TestKeptRows:
         assert made  # the Fractions are made when rows and entry are read
         # and hold the kept integers themselves, not copies
         assert all(f.numerator is i for f, i in zip(pair.rows[40], pair._cleared[40][1]))
+
+
+def column_dot_companion(cleared):
+    """B's kept rows by the column-dot forward substitution that packed rows replaced:
+    each Q B_rk one integer dot product with a column of Q B, the reference."""
+    kept, columns, q = [], [], 1
+    for r, (d_r, a) in enumerate(cleared):
+        if (p := a[r]) == 0:
+            raise IntegrityError(f"zero diagonal entry at row {r}; not invertible")
+        ints = [-sum(map(operator.mul, a[k:r], c)) for k, c in enumerate(columns)] + [d_r * q]
+        if (g := math.gcd(e := p * q, *ints) * (1 if p > 0 else -1)) != 1:
+            e, ints = e // g, [v // g for v in ints]
+        kept.append((e, tuple(ints)))
+        if q % e:
+            scale = math.lcm(q, e) // q
+            q, columns = q * scale, [[v * scale for v in c] for c in columns]
+        columns.append([])
+        for c, v in zip(columns, ints):
+            c.append(v * (q // e))
+    return tuple(kept)
+
+
+class TestPackedCompanion:
+    """with_computed_companion keeps narrow rows of Q B packed in s-bit slots, and its
+    kept rows and errors are the column-dot reference's."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_kept_rows_equal_the_column_dot(self, data):
+        n = data.draw(st.integers(0, 30), label="n")
+        big = data.draw(st.sampled_from([3, 10**6, 10**60]), label="big")
+        den = st.integers(1, data.draw(st.sampled_from([1, 10**3, 10**9]), label="den"))
+        entry = st.builds(Fraction, st.integers(-big, big), den)
+        pivot = st.one_of(st.just(1), st.builds(Fraction, st.integers(-big, big).filter(bool), den),
+                          st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9)))
+        rows = [data.draw(st.lists(entry, min_size=r, max_size=r)) + [data.draw(pivot)]
+                for r in range(n)]
+        if n and data.draw(st.booleans(), label="zero pivot"):
+            rows[data.draw(st.integers(0, n - 1), label="at")][-1] = 0
+        m = TransformMatrix(rows)
+        try:
+            expected = column_dot_companion(m._cleared)
+        except IntegrityError as exc:
+            with pytest.raises(IntegrityError, match=f"^{re.escape(str(exc))}$"):
+                m.with_computed_companion()
+        else:
+            assert m.with_computed_companion().companion._cleared == expected
+
+    def test_slots_widen_then_columns(self, monkeypatch):
+        # B_rk = 2^(40 (r - k)): past 2^63 at row 2, 2^127 at row 4 and 2^255 at row 7
+        rows = [[0] * (r - 1) + [-2**40] * (r > 0) + [1] for r in range(9)]
+        calls = counting(monkeypatch, "_slots")
+        m = TransformMatrix(rows).with_computed_companion()
+        assert [s for _, s, _ in calls] == [64, 64, 128, 128, 192, 256, 256]  # rows 7, 8 by columns
+        assert m.companion.rows == tuple(tuple(Fraction(2 ** (40 * (r - k))) for k in range(r + 1))
+                                         for r in range(9))
+        assert m.companion._cleared == column_dot_companion(m._cleared)
+
+    @pytest.mark.parametrize("order", ["little", "big"])  # big: the to_bytes path at s = 64 too
+    @pytest.mark.parametrize("s", [64, 128, 192])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_slots_round_trip(self, order, s, data):
+        top = 2 ** (s - 1)
+        values = data.draw(st.lists(st.integers(-top, top - 1) | st.sampled_from([1 - top, top - 1, -top, 0]),
+                                    max_size=40))
+        acc = sum(v << s * k for k, v in enumerate(values))
+        with mock.patch.object(transforms, "byteorder", order):
+            assert transforms._slots(acc, s, len(values)) == values
+
+
+class TestVectorEntryPoints:
+    """A Fraction entry is taken as it is; int, str and float entries convert exactly."""
+
+    mixed = [Fraction(2, 3), 5, "7/11", 0.25, Fraction(-13, 4), "-1.5", -3]
+
+    def test_forward_passes_fractions_through(self, monkeypatch):
+        for m in (TransformMatrix([[1], [2, 3], [4, 5, 6], [7, 8, 9, 10], [1, 2, 3, 4, 5],
+                                   [0, 1, 0, 1, 0, 1], [6, 5, 4, 3, 2, 1, 1]]),
+                  TransformMatrix.stirling_pair(6)):
+            applied = counting(monkeypatch, "_common_denominator")
+            y = triangular_forward(m, self.mixed)
+            (x,), = applied
+            assert all(v is f for v, f in zip(x, self.mixed) if type(f) is Fraction)
+            assert type(x) is list and x == [Fraction(v) for v in self.mixed]
+            assert y == triangular_forward(m, [Fraction(v) for v in self.mixed])
+
+    def test_coefficient_transform_converts_as_before(self):
+        m = TransformMatrix([[Fraction(k + 1, n + 2) for k in range(n + 1)] for n in range(7)])
+        assert coefficient_transform(m, self.mixed, 6) == \
+            coefficient_transform(m, [Fraction(v) for v in self.mixed], 6)
 
 
 class TestTriangularActions:
