@@ -443,8 +443,9 @@ def _octave_column(forms: Callable, man: int, e: int, K: int, bits: int) -> list
     is then a Horner in 2^-(k+1) <= 1/2 by shifts alone, off by less than 2 more units, so
     with t <= 1 each value is off by less than E = 2 deg + 6 units.  Where N or D keeps
     fewer than R = bits + 24 + bitlen(E) bits, it is formed again with the bits it lacks in
-    32s, until both keep R or extra passes deg (K - e) + bits, which ends an exact zero.  The
-    oscillator's approximants of orders 20-54 lose at most 28 bits, so none is; E1's [29/30] 53.
+    32s, at least doubling extra, until both keep R or extra passes deg (K - e) + bits, which
+    ends an exact zero in O(log) passes.  The oscillator's approximants of orders 20-54 lose
+    at most 28 bits, so none is formed again; E1's [29/30] up to 53.
     """
     extra = 0
     while True:
@@ -457,7 +458,7 @@ def _octave_column(forms: Callable, man: int, e: int, K: int, bits: int) -> list
         short = bits + 24 + (2 * deg + 6).bit_length() - min(v.bit_length() for row in rows for v in row)
         if short <= 0 or extra > deg * (K - e) + bits:
             return list(zip(*rows))
-        extra += -(-short // 32) * 32
+        extra = max(2 * extra, extra + -(-short // 32) * 32)
 
 
 def _octave_table(approx: PadeApprox, setup: tuple, points: int, panels: int, bits: int) -> tuple:

@@ -10,8 +10,8 @@ Both, the power-series variant giving the lambda_m of the product-form evaluator
 Stirling pair's applies run the triangles' recurrences on the cleared vector (_stirling_apply).
 The generic framework for lower-triangular pairs (A, B) with sum_r B_nr A_rk = delta_nk
 keeps each matrix as integer rows (D, ints); every other product, solve and orthogonality
-check is one kernel, _lower_apply.  The inverse is built on such rows, narrow ones packed
-one row to an integer in s-bit slots (Kronecker substitution, read back by _slots).
+check is one kernel, _lower_apply.  The inverse is built on such rows, each packed to one
+integer in s-bit slots (Kronecker substitution, read back by _slots).
 
 All transforms here are purely formal truncations: the leading N+1 output coefficients
 depend only on the leading N+1 inputs (triangularity), the tail is treated as zero, and
@@ -179,35 +179,26 @@ class TransformMatrix:
 
         Requires a nonzero diagonal.  With row r of A kept as (D_r, a), B_rr = D_r / a_r and
         B_rk = -(sum_{j=k}^{r-1} a_j B_jk) / a_r, k < r, over Q, a common denominator rescaled
-        only when a row's does not divide it (never for an integer unit-diagonal A).  While a
-        bound on the numerators is below 2^255, row j is kept as P_j = sum_k Q B_jk 2^(s k),
-        s = 64 .. 256, and row r is read from the slots of (D_r Q << s r) - sum_j a_j P_j; past
-        it, each Q B_rk is a dot product with a column.  Cut by its content, it is B's kept row.
+        only when a row's does not divide it (never for an integer unit-diagonal A).  Row j is
+        kept as P_j = sum_k Q B_jk 2^(s k), and row r is read from the slots of (D_r Q << s r)
+        - sum_j a_j P_j; s = 64 2^m, doubled where a bound on the row's numerators reaches
+        2^(s-1).  Cut by its content, the row is B's kept row.
         """
-        kept, packed, tops, columns, q, s = [], [], [], [], 1, 64  # tops[j] >= every |slot| of P_j
+        kept, packed, tops, q, s = [], [], [], 1, 64  # tops[j] >= every |slot| of P_j
         for r, (d_r, a) in enumerate(self._cleared):
             if (p := a[r]) == 0:
                 raise IntegrityError(f"zero diagonal entry at row {r}; not invertible")
-            if s <= 256 and (n := (sum(map(mul, map(abs, a), tops)) + abs(d_r * q)).bit_length()) >= s:
-                if (s := (n // 64 + 1) * 64) <= 256:  # the kept rows packed again, in wider slots
-                    packed = [sum(v * (q // e) << s * k for k, v in enumerate(ints)) for e, ints in kept]
-                else:  # as columns from here on, where the products outweigh the interpreter
-                    columns, packed = [[ints[k] * (q // e) for e, ints in kept[k:]] for k in range(r)], []
-            ints = (_slots(acc := (d_r * q << s * r) - sum(map(mul, a, packed)), s, r + 1) if s <= 256
-                    else [-sum(map(mul, a[k:r], c)) for k, c in enumerate(columns)] + [d_r * q])
+            if (n := (sum(map(mul, map(abs, a), tops)) + abs(d_r * q)).bit_length()) >= s:
+                s = 64 << (n // 64).bit_length()  # the least 64 2^m above n; the kept rows repacked
+                packed = [sum(v * (q // e) << s * k for k, v in enumerate(ints)) for e, ints in kept]
+            ints = _slots(acc := (d_r * q << s * r) - sum(map(mul, a, packed)), s, r + 1)
             if (g := gcd(e := p * q, *ints) * (1 if p > 0 else -1)) != 1:  # over e > 0, reduced
                 e, ints = e // g, [v // g for v in ints]
             kept.append((e, tuple(ints)))
             if (scale := lcm(q, e) // q if q % e else 1) > 1:
                 q, packed, tops = q * scale, [v * scale for v in packed], [t * scale for t in tops]
-                columns = [[v * scale for v in c] for c in columns]
-            if s <= 256:  # exact: each slot of acc is p Q B_rk over the old Q
-                packed.append(acc * scale // p)
-                tops.append(max(map(abs, ints)) * (q // e))
-            else:
-                columns.append([])
-                for c, v in zip(columns, ints):
-                    c.append(v * (q // e))
+            packed.append(acc * scale // p)  # exact: each slot of acc is p Q B_rk over the old Q
+            tops.append(max(map(abs, ints)) * (q // e))
         companion = object.__new__(TransformMatrix)  # from the kept rows, past __init__
         vars(companion).update(_cleared=tuple(kept), companion=None, _verified=False)
         out = copy.copy(self)  # shares the kept rows; frozen, so set past __setattr__

@@ -1002,6 +1002,11 @@ class TestOctaveColumn:
         # a numerator that is 0 everywhere, with a denominator of degree 3 at e = -60, the same
         zero, _, _, zero_extras = column_and_scales((0, 4, [0], 1, [1, 2, 3, 4]), 2**60 + 1, -60, PREC_BITS)
         assert {n for n, _ in zero} == {0} and zero_extras[-2] <= 3 * (4 + 60) + PREC_BITS < zero_extras[-1]
+        # degree 10 at e = -200: each pass past the first re-form at least doubles extra,
+        # so 5 passes pass the cap 10 (4 + 200) + bits, where steps of 288 bits took 9
+        zero, _, _, zero_extras = column_and_scales((0, 4, [0], 1, list(range(1, 12))), 2**200 + 1, -200, PREC_BITS)
+        assert {n for n, _ in zero} == {0} and zero_extras[-2] <= 10 * (4 + 200) + PREC_BITS < zero_extras[-1]
+        assert len(zero_extras) == 5 and all(b >= 2 * a for a, b in zip(zero_extras[1:], zero_extras[2:]))
         for k, (n, d) in zip(reversed(range(4)), pairs[:-1]):
             t = Fraction(3, 2 ** (k + 2))
             exact = t_form_value(pn, b, t) / t_form_value(q, q[0], t)

@@ -660,7 +660,7 @@ def column_dot_companion(cleared):
 
 
 class TestPackedCompanion:
-    """with_computed_companion keeps narrow rows of Q B packed in s-bit slots, and its
+    """with_computed_companion keeps the rows of Q B packed in s-bit slots, and its
     kept rows and errors are the column-dot reference's."""
 
     @settings(max_examples=120, deadline=None)
@@ -685,12 +685,13 @@ class TestPackedCompanion:
         else:
             assert m.with_computed_companion().companion._cleared == expected
 
-    def test_slots_widen_then_columns(self, monkeypatch):
-        # B_rk = 2^(40 (r - k)): past 2^63 at row 2, 2^127 at row 4 and 2^255 at row 7
+    def test_slots_widen(self, monkeypatch):
+        # B_rk = 2^(40 (r - k)): past 2^63 at row 2, 2^127 at row 4 and 2^255 at row 7,
+        # each time the slots doubled
         rows = [[0] * (r - 1) + [-2**40] * (r > 0) + [1] for r in range(9)]
         calls = counting(monkeypatch, "_slots")
         m = TransformMatrix(rows).with_computed_companion()
-        assert [s for _, s, _ in calls] == [64, 64, 128, 128, 192, 256, 256]  # rows 7, 8 by columns
+        assert [s for _, s, _ in calls] == [64, 64, 128, 128, 256, 256, 256, 512, 512]
         assert m.companion.rows == tuple(tuple(Fraction(2 ** (40 * (r - k))) for k in range(r + 1))
                                          for r in range(9))
         assert m.companion._cleared == column_dot_companion(m._cleared)
